@@ -50,9 +50,8 @@ from .propensity import (
     sampling_probabilities,
     truncate,
 )
-from .selfsample import SelfSampleConfig, build_auxiliary_family, draw_auxiliary
+from .selfsample import draw_auxiliary
 from .train import (
-    EvalConfig,
     Objective,
     TrainConfig,
     TrainState,

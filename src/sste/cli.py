@@ -21,9 +21,8 @@ from . import experiment as exp
 from . import propensity as prop
 from . import selfsample as ss
 from .errors import ParseError, SsteError
-from .model import Branch, InitSpec, load_checkpoint, save_checkpoint
-from .seeding import derive_seed
-from .train import EvalConfig, Objective, TrainConfig, fit
+from .model import Branch, load_checkpoint, save_checkpoint
+from .train import Objective
 
 
 def _print_json(payload) -> None:
@@ -88,12 +87,7 @@ def _cmd_data_synth(args) -> int:
 def _cmd_propensity(args) -> int:
     d = _load(args.input, args.schema, datamod.Provenance.BIASED_TRAIN)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
-    inverse = {}
-    if d.item_id_map is not None:
-        inverse = {dense: orig for orig, dense in d.item_id_map.items()}
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for dense, value in enumerate(table.per_item_propensity):
-            handle.write(f"{inverse.get(dense, dense)}\t{float(value)!r}\n")
+    prop.save_table(table, args.out, d.item_id_map)
     _print_json({"out": args.out, "n_items": d.n_items})
     return 0
 
@@ -116,64 +110,19 @@ def _cmd_selfsample(args) -> int:
 
 
 def _epsilons(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part) for part in text.split(","))
+    return exp._parse_value("epsilon_train", text, tuple)
 
 
 def _cmd_train(args) -> int:
-    objective = Objective(args.objective)
-    train_set = _load(args.train, args.schema, datamod.Provenance.BIASED_TRAIN)
-    val_set = _load(
-        args.val, args.schema, datamod.Provenance.BIASED_VALIDATION,
-        user_map=train_set.user_id_map, item_map=train_set.item_id_map,
+    # The train flags are stored under RunConfig field names.
+    names = {f.name for f in fields(exp.RunConfig)}
+    cfg = exp.RunConfig(
+        synthetic=False, **{k: v for k, v in vars(args).items() if k in names}
     )
-    eps_train = _epsilons(args.epsilon_train)
-    eps_val = _epsilons(args.epsilon_val)
-    table = None
-    if objective is not Objective.NAIVE or eps_val:
-        table = prop.estimate_popularity_propensity(
-            train_set, gamma=args.gamma, floor=args.floor
-        )
-    aux_seed = derive_seed(args.seed, "selfsample")
-    a_tr = (
-        ss.train_family(train_set, table, eps_train, aux_seed, epoch=0)
-        if objective is Objective.SSTE
-        else []
-    )
-    a_val = ss.val_family(val_set, table, eps_val, aux_seed) if eps_val else []
-
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        l2_lambda=args.l2,
-        batch_size=args.batch,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        objective=objective,
-        seed=args.seed,
-    )
+    train_set, val_set, _ = exp.build_datasets(cfg)
     log_handle = open(args.log, "w", encoding="utf-8") if args.log else sys.stdout
-
-    def on_epoch(epoch, breakdown, report):
-        line = {
-            "epoch": epoch,
-            "loss": breakdown.to_dict(),
-            "val_score": report.score_on_val,
-            "aux_scores": list(report.scores_on_aux),
-            "alpha": report.alpha,
-            "modified_score": report.modified_score,
-        }
-        log_handle.write(json.dumps(line, sort_keys=True) + "\n")
-
     try:
-        model, state = fit(
-            train_set, val_set, (a_tr, a_val), cfg, EvalConfig(),
-            embedding_dim=args.embedding_dim,
-            init_spec=InitSpec(scale=args.init_scale, seed=derive_seed(args.seed, "init")),
-            propensity=table,
-            on_epoch=on_epoch,
-        )
+        model, state = exp.train_model(cfg, train_set, val_set, log_handle)
     finally:
         if args.log:
             log_handle.close()
@@ -200,9 +149,19 @@ def _cmd_train(args) -> int:
 def _checkpoint_maps(checkpoint_path, model):
     sidecar = Path(str(checkpoint_path) + ".vocab.json")
     if sidecar.exists():
-        raw = json.loads(sidecar.read_text(encoding="utf-8"))
-        users = {int(k): v for k, v in raw["users"].items()}
-        items = {int(k): v for k, v in raw["items"].items()}
+        try:
+            raw = json.loads(sidecar.read_text(encoding="utf-8"))
+            users = {int(k): int(v) for k, v in raw["users"].items()}
+            items = {int(k): int(v) for k, v in raw["items"].items()}
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise ParseError(f"malformed vocab sidecar {sidecar}") from None
+        for kind, mapping, rows in (
+            ("user", users, model.n_users), ("item", items, model.n_items)
+        ):
+            if any(not 0 <= dense < rows for dense in mapping.values()):
+                raise ParseError(
+                    f"{sidecar} maps {kind} ids outside the checkpoint's {rows} rows"
+                )
         if users and items:
             return users, items
     return (
@@ -358,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--objective", choices=[o.value for o in Objective], required=True
     )
-    p_train.add_argument("--train", required=True)
-    p_train.add_argument("--val", required=True)
+    p_train.add_argument("--train", dest="train_path", required=True)
+    p_train.add_argument("--val", dest="val_path", required=True)
     p_train.add_argument("--gamma", type=float, default=prop.DEFAULT_GAMMA)
     p_train.add_argument("--floor", type=float, default=prop.DEFAULT_FLOOR)
-    p_train.add_argument("--epsilon-train", default="", help="comma-separated")
-    p_train.add_argument("--epsilon-val", default="", help="comma-separated")
-    p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--l2", type=float, default=0.0)
-    p_train.add_argument("--batch", type=int, default=512)
+    p_train.add_argument("--epsilon-train", type=_epsilons, default="", help="comma-separated")
+    p_train.add_argument("--epsilon-val", type=_epsilons, default="", help="comma-separated")
+    p_train.add_argument("--lr", dest="learning_rate", type=float, default=0.01)
+    p_train.add_argument("--l2", dest="l2_lambda", type=float, default=0.0)
+    p_train.add_argument("--batch", dest="batch_size", type=int, default=512)
     p_train.add_argument("--max-epochs", type=int, default=100)
     p_train.add_argument("--patience", type=int, default=5)
     p_train.add_argument("--seed", type=int, default=0)

@@ -144,20 +144,13 @@ def build_ranked_lists(score_fn, eval_set: Dataset, exclude: Dataset | None = No
 
 
 def alpha(score_val: float, scores_aux) -> float:
-    """Largest absolute pairwise difference among validation and auxiliary scores.
-
-    Zero when there are no auxiliary scores.
+    """Largest absolute difference between any two of the validation and
+    auxiliary scores, i.e. their range. Zero when there are no auxiliary scores.
     """
-    scores_aux = list(scores_aux)
-    if not all(np.isfinite(s) for s in [score_val, *scores_aux]):
+    pooled = [score_val, *scores_aux]
+    if not all(np.isfinite(s) for s in pooled):
         raise ValidationError("scores must be finite")
-    if not scores_aux:
-        return 0.0
-    best = max(abs(score_val - s) for s in scores_aux)
-    for i in range(len(scores_aux)):
-        for j in range(i + 1, len(scores_aux)):
-            best = max(best, abs(scores_aux[i] - scores_aux[j]))
-    return best
+    return max(pooled) - min(pooled)
 
 
 def modified_score(score_val: float, a: float, higher_better: bool = True) -> float:

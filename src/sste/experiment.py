@@ -35,8 +35,8 @@ from .errors import ParseError, SsteError, ValidationError
 from .model import Branch, InitSpec, MfModel, save_checkpoint
 from .propensity import estimate_popularity_propensity
 from .seeding import derive_seed
-from .selfsample import SelfSampleConfig, train_family, val_family
-from .train import EvalConfig, Objective, TrainConfig, fit
+from .selfsample import train_family, val_family
+from .train import Objective, TrainConfig, TrainState, fit
 
 _RUN_ID_HEX_CHARS = 16
 
@@ -47,8 +47,9 @@ class RunConfig:
 
     Synthetic mode draws the three datasets from the data fields; file mode
     (synthetic=false) loads TSVs instead, splitting train when val_path is
-    empty. ``seed`` drives training, initialization, and sampling;
-    ``data_seed`` drives dataset generation and splitting.
+    empty. A file-mode config without test_path can train but not run. ``seed``
+    drives training, initialization, and sampling; ``data_seed`` drives
+    dataset generation and splitting.
     """
 
     # data
@@ -98,9 +99,9 @@ class RunConfig:
         SplitMode(self.split_mode)
         if self.objective == "sste" and not self.epsilon_train:
             raise ValidationError("sste needs at least one epsilon_train value")
-        if self.objective != "sste" and self.epsilon_train:
-            raise ValidationError("epsilon_train applies only to sste")
-        if not self.synthetic and not self.test_path:
+        if self.objective != "sste" and (self.epsilon_train or self.resample_each_epoch):
+            raise ValidationError("epsilon_train and resample_each_epoch apply only to sste")
+        if not self.synthetic and not (self.test_path or self.val_path):
             raise ValidationError("file mode needs test_path")
 
     def to_dict(self) -> dict:
@@ -293,7 +294,8 @@ class RunResult:
     report: dict | None
 
 
-def _build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset]:
+def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
+    """(train, val, test) of a config; test is None when file mode has no test_path."""
     if cfg.synthetic:
         spec = SyntheticSpec(
             n_users=cfg.n_users,
@@ -320,11 +322,74 @@ def _build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset]:
             biased, cfg.split_ratio, SplitMode(cfg.split_mode),
             seed=derive_seed(cfg.data_seed, "split"),
         )
+    if not cfg.test_path:
+        return train, val, None
     test = load_tsv(
         cfg.test_path, schema, provenance=Provenance.UNIFORM_TEST,
         user_map=biased.user_id_map, item_map=biased.item_id_map,
     )
     return train, val, test
+
+
+def train_model(
+    cfg: RunConfig, train: Dataset, val: Dataset, log, on_stage=None
+) -> tuple[MfModel, TrainState]:
+    """Propensity, self-sampling and training of one config on its datasets.
+
+    The one training pipeline behind ``run_one`` and ``sste train``: every
+    random stream is seeded from ``cfg.seed`` by a derived seed, and each
+    epoch writes one JSON line to the text handle ``log``. ``on_stage(name)``
+    is called as the propensity, selfsample and train stages begin.
+    """
+    on_stage = on_stage or (lambda name: None)
+    on_stage("propensity")
+    objective = Objective(cfg.objective)
+    needs_propensity = objective is not Objective.NAIVE or cfg.epsilon_val
+    pt = (
+        estimate_popularity_propensity(train, gamma=cfg.gamma, floor=cfg.floor)
+        if needs_propensity
+        else None
+    )
+
+    on_stage("selfsample")
+    aux_seed = derive_seed(cfg.seed, "selfsample")
+    a_tr = (
+        train_family(train, pt, cfg.epsilon_train, aux_seed, epoch=0)
+        if objective is Objective.SSTE
+        else []
+    )
+    a_val = val_family(val, pt, cfg.epsilon_val, aux_seed) if cfg.epsilon_val else []
+
+    on_stage("train")
+    train_cfg = TrainConfig(
+        learning_rate=cfg.learning_rate,
+        l2_lambda=cfg.l2_lambda,
+        batch_size=cfg.batch_size,
+        max_epochs=cfg.max_epochs,
+        patience=cfg.patience,
+        objective=objective,
+        seed=derive_seed(cfg.seed, "train"),
+    )
+
+    def on_epoch(epoch, breakdown, report):
+        line = {
+            "epoch": epoch,
+            "loss": breakdown.to_dict(),
+            "val_score": report.score_on_val,
+            "aux_scores": list(report.scores_on_aux),
+            "alpha": report.alpha,
+            "modified_score": report.modified_score,
+        }
+        log.write(json.dumps(line, sort_keys=True) + "\n")
+
+    return fit(
+        train, val, (a_tr, a_val), train_cfg,
+        embedding_dim=cfg.embedding_dim,
+        init_spec=InitSpec(scale=cfg.init_scale, seed=derive_seed(cfg.seed, "init")),
+        propensity=pt,
+        resample_seed=aux_seed if cfg.resample_each_epoch else None,
+        on_epoch=on_epoch,
+    )
 
 
 def test_metrics_for(
@@ -375,70 +440,16 @@ def run_one(cfg: RunConfig) -> RunResult:
             stage=stage, error=status["error"], report=None,
         )
 
+    def enter(name: str) -> None:
+        nonlocal stage
+        stage = name
+
     try:
-        train, val, test = _build_datasets(cfg)
-
-        stage = "propensity"
-        objective = Objective(cfg.objective)
-        needs_propensity = objective is not Objective.NAIVE or cfg.epsilon_val
-        pt = (
-            estimate_popularity_propensity(train, gamma=cfg.gamma, floor=cfg.floor)
-            if needs_propensity
-            else None
-        )
-
-        stage = "selfsample"
-        aux_seed = derive_seed(cfg.seed, "selfsample")
-        a_tr = (
-            train_family(train, pt, cfg.epsilon_train, aux_seed, epoch=0)
-            if objective is Objective.SSTE
-            else []
-        )
-        a_val = val_family(val, pt, cfg.epsilon_val, aux_seed) if cfg.epsilon_val else []
-        ss_cfg = None
-        if cfg.resample_each_epoch:
-            if objective is not Objective.SSTE:
-                raise ValidationError("resample_each_epoch applies only to sste")
-            if not cfg.epsilon_val:
-                raise ValidationError("resample mode needs epsilon_val")
-            ss_cfg = SelfSampleConfig(
-                epsilons_train=cfg.epsilon_train,
-                epsilons_val=cfg.epsilon_val,
-                resample_each_epoch=True,
-                seed=aux_seed,
-            )
-
-        stage = "train"
-        train_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate,
-            l2_lambda=cfg.l2_lambda,
-            batch_size=cfg.batch_size,
-            max_epochs=cfg.max_epochs,
-            patience=cfg.patience,
-            objective=objective,
-            seed=derive_seed(cfg.seed, "train"),
-        )
+        if not (cfg.synthetic or cfg.test_path):
+            raise ValidationError("file mode needs test_path")
+        train, val, test = build_datasets(cfg)
         with open(run_dir / "epochs.jsonl", "w", encoding="utf-8") as log:
-
-            def on_epoch(epoch, breakdown, report):
-                line = {
-                    "epoch": epoch,
-                    "loss": breakdown.to_dict(),
-                    "val_score": report.score_on_val,
-                    "aux_scores": list(report.scores_on_aux),
-                    "alpha": report.alpha,
-                    "modified_score": report.modified_score,
-                }
-                log.write(json.dumps(line, sort_keys=True) + "\n")
-
-            model, state = fit(
-                train, val, (a_tr, a_val), train_cfg, EvalConfig(),
-                embedding_dim=cfg.embedding_dim,
-                init_spec=InitSpec(scale=cfg.init_scale, seed=derive_seed(cfg.seed, "init")),
-                propensity=pt,
-                selfsample_cfg=ss_cfg,
-                on_epoch=on_epoch,
-            )
+            model, state = train_model(cfg, train, val, log, on_stage=enter)
 
         stage = "evaluate"
         metrics = test_metrics_for(

@@ -179,50 +179,6 @@ def init(n_users: int, n_items: int, k: int, spec: InitSpec = InitSpec()) -> MfM
     )
 
 
-@dataclass(frozen=True)
-class InstanceGradient:
-    """Gradient of weight * BCE for one instance; only touched rows appear."""
-
-    user_id: int
-    item_id: int
-    user_factors: np.ndarray
-    item_factors: np.ndarray
-    user_bias: float
-    item_bias: float
-    global_bias: float
-
-
-def gradients(
-    m: MfModel, branch: Branch, user: int, item: int, label: int, weight: float
-) -> InstanceGradient:
-    """Analytic sparse gradient of weight * BCE(predict, label).
-
-    The residual weight * (sigmoid(logit) - label) multiplies the partner
-    factor row for each factor row and is itself the gradient of every bias.
-    """
-    if weight < 0:
-        raise ValidationError("weight must be >= 0")
-    z = m.logits(branch, user, item)[0]
-    residual = weight * (float(sigmoid(z)) - label)
-    return InstanceGradient(
-        user_id=user,
-        item_id=item,
-        user_factors=residual * m.item_factors[item],
-        item_factors=residual * m.user_factors[user],
-        user_bias=residual,
-        item_bias=residual,
-        global_bias=residual,
-    )
-
-
-def loss_at(
-    m: MfModel, branch: Branch, user: int, item: int, label: int, weight: float
-) -> float:
-    """weight * BCE for one instance, matching `gradients`."""
-    z = m.logits(branch, user, item)[0]
-    return weight * float(bce_from_logits(z, label))
-
-
 def save_checkpoint(m: MfModel, path) -> None:
     """Binary checkpoint: magic line, JSON dims header, float64 blocks.
 
@@ -263,8 +219,11 @@ def load_checkpoint(path) -> MfModel:
         try:
             dims = json.loads(header_line.decode("utf-8"))
             n_users, n_items, k = dims["n_users"], dims["n_items"], dims["k"]
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError):
             raise ParseError("malformed checkpoint header") from None
+        # bool is an int subclass, so a JSON true would pass isinstance.
+        if not all(type(n) is int and n > 0 for n in (n_users, n_items, k)):
+            raise ParseError(f"checkpoint dims must be positive ints: {dims}")
         payload = handle.read()
     sizes = [n_users * k, n_items * k, n_users, n_items, 1, n_users, n_items, 1]
     if len(payload) != 8 * sum(sizes):

@@ -118,8 +118,13 @@ def truncate(p: np.ndarray, epsilon: float) -> SampleProbTable:
     )
 
 
-def save_table(t: PropensityTable, path) -> None:
-    """Write item<TAB>propensity lines."""
+def save_table(t: PropensityTable, path, item_id_map: dict[int, int] | None = None) -> None:
+    """Write item<TAB>propensity lines in dense-id order.
+
+    ``item_id_map`` is a loaded dataset's original-to-dense item map; with it
+    the lines carry the original ids, without it the dense ids.
+    """
+    original = {dense: orig for orig, dense in (item_id_map or {}).items()}
     with open(path, "w", encoding="utf-8") as handle:
-        for item, value in enumerate(t.per_item_propensity):
-            handle.write(f"{item}\t{float(value)!r}\n")
+        for dense, value in enumerate(t.per_item_propensity):
+            handle.write(f"{original.get(dense, dense)}\t{float(value)!r}\n")

@@ -9,39 +9,12 @@ per-epoch resampling reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset, Provenance
 from .errors import ValidationError
 from .propensity import PropensityTable, SampleProbTable, sampling_probabilities, truncate
 from .seeding import derive_seed
-
-
-@dataclass(frozen=True)
-class SelfSampleConfig:
-    """Thresholds and seeding for the auxiliary-subset families.
-
-    ``epsilons_train`` has one entry per auxiliary train subset and
-    ``epsilons_val`` one per auxiliary validation subset. Validation subsets
-    are always drawn once, at preprocessing time; ``resample_each_epoch``
-    only affects the train side.
-    """
-
-    epsilons_train: tuple[float, ...]
-    epsilons_val: tuple[float, ...]
-    resample_each_epoch: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilons_train", tuple(self.epsilons_train))
-        object.__setattr__(self, "epsilons_val", tuple(self.epsilons_val))
-        if not self.epsilons_train or not self.epsilons_val:
-            raise ValidationError("need at least one train and one val threshold")
-        for eps in self.epsilons_train + self.epsilons_val:
-            if not 0.0 <= eps <= 1.0:
-                raise ValidationError(f"epsilon {eps} outside [0,1]")
 
 
 def draw_auxiliary(d: Dataset, probs: SampleProbTable, seed: int) -> Dataset:
@@ -97,11 +70,3 @@ def val_family(
         subsets.append(draw_auxiliary(val, probs, seed))
     return subsets
 
-
-def build_auxiliary_family(
-    train: Dataset, val: Dataset, pt: PropensityTable, cfg: SelfSampleConfig
-) -> tuple[list[Dataset], list[Dataset]]:
-    """Preprocessing-time families: (auxiliary train list, auxiliary val list)."""
-    a_tr = train_family(train, pt, cfg.epsilons_train, cfg.seed, epoch=0)
-    a_val = val_family(val, pt, cfg.epsilons_val, cfg.seed)
-    return a_tr, a_val

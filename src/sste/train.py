@@ -25,7 +25,7 @@ from .errors import MetricUndefinedError, TrainingDivergedError, ValidationError
 from .model import Branch, InitSpec, MfModel, bce_from_logits, init, sigmoid
 from .optim import SparseAdam
 from .propensity import PropensityTable
-from .selfsample import SelfSampleConfig, train_family
+from .selfsample import train_family
 from .seeding import rng_for
 
 LOSS_DIVERGENCE_LIMIT = 1e4  # nats; mean epoch loss beyond this is divergence
@@ -60,15 +60,6 @@ class TrainConfig:
             raise ValidationError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValidationError("patience must be >= 1")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    main_metric: str = "auc"
-
-    def __post_init__(self):
-        if self.main_metric != "auc":
-            raise ValidationError(f"unsupported main metric {self.main_metric!r}")
 
 
 @dataclass(frozen=True)
@@ -356,12 +347,11 @@ def fit(
     val: Dataset,
     aux: tuple[list[Dataset], list[Dataset]] | None = None,
     cfg: TrainConfig = TrainConfig(),
-    eval_cfg: EvalConfig = EvalConfig(),
     *,
     embedding_dim: int = 10,
     init_spec: InitSpec | None = None,
     propensity: PropensityTable | None = None,
-    selfsample_cfg: SelfSampleConfig | None = None,
+    resample_seed: int | None = None,
     on_epoch=None,
 ) -> tuple[MfModel, TrainState]:
     """Train, self-evaluate each epoch, and return the best checkpoint.
@@ -371,6 +361,9 @@ def fit(
     degrades to plain validation AUC. The model with the highest modified
     score is returned, first-best winning ties; training stops when the
     score has not strictly improved for ``cfg.patience`` epochs.
+    With ``resample_seed`` set, the joint objective redraws its auxiliary
+    train subsets before every epoch after the first, at the thresholds
+    they record, from ``train_family`` with that master seed.
     ``on_epoch(epoch, breakdown, report)`` is called after each epoch.
     """
     a_tr, a_val = aux if aux is not None else ([], [])
@@ -379,13 +372,10 @@ def fit(
             raise ValidationError("all datasets must share the vocabularies")
     if cfg.objective is Objective.SSTE and not a_tr:
         raise ValidationError("sste needs auxiliary train subsets")
-    resample = (
-        cfg.objective is Objective.SSTE
-        and selfsample_cfg is not None
-        and selfsample_cfg.resample_each_epoch
-    )
+    resample = cfg.objective is Objective.SSTE and resample_seed is not None
     if resample and propensity is None:
         raise ValidationError("resampling needs the propensity table")
+    epsilons = tuple(a.epsilon for a in a_tr)
 
     model = init(train.n_users, train.n_items, embedding_dim, init_spec or InitSpec())
     opt = SparseAdam(model.parameters(), cfg.learning_rate)
@@ -397,10 +387,7 @@ def fit(
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         if resample and epoch > 1:
-            a_tr = train_family(
-                train, propensity, selfsample_cfg.epsilons_train,
-                selfsample_cfg.seed, epoch=epoch,
-            )
+            a_tr = train_family(train, propensity, epsilons, resample_seed, epoch=epoch)
         if cfg.objective is Objective.SSTE:
             breakdown = sste_epoch(model, opt, train, a_tr, cfg, epoch=epoch)
         else:

@@ -46,6 +46,29 @@ def alpha_range(score_val, scores_aux) -> float:
     return max(pooled) - min(pooled)
 
 
+def lazy_l2_batch_objective(params, branch: str, users, items, labels, coeffs,
+                            l2: float) -> float:
+    """sum_i coeffs_i * BCE_i through one branch, plus 0.5 * l2 * ||.||^2 over
+    the rows the batch touches: its users' and items' factor and bias rows
+    and the branch's global bias.
+
+    ``params`` is a name -> array dict as from MfModel.parameters(); logits
+    are summed term by term, one instance at a time.
+    """
+    uf, itf = params["user_factors"], params["item_factors"]
+    ub, ib, gb = (params[f"{branch}_{name}"]
+                  for name in ("user_bias", "item_bias", "global_bias"))
+    data = 0.0
+    for u, i, y, c in zip(users, items, labels, coeffs):
+        z = float(np.dot(uf[u], itf[i])) + ub[u] + ib[i] + float(gb)
+        data += c * (np.logaddexp(0.0, z) - y * z)
+    touched_users, touched_items = np.unique(users), np.unique(items)
+    squares = ((uf[touched_users] ** 2).sum() + (itf[touched_items] ** 2).sum()
+               + (ub[touched_users] ** 2).sum() + (ib[touched_items] ** 2).sum()
+               + float(gb) ** 2)
+    return data + 0.5 * l2 * squares
+
+
 def dcg_binary(ranked_flags) -> float:
     return sum(
         flag / np.log2(position + 1)

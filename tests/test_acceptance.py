@@ -27,10 +27,15 @@ from sste.data import (
 )
 from sste.evaluate import RankedList, alpha, auc_scores, topk_metrics
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid, run_one
-from sste.model import Branch, InitSpec, gradients, init, loss_at
+from sste.model import Branch, InitSpec, init
 from sste.propensity import truncate
 from sste.selfsample import draw_auxiliary
-from sste.train import batch_coefficients, batch_gradients, objective_terms
+from sste.train import (
+    _apply_batch,
+    batch_coefficients,
+    batch_gradients,
+    objective_terms,
+)
 
 from conftest import criterion
 from reference import (
@@ -38,50 +43,26 @@ from reference import (
     auc_pair_matrix,
     central_difference,
     dcg_binary,
+    lazy_l2_batch_objective,
     make_dataset,
 )
+from run_synthetic_study import selected_test_auc, study_config
 
 YAHOO_DIR = Path(os.environ.get("SSTE_YAHOO_R3_DIR", "data/yahoo-r3"))
 YAHOO_BIASED = "ydata-ymusic-rating-study-v1_0-train.txt"
 YAHOO_UNIFORM = "ydata-ymusic-rating-study-v1_0-test.txt"
 
-# Frozen constants of the synthetic debiasing study. The world and loop
-# settings are shared by both objectives; only the sste rows get auxiliary
-# sampling, so the naive selection score degenerates to validation AUC.
 STUDY_SEEDS = (1, 2, 3, 4, 5)
-STUDY_WORLD = dict(
-    synthetic=True,
-    n_users=500,
-    n_items=100,
-    latent_dim=8,
-    exposure_bias_strength=1.5,
-    positive_threshold=0.25,
-    train_impressions=20000,
-    test_impressions=10000,
-    gamma=0.5,
-    floor=0.05,
-    init_scale=0.1,
-    max_epochs=30,
-    patience=5,
-)
-SSTE_SAMPLING = dict(
-    epsilon_train=(0.5,),
-    epsilon_val=(0.3,),
-    resample_each_epoch=True,
-)
 
 
-def study_config(seed: int, objective: str, out_dir) -> RunConfig:
-    kw = dict(STUDY_WORLD, objective=objective, data_seed=seed, seed=seed,
-              out_dir=str(out_dir))
-    if objective == "sste":
-        kw.update(SSTE_SAMPLING)
-    return RunConfig(**kw)
+class RecordingOptimizer:
+    """Stands in for SparseAdam: keeps each update's rows and gradient."""
 
+    def __init__(self):
+        self.updates = {}
 
-def selected_test_auc(grid_dir: Path, run_id: str) -> float:
-    report = json.loads((grid_dir / f"run-{run_id}" / "report.json").read_text())
-    return report["test_metrics"]["auc"]
+    def update(self, name, rows, grad):
+        self.updates[name] = (rows, np.array(grad, dtype=np.float64))
 
 
 class TestDataFidelity:
@@ -117,7 +98,7 @@ class TestDebiasingStudy:
                     out = tmp_path / f"seed{seed}-{objective}"
                     result = run_grid(
                         GridSpec(values=DEFAULT_GRID),
-                        study_config(seed, objective, out),
+                        study_config(seed, objective, str(out)),
                     )
                     selected[(seed, objective)] = selected_test_auc(
                         out, result.best_run_id
@@ -165,45 +146,56 @@ class TestMetricOracles:
 class TestGradientMachinery:
     def test_analytic_gradients_and_branch_symmetry(self):
         with criterion(4, "joint-objective gradients"):
+            # The step training takes: batch_gradients, then the L2 folding
+            # in _apply_batch, observed as the gradients handed to the
+            # optimizer. Each must be the derivative of the batch loss plus
+            # 0.5*l2*||.||^2 over the rows the batch touches.
             rng = np.random.default_rng(7)
-            m = init(6, 5, 3, InitSpec(scale=0.3, seed=1))
-            for _ in range(100):
-                user = int(rng.integers(0, 6))
-                item = int(rng.integers(0, 5))
-                label = int(rng.integers(0, 2))
-                weight = float(rng.uniform(0.2, 2.0))
-                branch = Branch.TILDE if rng.random() < 0.5 else Branch.HAT
-                g = gradients(m, branch, user, item, label, weight)
-                coord = int(rng.integers(0, 2 * m.k + 3))
+            l2 = 0.3
+            for trial in range(20):
+                m = init(6, 5, 3, InitSpec(scale=0.3, seed=trial))
+                for head in (m.branch_tilde, m.branch_hat):
+                    head.user_bias[:] = rng.normal(0.0, 0.3, 6)
+                    head.item_bias[:] = rng.normal(0.0, 0.3, 5)
+                    head.global_bias[...] = rng.normal(0.0, 0.3)
+                users = rng.integers(0, 6, 10)
+                items = rng.integers(0, 5, 10)
+                labels = rng.integers(0, 2, 10).astype(np.float64)
+                coeffs = rng.uniform(0.2, 2.0, 10) / 10
+                assert len(np.unique(users)) < 10 and len(np.unique(items)) < 10
+                for branch in Branch:
+                    recorder = RecordingOptimizer()
+                    bg = batch_gradients(m, branch, users, items, labels, coeffs)
+                    _apply_batch(m, recorder, branch, bg, l2)
+                    groups = ("user_factors", "item_factors",
+                              f"{branch.value}_user_bias",
+                              f"{branch.value}_item_bias",
+                              f"{branch.value}_global_bias")
+                    assert sorted(recorder.updates) == sorted(groups)
+                    for name, (rows, grad) in recorder.updates.items():
+                        if name.endswith("global_bias"):
+                            assert rows is None
+                        else:
+                            source = users if "user" in name else items
+                            assert np.array_equal(rows, np.unique(source))
 
-                def value_and_probe(delta: float) -> tuple[float, float]:
-                    probe = m.copy()
-                    head = probe.head(branch)
-                    if coord < m.k:
-                        analytic = float(g.user_factors[coord])
-                        probe.user_factors[user, coord] += delta
-                    elif coord < 2 * m.k:
-                        analytic = float(g.item_factors[coord - m.k])
-                        probe.item_factors[item, coord - m.k] += delta
-                    elif coord == 2 * m.k:
-                        analytic = g.user_bias
-                        head.user_bias[user] += delta
-                    elif coord == 2 * m.k + 1:
-                        analytic = g.item_bias
-                        head.item_bias[item] += delta
-                    else:
-                        analytic = g.global_bias
-                        head.global_bias[...] += delta
-                    return analytic, loss_at(probe, branch, user, item, label, weight)
+                        for pos in np.ndindex(grad.shape):
+                            index = pos if rows is None else (rows[pos[0]], *pos[1:])
 
-                analytic, _ = value_and_probe(0.0)
-                numeric = central_difference(
-                    lambda d: value_and_probe(d)[1], 0.0
-                )
-                # Relative check per the contract; the absolute floor only
-                # matters where the true derivative is itself ~0 and a
-                # relative error is undefined.
-                assert numeric == pytest.approx(analytic, rel=1e-4, abs=1e-9)
+                            def objective(delta: float) -> float:
+                                probe = m.copy()
+                                probe.parameters()[name][index] += delta
+                                return lazy_l2_batch_objective(
+                                    probe.parameters(), branch.value,
+                                    users, items, labels, coeffs, l2,
+                                )
+
+                            # Relative check per the contract; the absolute
+                            # floor only matters where the true derivative is
+                            # itself ~0 and a relative error is undefined.
+                            assert central_difference(objective, 0.0) == pytest.approx(
+                                grad[pos], rel=1e-4, abs=1e-9
+                            )
 
             spec = SyntheticSpec(
                 n_users=30, n_items=20, latent_dim=4, exposure_bias_strength=1.5,

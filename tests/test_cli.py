@@ -85,6 +85,17 @@ class TestPropensityCommands:
         assert max(values) == 1.0
         assert min(values) >= 0.01
 
+    def test_propensity_lines_carry_the_file_item_ids(self, tmp_path, capsys):
+        data = tmp_path / "sparse.tsv"
+        data.write_text("7\t205\t1\n7\t100\t0\n8\t100\t1\n")
+        out = tmp_path / "prop.tsv"
+        assert main(["propensity", "--input", str(data), "--schema", "label",
+                     "--gamma", "1.0", "--out", str(out)]) == 0
+        lines = [line.split("\t") for line in out.read_text().splitlines()]
+        assert [(item, float(value)) for item, value in lines] == [
+            ("100", 1.0), ("205", 0.5)
+        ]
+
     def test_selfsample_draws_a_subset(self, synth_dir, capsys):
         out = synth_dir / "aux.tsv"
         assert main(["selfsample", "--input", str(synth_dir / "train.tsv"),
@@ -191,6 +202,77 @@ class TestTrainAndEvaluate:
         assert out["modified_score"] == pytest.approx(
             out["val_auc"] - out["alpha"]
         )
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("objective, epsilons", [
+        ("naive", {}), ("sste", {"epsilon_train": "0.5", "epsilon_val": "0.5"}),
+    ])
+    def test_train_matches_exp_run_byte_for_byte(self, synth_dir, tmp_path,
+                                                 capsys, objective, epsilons):
+        settings = {
+            "schema": "label", "objective": objective, "gamma": "1.0",
+            "learning_rate": "0.01", "l2_lambda": "0.001", "batch_size": "256",
+            "max_epochs": "3", "patience": "3", "seed": "1",
+            "embedding_dim": "4", "init_scale": "0.1", **epsilons,
+        }
+        flags = {"learning_rate": "lr", "l2_lambda": "l2", "batch_size": "batch"}
+        ckpt = tmp_path / "model.ckpt"
+        log = tmp_path / "epochs.jsonl"
+        argv = ["train", "--train", str(synth_dir / "train.tsv"),
+                "--val", str(synth_dir / "val.tsv"),
+                "--checkpoint-out", str(ckpt), "--log", str(log)]
+        for key, value in settings.items():
+            argv += ["--" + flags.get(key, key).replace("_", "-"), value]
+        assert main(argv) == 0
+
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in {
+            **settings, "synthetic": "false",
+            "train_path": synth_dir / "train.tsv",
+            "val_path": synth_dir / "val.tsv",
+            "test_path": synth_dir / "test.tsv",
+            "out_dir": tmp_path / "runs",
+        }.items()))
+        assert main(["exp", "run", "--config", str(config)]) == 0
+        run_dir = Path(read_json_lines(capsys)[-1]["run_dir"])
+        assert (run_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
+        assert (run_dir / "epochs.jsonl").read_bytes() == log.read_bytes()
+
+    def test_train_rejects_thresholds_outside_sste(self, synth_dir, tmp_path,
+                                                   capsys):
+        assert main(["train", "--objective", "ips",
+                     "--train", str(synth_dir / "train.tsv"),
+                     "--val", str(synth_dir / "val.tsv"), "--schema", "label",
+                     "--epsilon-train", "0.5",
+                     "--checkpoint-out", str(tmp_path / "m.ckpt")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class TestBadCheckpoints:
+    def evaluate(self, ckpt, synth_dir):
+        return main(["evaluate", "--checkpoint", str(ckpt),
+                     "--test", str(synth_dir / "test.tsv"),
+                     "--schema", "label", "--metrics", "auc"])
+
+    def test_malformed_header_exits_nonzero(self, trained, synth_dir, capsys):
+        ckpt, _, _ = trained
+        magic, _, payload = ckpt.read_bytes().split(b"\n", 2)
+        # 116 floats is the payload size these dims imply.
+        header = b'{"k": 4, "n_items": 20, "n_users": -1}'
+        ckpt.write_bytes(magic + b"\n" + header + b"\n" + payload[:8 * 116])
+        assert self.evaluate(ckpt, synth_dir) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_sidecar_outside_the_checkpoint_exits_nonzero(self, trained,
+                                                          synth_dir, capsys):
+        ckpt, _, _ = trained
+        sidecar = Path(str(ckpt) + ".vocab.json")
+        vocab = json.loads(sidecar.read_text())
+        vocab["items"][next(iter(vocab["items"]))] = 20
+        sidecar.write_text(json.dumps(vocab))
+        assert self.evaluate(ckpt, synth_dir) == 1
+        assert "outside the checkpoint" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

@@ -72,6 +72,11 @@ class TestRunConfig:
     def test_file_mode_needs_a_test_path(self, tmp_path):
         with pytest.raises(ValidationError):
             quick_cfg(tmp_path, synthetic=False, train_path="a.tsv")
+        # With val_path the config can train (sste train), but not run.
+        result = run_one(quick_cfg(tmp_path, synthetic=False,
+                                   train_path="a.tsv", val_path="b.tsv"))
+        assert (result.status, result.stage) == ("failed", "data")
+        assert "test_path" in result.error
 
     def test_unknown_objective_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Two-branch factorization model: predictions, gradients, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -13,13 +14,12 @@ from sste.model import (
     InitSpec,
     MfModel,
     bce_from_logits,
-    gradients,
     init,
     load_checkpoint,
-    loss_at,
     save_checkpoint,
     sigmoid,
 )
+from sste.train import batch_gradients
 
 from reference import central_difference
 
@@ -150,66 +150,60 @@ class TestInit:
         assert p["hat_global_bias"].shape == ()
 
 
+def one_row(m, branch, user, item, label, weight):
+    """Gradient of weight * BCE for one instance, as training computes it."""
+    return batch_gradients(m, branch, np.array([user]), np.array([item]),
+                           np.array([float(label)]), np.array([weight]))
+
+
 class TestGradients:
     def test_zero_weight_gives_zero_gradient(self):
         m = tiny_model(scale=0.4)
-        g = gradients(m, Branch.HAT, 1, 2, 1, weight=0.0)
+        g = one_row(m, Branch.HAT, 1, 2, 1, weight=0.0)
         assert not g.user_factors.any()
         assert g.global_bias == 0.0
 
-    def test_negative_weight_is_rejected(self):
-        m = tiny_model()
-        with pytest.raises(ValidationError):
-            gradients(m, Branch.HAT, 0, 0, 1, weight=-1.0)
-
     def test_residual_sign_follows_the_label(self):
         m = tiny_model(scale=0.01)
-        up = gradients(m, Branch.HAT, 0, 0, 0, weight=1.0)
-        down = gradients(m, Branch.HAT, 0, 0, 1, weight=1.0)
+        up = one_row(m, Branch.HAT, 0, 0, 0, weight=1.0)
+        down = one_row(m, Branch.HAT, 0, 0, 1, weight=1.0)
         assert up.global_bias > 0.0
         assert down.global_bias < 0.0
 
     def test_factor_gradient_uses_the_partner_row(self):
         m = tiny_model(scale=0.3)
-        g = gradients(m, Branch.TILDE, 2, 1, 1, weight=2.0)
+        g = one_row(m, Branch.TILDE, 2, 1, 1, weight=2.0)
         z = m.logits(Branch.TILDE, 2, 1)[0]
         residual = 2.0 * (float(sigmoid(z)) - 1.0)
-        assert g.user_factors == pytest.approx(residual * m.item_factors[1])
-        assert g.item_factors == pytest.approx(residual * m.user_factors[2])
-        assert g.user_bias == g.item_bias == g.global_bias == residual
+        assert g.user_factors[0] == pytest.approx(residual * m.item_factors[1])
+        assert g.item_factors[0] == pytest.approx(residual * m.user_factors[2])
+        assert g.user_bias[0] == g.item_bias[0] == g.global_bias == residual
 
     @pytest.mark.parametrize("branch", [Branch.TILDE, Branch.HAT])
     @pytest.mark.parametrize("label", [0, 1])
     def test_bias_gradient_matches_finite_differences(self, branch, label):
         m = tiny_model(scale=0.4, seed=8)
-        g = gradients(m, branch, 1, 3, label, weight=1.7)
+        g = one_row(m, branch, 1, 3, label, weight=1.7)
 
         def loss_with_global(delta):
             probe = m.copy()
             probe.head(branch).global_bias[...] += delta
-            return loss_at(probe, branch, 1, 3, label, 1.7)
+            return one_row(probe, branch, 1, 3, label, 1.7).loss
 
         numeric = central_difference(loss_with_global, 0.0)
         assert g.global_bias == pytest.approx(numeric, rel=1e-6)
 
     def test_factor_gradient_matches_finite_differences(self):
         m = tiny_model(scale=0.4, seed=8)
-        g = gradients(m, Branch.HAT, 0, 2, 1, weight=1.0)
+        g = one_row(m, Branch.HAT, 0, 2, 1, weight=1.0)
 
         def loss_with_coord(delta):
             probe = m.copy()
             probe.user_factors[0, 1] += delta
-            return loss_at(probe, Branch.HAT, 0, 2, 1, 1.0)
+            return one_row(probe, Branch.HAT, 0, 2, 1, 1.0).loss
 
         numeric = central_difference(loss_with_coord, 0.0)
-        assert g.user_factors[1] == pytest.approx(numeric, rel=1e-6)
-
-    def test_loss_at_agrees_with_bce(self):
-        m = tiny_model(scale=0.2)
-        z = m.logits(Branch.HAT, 1, 1)[0]
-        assert loss_at(m, Branch.HAT, 1, 1, 0, 3.0) == pytest.approx(
-            3.0 * float(bce_from_logits(z, 0.0))
-        )
+        assert g.user_factors[0, 1] == pytest.approx(numeric, rel=1e-6)
 
 
 class TestStateManagement:
@@ -252,6 +246,25 @@ class TestCheckpoint:
     def test_garbage_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint\n")
+        with pytest.raises(ParseError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("dims", [
+        {"n_users": -1, "n_items": 4, "k": 2},
+        {"n_users": 3, "n_items": 0, "k": 2},
+        {"n_users": 3, "n_items": 4, "k": "2"},
+        {"n_users": 3, "n_items": 4, "k": 2.0},
+        {"n_users": True, "n_items": 4, "k": 2},
+        [3, 4, 2],
+    ])
+    def test_malformed_header_dims_are_rejected(self, tmp_path, dims):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), str(path))
+        magic = path.read_bytes().split(b"\n", 1)[0]
+        # 14 floats is the payload size the first two headers imply, so
+        # only the dims check can reject them.
+        header = json.dumps(dims).encode()
+        path.write_bytes(magic + b"\n" + header + b"\n" + bytes(8 * 14))
         with pytest.raises(ParseError):
             load_checkpoint(str(path))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sste.data import Provenance, generate_synthetic
 from sste.errors import ValidationError
+from sste.experiment import RunConfig
 from sste.propensity import (
     SampleProbTable,
     estimate_popularity_propensity,
@@ -16,8 +17,6 @@ from sste.propensity import (
     truncate,
 )
 from sste.selfsample import (
-    SelfSampleConfig,
-    build_auxiliary_family,
     draw_auxiliary,
     train_family,
     val_family,
@@ -134,17 +133,6 @@ class TestFamilies:
         subsets = train_family(ds, pt, (0.5, 0.5), master_seed=9)
         assert not np.array_equal(subsets[0].items, subsets[1].items)
 
-    def test_build_family_returns_both_sides(self):
-        train = biased_dataset(seed=1)
-        val = biased_dataset(seed=2, rows=700)
-        pt = estimate_popularity_propensity(train, gamma=1.0, floor=0.01)
-        cfg = SelfSampleConfig(epsilons_train=(0.5,), epsilons_val=(0.4, 0.6),
-                               seed=21)
-        a_tr, a_val = build_auxiliary_family(train, val, pt, cfg)
-        assert len(a_tr) == 1 and len(a_val) == 2
-        assert all(s.provenance is Provenance.AUXILIARY_SUBSET
-                   for s in a_tr + a_val)
-
     def test_subset_is_much_smaller_on_skewed_data(self):
         ds = biased_dataset(rows=4000)
         pt = estimate_popularity_propensity(ds, gamma=1.0, floor=0.01)
@@ -178,16 +166,21 @@ class TestFamilies:
 
 class TestConfig:
     def test_empty_threshold_lists_are_rejected(self):
+        # Self-sampled training (sste, resampled or not) needs train thresholds.
         with pytest.raises(ValidationError):
-            SelfSampleConfig(epsilons_train=(), epsilons_val=(0.5,))
+            RunConfig(objective="sste", epsilon_val=(0.5,))
         with pytest.raises(ValidationError):
-            SelfSampleConfig(epsilons_train=(0.5,), epsilons_val=())
+            RunConfig(objective="naive", resample_each_epoch=True)
 
     def test_out_of_range_threshold_is_rejected(self):
+        ds = biased_dataset()
+        pt = estimate_popularity_propensity(ds, gamma=1.0, floor=0.01)
         with pytest.raises(ValidationError):
-            SelfSampleConfig(epsilons_train=(1.2,), epsilons_val=(0.5,))
+            train_family(ds, pt, (1.2,), master_seed=0)
+        with pytest.raises(ValidationError):
+            val_family(ds, pt, (0.5, -0.1), master_seed=0)
 
     def test_lists_are_normalized_to_tuples(self):
-        cfg = SelfSampleConfig(epsilons_train=[0.5], epsilons_val=[0.4])
-        assert cfg.epsilons_train == (0.5,)
-        assert cfg.epsilons_val == (0.4,)
+        cfg = RunConfig(objective="sste", epsilon_train=[0.5], epsilon_val=[0.4])
+        assert cfg.epsilon_train == (0.5,)
+        assert cfg.epsilon_val == (0.4,)

@@ -11,12 +11,11 @@ from sste.errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from sste.model import Branch, InitSpec, gradients, init, loss_at
+from sste.model import Branch, InitSpec, bce_from_logits, init, sigmoid
 from sste.optim import SparseAdam
 from sste.propensity import PropensityTable, estimate_popularity_propensity
-from sste.selfsample import SelfSampleConfig, build_auxiliary_family
+from sste.selfsample import train_family, val_family
 from sste.train import (
-    EvalConfig,
     LossBreakdown,
     Objective,
     TrainConfig,
@@ -71,8 +70,7 @@ class TestBatchGradients:
         users = np.array([0, 1])
         items = np.array([2, 3])
         labels = np.array([1.0, 0.0])
-        l1 = loss_at(m, Branch.HAT, 0, 2, 1, 1.0)
-        l2 = loss_at(m, Branch.HAT, 1, 3, 0, 1.0)
+        l1, l2 = bce_from_logits(m.logits(Branch.HAT, users, items), labels)
         weights = np.array([2.0, 1.0])
         ips = batch_gradients(m, Branch.HAT, users, items, labels,
                               batch_coefficients(Objective.IPS, weights, 2))
@@ -90,9 +88,9 @@ class TestBatchGradients:
         bg = batch_gradients(m, Branch.TILDE, users, items, labels, coeffs)
         expected_user0 = np.zeros(m.k)
         for u, i, y, c in zip(users, items, labels, coeffs):
-            g = gradients(m, Branch.TILDE, int(u), int(i), int(y), float(c))
+            z = m.logits(Branch.TILDE, u, i)[0]
             if u == 0:
-                expected_user0 += g.user_factors
+                expected_user0 += c * (sigmoid(z) - y) * m.item_factors[i]
         row = bg.users.tolist().index(0)
         assert bg.user_factors[row] == pytest.approx(expected_user0)
 
@@ -103,11 +101,12 @@ class TestBatchGradients:
         labels = np.array([1.0, 1.0])
         coeffs = np.array([0.5, 0.5])
         bg = batch_gradients(m, Branch.HAT, users, items, labels, coeffs)
-        single = gradients(m, Branch.HAT, 0, 1, 1, 1.0)
+        single = batch_gradients(m, Branch.HAT, users[:1], items[:1],
+                                 labels[:1], np.array([1.0]))
         # Two copies of the same instance at half weight must equal one
         # full-weight gradient; a sequential update would break this.
         row = bg.users.tolist().index(0)
-        assert bg.user_factors[row] == pytest.approx(single.user_factors)
+        assert bg.user_factors[row] == pytest.approx(single.user_factors[0])
 
     def test_constant_weights_scale_naive_gradients(self):
         m = batch_model(scale=0.4)
@@ -237,11 +236,7 @@ class TestEpochs:
         pt = estimate_popularity_propensity(train, gamma=1.0, floor=0.01)
         cfg = TrainConfig(objective="sste", batch_size=256, seed=4,
                           learning_rate=0.05)
-        a_tr, _ = build_auxiliary_family(
-            train, train, pt,
-            SelfSampleConfig(epsilons_train=(0.5,), epsilons_val=(0.5,),
-                             seed=8),
-        )
+        a_tr = train_family(train, pt, (0.5,), master_seed=8)
         m = init(30, 20, 4, InitSpec(scale=0.1, seed=2))
         opt = SparseAdam(m.parameters(), cfg.learning_rate)
         losses = [sste_epoch(m, opt, train, a_tr, cfg, epoch=e).total
@@ -321,20 +316,14 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             TrainConfig(max_epochs=0)
 
-    def test_only_auc_selection_is_supported(self):
-        with pytest.raises(ValidationError):
-            EvalConfig(main_metric="p@5")
-
 
 def fit_world(seed=3):
     spec = small_spec(n_users=40, n_items=25, train_impressions=3000,
                       test_impressions=500, seed=seed)
     train, val, test, _ = generate_synthetic(spec)
     pt = estimate_popularity_propensity(train, gamma=1.0, floor=0.01)
-    aux = build_auxiliary_family(
-        train, val, pt,
-        SelfSampleConfig(epsilons_train=(0.5,), epsilons_val=(0.5,), seed=13),
-    )
+    aux = (train_family(train, pt, (0.5,), master_seed=13),
+           val_family(val, pt, (0.5,), master_seed=13))
     return train, val, test, pt, aux
 
 
@@ -410,8 +399,6 @@ class TestFit:
 
     def test_resampling_changes_the_training_stream(self):
         train, val, _, pt, aux = fit_world()
-        ss = SelfSampleConfig(epsilons_train=(0.5,), epsilons_val=(0.5,),
-                              seed=13, resample_each_epoch=True)
         cfg = TrainConfig(objective="sste", batch_size=256, seed=7,
                           learning_rate=0.05, max_epochs=6, patience=6)
         spec = InitSpec(scale=0.1, seed=3)
@@ -419,7 +406,7 @@ class TestFit:
                               init_spec=spec)
         _, resampled_state = fit(train, val, aux, cfg, embedding_dim=5,
                                  init_spec=spec, propensity=pt,
-                                 selfsample_cfg=ss)
+                                 resample_seed=13)
         assert [r.score_on_val for r in frozen_state.history] != [
             r.score_on_val for r in resampled_state.history
         ]
