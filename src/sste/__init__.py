@@ -3,7 +3,6 @@
 from .data import (
     Dataset,
     DatasetStats,
-    Interaction,
     Provenance,
     Schema,
     SplitMode,
@@ -26,7 +25,6 @@ from .evaluate import (
     EvalReport,
     RankedList,
     alpha,
-    auc,
     auc_scores,
     build_ranked_lists,
     modified_score,

@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from . import evaluate as ev
 from . import experiment as exp
 from . import propensity as prop
 from . import selfsample as ss
-from .errors import ParseError, SsteError
-from .model import Branch, load_checkpoint, save_checkpoint
-from .train import Objective
+from .errors import ParseError, SsteError, ValidationError
+from .model import load_checkpoint, save_checkpoint
+from .train import Objective, self_evaluate
 
 
 def _print_json(payload) -> None:
@@ -60,7 +59,10 @@ def _parse_synth_spec(path) -> datamod.SyntheticSpec:
         if key not in types:
             raise ParseError(f"unknown synthetic key {key!r}", line_no)
         is_float = key in ("exposure_bias_strength", "positive_threshold")
-        values[key] = float(text) if is_float else int(text)
+        try:
+            values[key] = float(text) if is_float else int(text)
+        except ValueError as exc:
+            raise ParseError(f"bad value for {key}: {exc}", line_no) from None
     return datamod.SyntheticSpec(**values)
 
 
@@ -170,66 +172,52 @@ def _checkpoint_maps(checkpoint_path, model):
     )
 
 
+def _parse_metrics(text: str) -> tuple[list[str], tuple[int, ...], int]:
+    """Requested names, the P/R cutoffs and the nDCG cutoff (50 if none)."""
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    ks, ndcg_ks = set(), set()
+    for name in names:
+        if name == "auc":
+            continue
+        kind, _, k_text = name.partition("@")
+        k = int(k_text) if k_text.isdecimal() else 0
+        if kind not in ("p", "r", "ndcg") or k < 1 or name != f"{kind}@{k}":
+            raise ValidationError(
+                f"unknown metric {name!r}: expected auc, p@K, r@K or ndcg@K with K >= 1"
+            )
+        (ndcg_ks if kind == "ndcg" else ks).add(k)
+    if len(ndcg_ks) > 1:
+        raise ValidationError("ask for at most one ndcg@K")
+    return names, tuple(sorted(ks)), ndcg_ks.pop() if ndcg_ks else 50
+
+
 def _cmd_evaluate(args) -> int:
+    names, ks, ndcg_k = _parse_metrics(args.metrics)
     model = load_checkpoint(args.checkpoint)
     user_map, item_map = _checkpoint_maps(args.checkpoint, model)
-    test_set = _load(
-        args.test, args.schema, datamod.Provenance.UNIFORM_TEST,
-        user_map=user_map, item_map=item_map,
-    )
-    requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    ks = sorted(
-        {int(m.split("@")[1]) for m in requested if m.startswith(("p@", "r@"))}
-    )
-    ndcg_ks = [int(m.split("@")[1]) for m in requested if m.startswith("ndcg@")]
 
-    def score_fn(users, items):
-        return model.predict(Branch.HAT, users, items)
+    def load(path, schema, provenance):
+        return _load(path, schema, provenance, user_map=user_map, item_map=item_map)
 
-    out = {}
-    if "auc" in requested:
-        out["auc"] = ev.auc_scores(
-            score_fn(test_set.users, test_set.items), test_set.labels
-        )
-    if ks or ndcg_ks:
-        exclude = None
-        if args.exclude_train:
-            exclude = _load(
-                args.exclude_train, args.schema, datamod.Provenance.BIASED_TRAIN,
-                user_map=user_map, item_map=item_map,
-            )
-        lists = ev.build_ranked_lists(score_fn, test_set, exclude=exclude)
-        ranking = ev.topk_metrics(
-            lists, ks=ks or (5, 10), ndcg_k=ndcg_ks[0] if ndcg_ks else 50
-        )
-        for name, value in ranking.items():
-            if name in requested:
-                out[name] = value
-
+    test_set = load(args.test, args.schema, datamod.Provenance.UNIFORM_TEST)
+    exclude = None
+    if args.exclude_train:
+        exclude = load(args.exclude_train, args.schema, datamod.Provenance.BIASED_TRAIN)
+    metrics = exp.test_metrics_for(model, test_set, exclude, ks=ks, ndcg_k=ndcg_k)
+    out = {name: metrics[name] for name in names}
     if args.val:
-        val_set = _load(
-            args.val, args.schema, datamod.Provenance.BIASED_VALIDATION,
-            user_map=user_map, item_map=item_map,
-        )
-        score_val = ev.auc_scores(
-            score_fn(val_set.users, val_set.items), val_set.labels
-        )
-        scores_aux = []
-        for aux_path in args.aux_val or []:
-            # Files no longer carry their draw seed, so a reloaded subset is
-            # treated as plain validation-side data.
-            aux_set = _load(
-                aux_path, "label", datamod.Provenance.BIASED_VALIDATION,
-                user_map=user_map, item_map=item_map,
-            )
-            scores_aux.append(
-                ev.auc_scores(score_fn(aux_set.users, aux_set.items), aux_set.labels)
-            )
-        a = ev.alpha(score_val, scores_aux)
-        out["val_auc"] = score_val
-        out["aux_auc"] = scores_aux
-        out["alpha"] = a
-        out["modified_score"] = ev.modified_score(score_val, a)
+        val_set = load(args.val, args.schema, datamod.Provenance.BIASED_VALIDATION)
+        # Files no longer carry their draw seed, so a reloaded subset is
+        # treated as plain validation-side data.
+        aux_sets = [
+            load(path, "label", datamod.Provenance.BIASED_VALIDATION)
+            for path in args.aux_val or []
+        ]
+        report = self_evaluate(model, val_set, aux_sets)
+        out["val_auc"] = report.score_on_val
+        out["aux_auc"] = list(report.scores_on_aux)
+        out["alpha"] = report.alpha
+        out["modified_score"] = report.modified_score
     _print_json(out)
     return 0
 

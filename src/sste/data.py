@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -41,26 +40,6 @@ class Schema(Enum):
 class SplitMode(Enum):
     PER_USER_RANDOM = "per_user"
     CHRONOLOGICAL = "chronological"
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One feedback record with dense ids."""
-
-    user_id: int
-    item_id: int
-    label: int
-    raw_rating: int | None = None
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label}")
-        if self.raw_rating is not None:
-            expected = 1 if self.raw_rating > _POSITIVE_RATING_CUTOFF else 0
-            if self.label != expected:
-                raise ValidationError(
-                    f"label {self.label} inconsistent with rating {self.raw_rating}"
-                )
 
 
 def _frozen_column(values, dtype) -> np.ndarray:
@@ -125,16 +104,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.users)
 
-    def __iter__(self) -> Iterator[Interaction]:
-        ratings = self.raw_ratings
-        for i in range(len(self.users)):
-            yield Interaction(
-                user_id=int(self.users[i]),
-                item_id=int(self.items[i]),
-                label=int(self.labels[i]),
-                raw_rating=None if ratings is None else int(ratings[i]),
-            )
-
     @property
     def positive_count(self) -> int:
         return int(self.labels.sum())
@@ -167,11 +136,6 @@ class DatasetStats:
     pn_ratio_percent: float
     n_users: int
     n_items: int
-
-
-def binarize_rating(rating: int) -> int:
-    """1 if the rating is strictly greater than 3, else 0."""
-    return 1 if rating > _POSITIVE_RATING_CUTOFF else 0
 
 
 def _dense_map(original_ids: np.ndarray) -> dict[int, int]:

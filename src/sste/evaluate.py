@@ -18,8 +18,6 @@ import numpy as np
 from .data import Dataset
 from .errors import DivisionGuardError, MetricUndefinedError, ValidationError
 
-_ALPHA_RECOMPUTE_TOL = 1e-12
-
 
 def auc_scores(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random positive outranks a random negative.
@@ -42,14 +40,6 @@ def auc_scores(predictions: np.ndarray, labels: np.ndarray) -> float:
     avg_ranks = (starts + ends) / 2.0
     rank_sum = avg_ranks[inverse][labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def auc(pairs) -> float:
-    """AUC over (prediction, label) pairs."""
-    if len(pairs) == 0:
-        raise MetricUndefinedError("AUC of an empty input")
-    arr = np.asarray(pairs, dtype=np.float64)
-    return auc_scores(arr[:, 0], arr[:, 1].astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -153,11 +143,11 @@ def alpha(score_val: float, scores_aux) -> float:
     return max(pooled) - min(pooled)
 
 
-def modified_score(score_val: float, a: float, higher_better: bool = True) -> float:
+def modified_score(score_val: float, a: float) -> float:
     """Penalize a validation score by the cross-set disagreement alpha."""
     if a < 0:
         raise ValidationError("alpha must be >= 0")
-    return score_val - a if higher_better else score_val + a
+    return score_val - a
 
 
 def per_mille(numerator: float, impressions: int) -> float:
@@ -169,49 +159,18 @@ def per_mille(numerator: float, impressions: int) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Self-evaluation outcome for one epoch or one final model."""
+    """Self-evaluation outcome for one epoch or one final model.
 
-    main_metric: str
+    ``alpha`` and ``modified_score`` are derived from the scores.
+    """
+
     score_on_val: float
     scores_on_aux: tuple[float, ...]
-    alpha: float
-    modified_score: float
-    per_metric: dict[str, float] | None = field(default=None)
+    alpha: float = field(init=False)
+    modified_score: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scores_on_aux", tuple(self.scores_on_aux))
-        expected_alpha = alpha(self.score_on_val, self.scores_on_aux)
-        if abs(expected_alpha - self.alpha) > _ALPHA_RECOMPUTE_TOL:
-            raise ValidationError("stored alpha disagrees with its recomputation")
-        if abs(self.modified_score - (self.score_on_val - self.alpha)) > _ALPHA_RECOMPUTE_TOL:
-            raise ValidationError("modified_score must equal score_on_val - alpha")
-
-    @classmethod
-    def from_scores(
-        cls,
-        score_on_val: float,
-        scores_on_aux,
-        main_metric: str = "auc",
-        per_metric: dict[str, float] | None = None,
-    ) -> "EvalReport":
-        a = alpha(score_on_val, scores_on_aux)
-        return cls(
-            main_metric=main_metric,
-            score_on_val=score_on_val,
-            scores_on_aux=tuple(scores_on_aux),
-            alpha=a,
-            modified_score=modified_score(score_on_val, a, higher_better=True),
-            per_metric=per_metric,
-        )
-
-    def to_dict(self) -> dict:
-        out = {
-            "main_metric": self.main_metric,
-            "score_on_val": self.score_on_val,
-            "scores_on_aux": list(self.scores_on_aux),
-            "alpha": self.alpha,
-            "modified_score": self.modified_score,
-        }
-        if self.per_metric is not None:
-            out["per_metric"] = dict(self.per_metric)
-        return out
+        a = alpha(self.score_on_val, self.scores_on_aux)
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "modified_score", modified_score(self.score_on_val, a))

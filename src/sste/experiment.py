@@ -103,6 +103,8 @@ class RunConfig:
             raise ValidationError("epsilon_train and resample_each_epoch apply only to sste")
         if not self.synthetic and not (self.test_path or self.val_path):
             raise ValidationError("file mode needs test_path")
+        if self.ndcg_k < 1 or any(k < 1 for k in self.precision_ks):
+            raise ValidationError("ndcg_k and every precision_ks value must be >= 1")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -261,27 +263,23 @@ class GridSpec:
 def load_grid(path) -> GridSpec:
     """GridSpec from key=value lines; non-control keys sweep RunConfig fields."""
     types = _field_types()
-    mode = "full"
-    samples = 0
-    grid_seed = 0
+    control = {"mode": "full", "samples": 0, "grid_seed": 0}
     values: dict[str, tuple] = {}
     for line_no, key, text in _read_kv_lines(path):
-        if key == "mode":
-            mode = text
-        elif key == "samples":
-            samples = int(text)
-        elif key == "grid_seed":
-            grid_seed = int(text)
-        elif key in types:
-            try:
+        if key not in control and key not in types:
+            raise ParseError(f"unknown grid key {key!r}", line_no)
+        try:
+            if key == "mode":
+                control[key] = text
+            elif key in control:
+                control[key] = int(text)
+            else:
                 values[key] = tuple(
                     _parse_scalar(key, part, types[key]) for part in text.split(",")
                 )
-            except ValueError as exc:
-                raise ParseError(f"bad value for {key}: {exc}", line_no) from None
-        else:
-            raise ParseError(f"unknown grid key {key!r}", line_no)
-    return GridSpec(values=values, mode=mode, samples=samples, grid_seed=grid_seed)
+        except ValueError as exc:
+            raise ParseError(f"bad value for {key}: {exc}", line_no) from None
+    return GridSpec(values=values, **control)
 
 
 @dataclass(frozen=True)
@@ -393,16 +391,16 @@ def train_model(
 
 
 def test_metrics_for(
-    model: MfModel, test: Dataset, train: Dataset, ks=(5, 10), ndcg_k: int = 50
+    model: MfModel, test: Dataset, exclude: Dataset | None, ks=(5, 10), ndcg_k: int = 50
 ) -> dict[str, float]:
-    """Global AUC plus full-ranking top-K metrics on the uniform test set."""
+    """Global AUC plus full-ranking top-K metrics, ranking no positive of ``exclude``."""
     metrics = {
         "auc": ev.auc_scores(model.predict(Branch.HAT, test.users, test.items), test.labels)
     }
     lists = ev.build_ranked_lists(
         lambda users, items: model.predict(Branch.HAT, users, items),
         test,
-        exclude=train,
+        exclude=exclude,
     )
     metrics.update(ev.topk_metrics(lists, ks=ks, ndcg_k=ndcg_k))
     return metrics

@@ -151,12 +151,6 @@ class MfModel:
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(p)) for p in self.parameters().values())
 
-    def load_state(self, other: "MfModel") -> None:
-        """Copy another model's parameter values into this one in place."""
-        mine = self.parameters()
-        for name, src in other.parameters().items():
-            mine[name][...] = src
-
 
 def _zero_head(n_users: int, n_items: int) -> BranchHead:
     return BranchHead(

@@ -67,7 +67,6 @@ class TrainState:
     epoch: int
     best_score: float
     best_epoch: int
-    epochs_since_best: int
     history: tuple[ev.EvalReport, ...]
 
 
@@ -296,31 +295,6 @@ def baseline_epoch(
     )
 
 
-def objective_terms(
-    m: MfModel, d_tr: Dataset, a_tr: list[Dataset], l2_lambda: float
-) -> LossBreakdown:
-    """Joint objective evaluated at the current parameters, no updates.
-
-    The hat term is the mean over all auxiliary instances pooled together.
-    """
-    z_tilde = m.logits(Branch.TILDE, d_tr.users, d_tr.items)
-    tilde = float(bce_from_logits(z_tilde, d_tr.labels.astype(np.float64)).mean())
-    losses = []
-    for a in a_tr:
-        z = m.logits(Branch.HAT, a.users, a.items)
-        losses.append(bce_from_logits(z, a.labels.astype(np.float64)))
-    pooled = np.concatenate(losses) if losses else np.asarray([])
-    if len(pooled) == 0:
-        raise ValidationError("need at least one auxiliary instance")
-    reg_tilde, reg_hat = regularization_terms(m, l2_lambda)
-    return LossBreakdown(
-        tilde_bce=tilde,
-        hat_bce=float(pooled.mean()),
-        reg_tilde=reg_tilde,
-        reg_hat=reg_hat,
-    )
-
-
 def _dataset_auc(m: MfModel, d: Dataset) -> float:
     return ev.auc_scores(m.predict(Branch.HAT, d.users, d.items), d.labels)
 
@@ -339,7 +313,7 @@ def self_evaluate(m: MfModel, val: Dataset, a_val: list[Dataset]) -> ev.EvalRepo
         raise MetricUndefinedError("validation split needs both classes")
     score_val = _dataset_auc(m, val)
     scores_aux = [_dataset_auc(m, a) for a in a_val if _usable_for_auc(a)]
-    return ev.EvalReport.from_scores(score_val, scores_aux)
+    return ev.EvalReport(score_val, scores_aux)
 
 
 def fit(
@@ -414,7 +388,6 @@ def fit(
         epoch=epoch,
         best_score=float(best_score),
         best_epoch=best_epoch,
-        epochs_since_best=epoch - best_epoch,
         history=tuple(history),
     )
     return best_model, state

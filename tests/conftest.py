@@ -14,8 +14,7 @@ def record_criterion(number: int, title: str, outcome: str) -> None:
 
 
 @contextlib.contextmanager
-def criterion(number: int, title: str):
-    """Record one acceptance criterion's pass/fail/skip outcome."""
+def _criterion(number: int, title: str):
     try:
         yield
     except pytest.skip.Exception:
@@ -25,6 +24,13 @@ def criterion(number: int, title: str):
         record_criterion(number, title, "FAIL")
         raise
     record_criterion(number, title, "PASS")
+
+
+@pytest.fixture
+def criterion():
+    """``with criterion(number, title):`` records that acceptance criterion's
+    pass/fail/skip outcome for the terminal summary."""
+    return _criterion
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

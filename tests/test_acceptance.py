@@ -1,6 +1,6 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
-Each test wraps its body in the `criterion` recorder from conftest, so the
+Each test wraps its body in the `criterion` fixture from conftest, so the
 terminal summary prints one PASS/FAIL/SKIP line per guarantee. The rating
 study files are looked up under SSTE_YAHOO_R3_DIR (default data/yahoo-r3);
 when they are absent that check is skipped and the synthetic study is the
@@ -34,10 +34,9 @@ from sste.train import (
     _apply_batch,
     batch_coefficients,
     batch_gradients,
-    objective_terms,
+    regularization_terms,
 )
 
-from conftest import criterion
 from reference import (
     alpha_range,
     auc_pair_matrix,
@@ -66,7 +65,7 @@ class RecordingOptimizer:
 
 
 class TestDataFidelity:
-    def test_rating_study_totals(self):
+    def test_rating_study_totals(self, criterion):
         with criterion(1, "rating-study data fidelity"):
             biased_path = YAHOO_DIR / YAHOO_BIASED
             uniform_path = YAHOO_DIR / YAHOO_UNIFORM
@@ -90,7 +89,7 @@ class TestDataFidelity:
 
 
 class TestDebiasingStudy:
-    def test_sste_beats_naive_on_the_uniform_pool(self, tmp_path):
+    def test_sste_beats_naive_on_the_uniform_pool(self, tmp_path, criterion):
         with criterion(2, "synthetic debiasing study"):
             selected = {}
             for seed in STUDY_SEEDS:
@@ -111,7 +110,7 @@ class TestDebiasingStudy:
 
 
 class TestMetricOracles:
-    def test_metrics_match_independent_oracles(self):
+    def test_metrics_match_independent_oracles(self, criterion):
         with criterion(3, "ranking-metric oracles"):
             rng = np.random.default_rng(20260818)
             for _ in range(1000):
@@ -144,7 +143,7 @@ class TestMetricOracles:
 
 
 class TestGradientMachinery:
-    def test_analytic_gradients_and_branch_symmetry(self):
+    def test_analytic_gradients_and_branch_symmetry(self, criterion):
         with criterion(4, "joint-objective gradients"):
             # The step training takes: batch_gradients, then the L2 folding
             # in _apply_batch, observed as the gradients handed to the
@@ -207,13 +206,25 @@ class TestGradientMachinery:
             m.branch_hat.user_bias[:] = m.branch_tilde.user_bias
             m.branch_hat.item_bias[:] = m.branch_tilde.item_bias
             m.branch_hat.global_bias[...] = m.branch_tilde.global_bias
-            terms = objective_terms(m, train, [train], l2_lambda=1e-4)
-            assert terms.tilde_bce == pytest.approx(terms.hat_bce, abs=1e-10)
-            assert terms.reg_tilde == pytest.approx(terms.reg_hat, abs=1e-10)
+            # With equal heads, a full batch through either branch gives the
+            # same loss and gradients, and the two L2 terms agree.
+            labels = train.labels.astype(np.float64)
+            coeffs = np.full(len(train), 1.0 / len(train))
+            tilde, hat = (
+                batch_gradients(m, branch, train.users, train.items, labels, coeffs)
+                for branch in (Branch.TILDE, Branch.HAT)
+            )
+            assert tilde.loss == pytest.approx(hat.loss, abs=1e-10)
+            for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
+                assert np.allclose(getattr(tilde, name), getattr(hat, name),
+                                   rtol=0, atol=1e-10)
+            assert tilde.global_bias == pytest.approx(hat.global_bias, abs=1e-10)
+            reg_tilde, reg_hat = regularization_terms(m, 1e-4)
+            assert reg_tilde == pytest.approx(reg_hat, abs=1e-10)
 
 
 class TestSamplingContracts:
-    def test_truncation_identity_and_concentration(self):
+    def test_truncation_identity_and_concentration(self, criterion):
         with criterion(5, "sampling contracts"):
             probs = np.round(np.arange(0.01, 1.005, 0.01), 2)
             for eps in np.round(np.arange(0.0, 1.005, 0.01), 2):
@@ -244,7 +255,7 @@ class TestSamplingContracts:
 
 
 class TestBaselineEquivalences:
-    def test_constant_propensities_collapse_the_estimators(self):
+    def test_constant_propensities_collapse_the_estimators(self, criterion):
         with criterion(6, "fixed-propensity equivalences"):
             rng = np.random.default_rng(3)
             m = init(12, 9, 4, InitSpec(scale=0.2, seed=5))
@@ -286,7 +297,7 @@ class TestBaselineEquivalences:
 
 
 class TestRepeatRuns:
-    def test_rerunning_a_config_reproduces_every_artifact(self, tmp_path):
+    def test_rerunning_a_config_reproduces_every_artifact(self, tmp_path, criterion):
         with criterion(7, "repeat-run determinism"):
             def config(out_dir) -> RunConfig:
                 return RunConfig(

@@ -72,6 +72,13 @@ class TestDataCommands:
                      "--out-dir", str(tmp_path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_numeric_spec_value_reports_its_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_users=abc\n")
+        assert main(["data", "synth", "--spec", str(spec),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "error: line 1: bad value for n_users" in capsys.readouterr().err
+
 
 class TestPropensityCommands:
     def test_propensity_writes_one_line_per_item(self, synth_dir, capsys):
@@ -203,6 +210,71 @@ class TestTrainAndEvaluate:
             out["val_auc"] - out["alpha"]
         )
 
+    def test_evaluate_skips_a_single_class_aux_file(self, trained, synth_dir,
+                                                    tmp_path, capsys):
+        ckpt, _, _ = trained
+        val_lines = (synth_dir / "val.tsv").read_text().splitlines()
+        positives = tmp_path / "positives.tsv"
+        positives.write_text("".join(
+            line + "\n" for line in val_lines if line.endswith("\t1")
+        ))
+        assert positives.read_text()
+        code = main([
+            "evaluate", "--checkpoint", str(ckpt),
+            "--test", str(synth_dir / "test.tsv"), "--schema", "label",
+            "--metrics", "auc", "--val", str(synth_dir / "val.tsv"),
+            "--aux-val", str(positives), str(synth_dir / "val.tsv"),
+        ])
+        assert code == 0
+        out = read_json_lines(capsys)[-1]
+        assert out["aux_auc"] == [out["val_auc"]]
+        assert out["alpha"] == 0.0
+
+    @pytest.mark.parametrize("metrics", ["p@x", "p@0", "foo", "ndcg@10,ndcg@5"])
+    def test_evaluate_rejects_bad_metric_names(self, trained, synth_dir,
+                                               capsys, metrics):
+        ckpt, _, _ = trained
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--test", str(synth_dir / "test.tsv"),
+                     "--schema", "label", "--metrics", metrics]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+
+def train_and_run(synth_dir, tmp_path, capsys, settings):
+    """``sste train`` and ``exp run`` on the same settings.
+
+    Returns the train checkpoint, its epoch log and the run directory.
+    """
+    flags = {"learning_rate": "lr", "l2_lambda": "l2", "batch_size": "batch"}
+    ckpt = tmp_path / "model.ckpt"
+    log = tmp_path / "epochs.jsonl"
+    argv = ["train", "--train", str(synth_dir / "train.tsv"),
+            "--val", str(synth_dir / "val.tsv"),
+            "--checkpoint-out", str(ckpt), "--log", str(log)]
+    for key, value in settings.items():
+        argv += ["--" + flags.get(key, key).replace("_", "-"), value]
+    assert main(argv) == 0
+
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in {
+        **settings, "synthetic": "false",
+        "train_path": synth_dir / "train.tsv",
+        "val_path": synth_dir / "val.tsv",
+        "test_path": synth_dir / "test.tsv",
+        "out_dir": tmp_path / "runs",
+    }.items()))
+    assert main(["exp", "run", "--config", str(config)]) == 0
+    return ckpt, log, Path(read_json_lines(capsys)[-1]["run_dir"])
+
+
+PIPELINE_SETTINGS = {
+    "schema": "label", "gamma": "1.0", "learning_rate": "0.01",
+    "l2_lambda": "0.001", "batch_size": "256", "max_epochs": "3",
+    "patience": "3", "seed": "1", "embedding_dim": "4", "init_scale": "0.1",
+}
+
 
 class TestOnePipeline:
     @pytest.mark.parametrize("objective, epsilons", [
@@ -210,34 +282,25 @@ class TestOnePipeline:
     ])
     def test_train_matches_exp_run_byte_for_byte(self, synth_dir, tmp_path,
                                                  capsys, objective, epsilons):
-        settings = {
-            "schema": "label", "objective": objective, "gamma": "1.0",
-            "learning_rate": "0.01", "l2_lambda": "0.001", "batch_size": "256",
-            "max_epochs": "3", "patience": "3", "seed": "1",
-            "embedding_dim": "4", "init_scale": "0.1", **epsilons,
-        }
-        flags = {"learning_rate": "lr", "l2_lambda": "l2", "batch_size": "batch"}
-        ckpt = tmp_path / "model.ckpt"
-        log = tmp_path / "epochs.jsonl"
-        argv = ["train", "--train", str(synth_dir / "train.tsv"),
-                "--val", str(synth_dir / "val.tsv"),
-                "--checkpoint-out", str(ckpt), "--log", str(log)]
-        for key, value in settings.items():
-            argv += ["--" + flags.get(key, key).replace("_", "-"), value]
-        assert main(argv) == 0
-
-        config = tmp_path / "run.cfg"
-        config.write_text("".join(f"{k}={v}\n" for k, v in {
-            **settings, "synthetic": "false",
-            "train_path": synth_dir / "train.tsv",
-            "val_path": synth_dir / "val.tsv",
-            "test_path": synth_dir / "test.tsv",
-            "out_dir": tmp_path / "runs",
-        }.items()))
-        assert main(["exp", "run", "--config", str(config)]) == 0
-        run_dir = Path(read_json_lines(capsys)[-1]["run_dir"])
+        ckpt, log, run_dir = train_and_run(
+            synth_dir, tmp_path, capsys,
+            {**PIPELINE_SETTINGS, "objective": objective, **epsilons},
+        )
         assert (run_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
         assert (run_dir / "epochs.jsonl").read_bytes() == log.read_bytes()
+
+    def test_evaluate_matches_exp_run_report(self, synth_dir, tmp_path, capsys):
+        ckpt, _, run_dir = train_and_run(
+            synth_dir, tmp_path, capsys,
+            {**PIPELINE_SETTINGS, "objective": "sste", "epsilon_train": "0.5",
+             "epsilon_val": "0.5"},
+        )
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--test", str(synth_dir / "test.tsv"), "--schema", "label",
+                     "--exclude-train", str(synth_dir / "train.tsv"),
+                     "--metrics", "auc,p@5,p@10,r@5,r@10,ndcg@50"]) == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        assert read_json_lines(capsys)[-1] == report["test_metrics"]
 
     def test_train_rejects_thresholds_outside_sste(self, synth_dir, tmp_path,
                                                    capsys):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from sste.data import (
     DatasetStats,
-    Interaction,
     Provenance,
     Schema,
     SplitMode,
     SyntheticSpec,
-    binarize_rating,
     generate_synthetic,
     load_tsv,
     save_tsv,
@@ -32,16 +30,23 @@ def write_lines(path, lines):
     return str(path)
 
 
-class TestBinarize:
-    def test_rating_four_is_positive(self):
-        assert binarize_rating(4) == 1
+def load_rating(tmp_path, rating):
+    """The label load_tsv gives one rating row."""
+    path = write_lines(tmp_path / "rating.tsv", [f"0\t0\t{rating}"])
+    return int(load_tsv(path, Schema.USER_ITEM_RATING).labels[0])
 
-    def test_rating_three_is_negative(self):
-        assert binarize_rating(3) == 0
+
+class TestBinarize:
+    def test_rating_four_is_positive(self, tmp_path):
+        assert load_rating(tmp_path, 4) == 1
+
+    def test_rating_three_is_negative(self, tmp_path):
+        assert load_rating(tmp_path, 3) == 0
 
     @given(st.integers(min_value=1, max_value=5))
-    def test_threshold_is_exactly_above_three(self, rating):
-        assert binarize_rating(rating) == (1 if rating > 3 else 0)
+    def test_threshold_is_exactly_above_three(self, tmp_path_factory, rating):
+        label = load_rating(tmp_path_factory.getbasetemp(), rating)
+        assert label == (1 if rating > 3 else 0)
 
 
 class TestLoadTsv:
@@ -166,11 +171,12 @@ class TestDatasetValidation:
         with pytest.raises((ValueError, RuntimeError)):
             ds.users[0] = 3
 
-    def test_iteration_yields_interactions(self):
-        ds = make_dataset([0, 1], [1, 0], [1, 0], 2, 2)
-        rows = list(ds)
-        assert rows[0] == Interaction(user_id=0, item_id=1, label=1)
-        assert rows[1].label == 0
+    def test_iteration_yields_interactions(self, tmp_path):
+        path = write_lines(tmp_path / "a.tsv", ["0\t1\t5", "1\t0\t2"])
+        ds = load_tsv(path, Schema.USER_ITEM_RATING)
+        rows = list(zip(ds.users.tolist(), ds.items.tolist(),
+                        ds.labels.tolist(), ds.raw_ratings.tolist()))
+        assert rows == [(0, 1, 1, 5), (1, 0, 0, 2)]
 
     def test_take_preserves_row_content(self):
         ds = make_dataset([0, 1, 2], [2, 1, 0], [1, 0, 1], 3, 3)

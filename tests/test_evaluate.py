@@ -1,5 +1,8 @@
 """Ranking metrics, cross-set disagreement, and the self-evaluation report."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +17,13 @@ from sste.evaluate import (
     EvalReport,
     RankedList,
     alpha,
-    auc,
     auc_scores,
     build_ranked_lists,
     modified_score,
     per_mille,
     topk_metrics,
 )
+from sste.experiment import RunConfig, build_datasets, train_model
 
 from reference import alpha_range, auc_bruteforce, dcg_binary, make_dataset
 
@@ -43,8 +46,8 @@ class TestAuc:
                           np.array([1, 0, 1])) == 0.5
 
     def test_four_point_example(self):
-        pairs = [(0.9, 1), (0.8, 0), (0.7, 1), (0.1, 0)]
-        assert auc(pairs) == 0.75
+        assert auc_scores(np.array([0.9, 0.8, 0.7, 0.1]),
+                          np.array([1, 0, 1, 0])) == 0.75
 
     def test_single_class_is_undefined(self):
         with pytest.raises(MetricUndefinedError):
@@ -52,7 +55,7 @@ class TestAuc:
 
     def test_empty_input_is_undefined(self):
         with pytest.raises(MetricUndefinedError):
-            auc([])
+            auc_scores(np.array([]), np.array([], dtype=np.int64))
 
     def test_nonfinite_predictions_are_rejected(self):
         with pytest.raises(ValidationError):
@@ -259,9 +262,6 @@ class TestModifiedScore:
     def test_zero_alpha_is_the_identity(self):
         assert modified_score(0.61, 0.0) == 0.61
 
-    def test_lower_better_adds_the_penalty(self):
-        assert modified_score(0.3, 0.1, higher_better=False) == pytest.approx(0.4)
-
     def test_negative_alpha_is_rejected(self):
         with pytest.raises(ValidationError):
             modified_score(0.5, -0.01)
@@ -289,31 +289,39 @@ class TestPerMille:
 
 class TestEvalReport:
     def test_from_scores_computes_alpha_and_modified(self):
-        report = EvalReport.from_scores(0.8, [0.7, 0.9])
+        report = EvalReport(0.8, [0.7, 0.9])
+        assert report.scores_on_aux == (0.7, 0.9)
         assert report.alpha == pytest.approx(0.2)
         assert report.modified_score == pytest.approx(0.6)
-        assert report.main_metric == "auc"
 
     def test_empty_aux_keeps_the_raw_score(self):
-        report = EvalReport.from_scores(0.66, [])
+        report = EvalReport(0.66, [])
         assert report.alpha == 0.0
         assert report.modified_score == 0.66
 
     def test_tampered_alpha_is_rejected(self):
-        with pytest.raises(ValidationError):
-            EvalReport(main_metric="auc", score_on_val=0.8,
-                       scores_on_aux=(0.7,), alpha=0.5,
-                       modified_score=0.3)
+        with pytest.raises(TypeError):
+            EvalReport(score_on_val=0.8, scores_on_aux=(0.7,), alpha=0.5)
 
     def test_inconsistent_modified_score_is_rejected(self):
-        with pytest.raises(ValidationError):
-            EvalReport(main_metric="auc", score_on_val=0.8,
-                       scores_on_aux=(0.7,), alpha=0.1,
+        with pytest.raises(TypeError):
+            EvalReport(score_on_val=0.8, scores_on_aux=(0.7,),
                        modified_score=0.75)
 
     def test_to_dict_round_trips_the_fields(self):
-        report = EvalReport.from_scores(0.8, [0.7], per_metric={"p@5": 0.2})
-        out = report.to_dict()
-        assert out["score_on_val"] == 0.8
-        assert out["scores_on_aux"] == [0.7]
-        assert out["per_metric"] == {"p@5": 0.2}
+        # Each epochs.jsonl line carries its epoch's report fields unchanged.
+        cfg = RunConfig(n_users=30, n_items=20, latent_dim=4,
+                        train_impressions=1500, test_impressions=600,
+                        objective="sste", epsilon_train=(0.5,),
+                        epsilon_val=(0.5, 0.8), max_epochs=2, patience=2)
+        train, val, _ = build_datasets(cfg)
+        log = io.StringIO()
+        _, state = train_model(cfg, train, val, log)
+        lines = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert len(lines) == len(state.history) == 2
+        for line, report in zip(lines, state.history):
+            assert len(report.scores_on_aux) == 2
+            assert line["val_score"] == report.score_on_val
+            assert line["aux_scores"] == list(report.scores_on_aux)
+            assert line["alpha"] == report.alpha
+            assert line["modified_score"] == report.modified_score

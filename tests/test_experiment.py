@@ -82,6 +82,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             quick_cfg(tmp_path, objective="dr")
 
+    @pytest.mark.parametrize("line", [
+        "ndcg_k=0", "precision_ks=0", "precision_ks=5,-1",
+    ])
+    def test_cutoffs_below_one_are_rejected_on_load(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match=">= 1"):
+            load_config(path)
+
 
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
@@ -193,6 +202,13 @@ class TestGridSpec:
         path = tmp_path / "grid.cfg"
         path.write_text("verbosity=3\n")
         with pytest.raises(ParseError):
+            load_grid(path)
+
+    @pytest.mark.parametrize("line", ["samples=x", "grid_seed=1.5"])
+    def test_load_grid_bad_control_value_reports_its_line(self, tmp_path, line):
+        path = tmp_path / "grid.cfg"
+        path.write_text("mode=random\n" + line + "\nbatch_size=16,32\n")
+        with pytest.raises(ParseError, match="line 2"):
             load_grid(path)
 
 

@@ -215,16 +215,6 @@ class TestStateManagement:
         assert m.user_factors[0, 0] != 99.0
         assert float(m.branch_hat.global_bias) == 0.0
 
-    def test_load_state_restores_values(self):
-        m = tiny_model(seed=1)
-        snapshot = m.copy()
-        m.user_factors += 1.0
-        m.branch_tilde.item_bias += 2.0
-        m.load_state(snapshot)
-        assert np.array_equal(m.user_factors, snapshot.user_factors)
-        assert np.array_equal(m.branch_tilde.item_bias,
-                              snapshot.branch_tilde.item_bias)
-
     def test_all_finite_detects_nan(self):
         m = tiny_model()
         assert m.all_finite()

@@ -23,7 +23,6 @@ from sste.train import (
     batch_coefficients,
     batch_gradients,
     fit,
-    objective_terms,
     regularization_terms,
     self_evaluate,
     sste_epoch,
@@ -160,27 +159,42 @@ class TestEpochs:
     def test_identical_aux_and_heads_give_equal_terms(self):
         train = separable_4x4()
         m = init(4, 4, 3, InitSpec(scale=0.2, seed=5))
-        terms = objective_terms(m, train, [train], l2_lambda=0.01)
-        assert terms.tilde_bce == pytest.approx(terms.hat_bce, abs=1e-10)
-        assert terms.reg_tilde == pytest.approx(terms.reg_hat, abs=1e-10)
+        labels = train.labels.astype(np.float64)
+        coeffs = np.full(len(train), 1.0 / len(train))
+        tilde = batch_gradients(m, Branch.TILDE, train.users, train.items,
+                                labels, coeffs)
+        hat = batch_gradients(m, Branch.HAT, train.users, train.items,
+                              labels, coeffs)
+        reg_tilde, reg_hat = regularization_terms(m, 0.01)
+        assert tilde.loss == pytest.approx(hat.loss, abs=1e-10)
+        assert reg_tilde == pytest.approx(reg_hat, abs=1e-10)
 
     def test_objective_terms_do_not_touch_parameters(self):
         train = separable_4x4()
         m = batch_model()
         before = {k: v.copy() for k, v in m.parameters().items()}
-        objective_terms(m, train, [train], l2_lambda=0.5)
+        for branch in Branch:
+            batch_gradients(m, branch, train.users, train.items,
+                            train.labels.astype(np.float64),
+                            np.full(len(train), 1.0 / len(train)))
+        regularization_terms(m, 0.5)
         for name, value in m.parameters().items():
             assert np.array_equal(value, before[name])
 
     def test_objective_terms_pool_auxiliary_instances(self):
+        # sste_epoch's hat term is the mean over every auxiliary instance, so
+        # splitting one subset unevenly leaves it unchanged; a step size of
+        # 1e-12 keeps each batch's loss where it was.
         train = separable_4x4()
-        half_a = train.take(np.arange(8))
-        half_b = train.take(np.arange(8, 16))
-        m = batch_model(scale=0.4)
-        split_terms = objective_terms(m, train, [half_a, half_b], 0.0)
-        pooled_terms = objective_terms(m, train, [train], 0.0)
-        assert split_terms.hat_bce == pytest.approx(pooled_terms.hat_bce,
-                                                    abs=1e-12)
+        cfg = TrainConfig(learning_rate=1e-12, batch_size=5, objective="sste")
+
+        def hat_bce(a_tr):
+            m = batch_model(scale=0.4)
+            opt = SparseAdam(m.parameters(), cfg.learning_rate)
+            return sste_epoch(m, opt, train, a_tr, cfg).hat_bce
+
+        split = [train.take(np.arange(6)), train.take(np.arange(6, 16))]
+        assert hat_bce(split) == pytest.approx(hat_bce([train]), abs=1e-9)
 
     def test_sste_epoch_requires_auxiliary_data(self):
         train = separable_4x4()
