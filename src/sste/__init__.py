@@ -28,7 +28,6 @@ from .evaluate import (
     auc_scores,
     build_ranked_lists,
     modified_score,
-    per_mille,
     topk_metrics,
 )
 from .experiment import (

@@ -28,18 +28,8 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load(path, schema, provenance, user_map=None, item_map=None):
-    return datamod.load_tsv(
-        path,
-        datamod.Schema(schema),
-        provenance=provenance,
-        user_map=user_map,
-        item_map=item_map,
-    )
-
-
 def _cmd_data_stats(args) -> int:
-    d = _load(args.input, args.schema, datamod.Provenance.BIASED_TRAIN)
+    d = datamod.load_tsv(args.input, args.schema)
     s = datamod.stats(d)
     _print_json(
         {
@@ -63,6 +53,9 @@ def _parse_synth_spec(path) -> datamod.SyntheticSpec:
             values[key] = float(text) if is_float else int(text)
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {exc}", line_no) from None
+    missing = [name for name in types if name not in values]
+    if missing:
+        raise ParseError(f"missing synthetic keys: {', '.join(missing)}")
     return datamod.SyntheticSpec(**values)
 
 
@@ -87,7 +80,7 @@ def _cmd_data_synth(args) -> int:
 
 
 def _cmd_propensity(args) -> int:
-    d = _load(args.input, args.schema, datamod.Provenance.BIASED_TRAIN)
+    d = datamod.load_tsv(args.input, args.schema)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
     prop.save_table(table, args.out, d.item_id_map)
     _print_json({"out": args.out, "n_items": d.n_items})
@@ -95,7 +88,7 @@ def _cmd_propensity(args) -> int:
 
 
 def _cmd_selfsample(args) -> int:
-    d = _load(args.input, args.schema, datamod.Provenance.BIASED_TRAIN)
+    d = datamod.load_tsv(args.input, args.schema)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
     probs = prop.truncate(prop.sampling_probabilities(d, table), args.epsilon)
     subset = ss.draw_auxiliary(d, probs, args.seed)
@@ -197,7 +190,7 @@ def _cmd_evaluate(args) -> int:
     user_map, item_map = _checkpoint_maps(args.checkpoint, model)
 
     def load(path, schema, provenance):
-        return _load(path, schema, provenance, user_map=user_map, item_map=item_map)
+        return datamod.load_tsv(path, schema, provenance, user_map, item_map)
 
     test_set = load(args.test, args.schema, datamod.Provenance.UNIFORM_TEST)
     exclude = None

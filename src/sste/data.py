@@ -52,8 +52,8 @@ def _frozen_column(values, dtype) -> np.ndarray:
 class Dataset:
     """Immutable table of interactions with vocabulary sizes and provenance.
 
-    ``rng_seed`` and ``epsilon`` record how a sampled subset was produced and
-    are mandatory for AUXILIARY_SUBSET provenance.
+    ``epsilon`` records the threshold a sampled subset was drawn under and is
+    mandatory for AUXILIARY_SUBSET provenance.
     """
 
     users: np.ndarray
@@ -62,8 +62,6 @@ class Dataset:
     n_users: int
     n_items: int
     provenance: Provenance
-    raw_ratings: np.ndarray | None = None
-    rng_seed: int | None = None
     epsilon: float | None = None
     user_id_map: dict[int, int] | None = field(default=None, repr=False)
     item_id_map: dict[int, int] | None = field(default=None, repr=False)
@@ -86,20 +84,8 @@ class Dataset:
                 raise ValidationError("item_id out of range [0, n_items)")
             if not np.all((labels == 0) | (labels == 1)):
                 raise ValidationError("labels must be 0 or 1")
-        if self.raw_ratings is not None:
-            ratings = _frozen_column(self.raw_ratings, np.int64)
-            object.__setattr__(self, "raw_ratings", ratings)
-            if len(ratings) != len(users):
-                raise ValidationError("raw_ratings length mismatch")
-            if len(ratings) and not np.array_equal(
-                labels, (ratings > _POSITIVE_RATING_CUTOFF).astype(np.int8)
-            ):
-                raise ValidationError("labels inconsistent with raw ratings")
-        if self.provenance is Provenance.AUXILIARY_SUBSET:
-            if self.rng_seed is None or self.epsilon is None:
-                raise ValidationError(
-                    "auxiliary subsets must record rng_seed and epsilon"
-                )
+        if self.provenance is Provenance.AUXILIARY_SUBSET and self.epsilon is None:
+            raise ValidationError("auxiliary subsets must record epsilon")
 
     def __len__(self) -> int:
         return len(self.users)
@@ -113,7 +99,7 @@ class Dataset:
         return len(self) - self.positive_count
 
     def take(self, indices: np.ndarray, provenance: Provenance | None = None,
-             rng_seed: int | None = None, epsilon: float | None = None) -> "Dataset":
+             epsilon: float | None = None) -> "Dataset":
         """New dataset from a subset of rows, preserving vocabularies."""
         return Dataset(
             users=self.users[indices],
@@ -122,8 +108,6 @@ class Dataset:
             n_users=self.n_users,
             n_items=self.n_items,
             provenance=provenance or self.provenance,
-            raw_ratings=None if self.raw_ratings is None else self.raw_ratings[indices],
-            rng_seed=rng_seed if rng_seed is not None else self.rng_seed,
             epsilon=epsilon if epsilon is not None else self.epsilon,
             user_id_map=self.user_id_map,
             item_id_map=self.item_id_map,
@@ -201,10 +185,8 @@ def load_tsv(
 
     if schema is Schema.USER_ITEM_RATING:
         labels = (values_arr > _POSITIVE_RATING_CUTOFF).astype(np.int8)
-        ratings = values_arr
     else:
         labels = values_arr.astype(np.int8)
-        ratings = None
     return Dataset(
         users=users,
         items=items,
@@ -212,7 +194,6 @@ def load_tsv(
         n_users=len(user_map),
         n_items=len(item_map),
         provenance=provenance,
-        raw_ratings=ratings,
         user_id_map=user_map,
         item_id_map=item_map,
     )
@@ -401,7 +382,6 @@ def generate_synthetic(
         n_users=spec.n_users,
         n_items=spec.n_items,
         provenance=Provenance.BIASED_TRAIN,
-        rng_seed=spec.seed,
     )
     train, val = split_ratio(
         biased, _SYNTH_VAL_RATIO, SplitMode.PER_USER_RANDOM, seed=spec.seed
@@ -415,6 +395,5 @@ def generate_synthetic(
         n_users=spec.n_users,
         n_items=spec.n_items,
         provenance=Provenance.UNIFORM_TEST,
-        rng_seed=spec.seed,
     )
     return train, val, test, relevance

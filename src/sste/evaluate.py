@@ -1,4 +1,4 @@
-"""Offline metrics, the self-evaluation alpha, and per-mille online formulas.
+"""Offline metrics and the self-evaluation alpha.
 
 AUC is the main metric and is computed globally over scored pairs by
 rank-sum with tie-averaged ranks. Top-K precision/recall and nDCG are
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DivisionGuardError, MetricUndefinedError, ValidationError
+from .errors import MetricUndefinedError, ValidationError
 
 
 def auc_scores(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -148,13 +148,6 @@ def modified_score(score_val: float, a: float) -> float:
     if a < 0:
         raise ValidationError("alpha must be >= 0")
     return score_val - a
-
-
-def per_mille(numerator: float, impressions: int) -> float:
-    """numerator / impressions * 1000 (the click/conversion/pay rate form)."""
-    if impressions <= 0:
-        raise DivisionGuardError("per-mille rate needs impressions > 0")
-    return numerator / impressions * 1000.0
 
 
 @dataclass(frozen=True)

@@ -24,21 +24,11 @@ class SparseAdam:
     ``rows=None`` for scalar (0-d) parameters.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        learning_rate: float,
-        beta1: float = ADAM_BETA1,
-        beta2: float = ADAM_BETA2,
-        eps: float = ADAM_EPS,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         if learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         self.params = dict(params)
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = {name: np.zeros_like(p) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p) for name, p in self.params.items()}
         self._t = {
@@ -51,19 +41,19 @@ class SparseAdam:
         m, v, t = self._m[name], self._v[name], self._t[name]
         if rows is None:
             t += 1
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            param[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            param[...] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             return
         t[rows] += 1
         steps = t[rows].astype(np.float64)
-        m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grad
-        v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grad * grad
-        c1 = 1.0 - self.beta1 ** steps
-        c2 = 1.0 - self.beta2 ** steps
+        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grad
+        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grad * grad
+        c1 = 1.0 - ADAM_BETA1 ** steps
+        c2 = 1.0 - ADAM_BETA2 ** steps
         if param.ndim == 2:
             c1 = c1[:, None]
             c2 = c2[:, None]
-        param[rows] -= self.lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + self.eps)
+        param[rows] -= self.lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + ADAM_EPS)

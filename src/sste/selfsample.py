@@ -20,8 +20,8 @@ from .seeding import derive_seed
 def draw_auxiliary(d: Dataset, probs: SampleProbTable, seed: int) -> Dataset:
     """Keep each interaction independently with its sampling probability.
 
-    The result records the threshold and seed that produced it. Expected
-    size is the sum of the probabilities.
+    The result records the threshold that produced it. Expected size is the
+    sum of the probabilities.
     """
     if len(probs.per_instance_prob) != len(d):
         raise ValidationError(
@@ -33,7 +33,6 @@ def draw_auxiliary(d: Dataset, probs: SampleProbTable, seed: int) -> Dataset:
     return d.take(
         np.flatnonzero(keep),
         provenance=Provenance.AUXILIARY_SUBSET,
-        rng_seed=seed,
         epsilon=probs.epsilon,
     )
 
@@ -46,13 +45,7 @@ def train_family(
     epoch: int = 0,
 ) -> list[Dataset]:
     """One auxiliary train subset per threshold, seeds derived per (index, epoch)."""
-    base = sampling_probabilities(train, pt)
-    subsets = []
-    for i, eps in enumerate(epsilons):
-        probs = truncate(base, eps)
-        seed = derive_seed(master_seed, "aux-train", i, epoch)
-        subsets.append(draw_auxiliary(train, probs, seed))
-    return subsets
+    return _draw_family(train, pt, epsilons, master_seed, "aux-train", epoch)
 
 
 def val_family(
@@ -62,11 +55,20 @@ def val_family(
     master_seed: int,
 ) -> list[Dataset]:
     """One auxiliary validation subset per threshold, drawn once (epoch-free seeds)."""
-    base = sampling_probabilities(val, pt)
-    subsets = []
-    for i, eps in enumerate(epsilons):
-        probs = truncate(base, eps)
-        seed = derive_seed(master_seed, "aux-val", i)
-        subsets.append(draw_auxiliary(val, probs, seed))
-    return subsets
+    return _draw_family(val, pt, epsilons, master_seed, "aux-val")
 
+
+def _draw_family(
+    source: Dataset,
+    pt: PropensityTable,
+    epsilons: tuple[float, ...],
+    master_seed: int,
+    tag: str,
+    *epoch: int,
+) -> list[Dataset]:
+    """Subset i keeps ``source`` under threshold i, seeded by (tag, i, *epoch)."""
+    base = sampling_probabilities(source, pt)
+    return [
+        draw_auxiliary(source, truncate(base, eps), derive_seed(master_seed, tag, i, *epoch))
+        for i, eps in enumerate(epsilons)
+    ]

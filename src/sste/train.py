@@ -14,7 +14,7 @@ patience-based early stopping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -87,13 +87,7 @@ class LossBreakdown:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "tilde_bce": self.tilde_bce,
-            "hat_bce": self.hat_bce,
-            "reg_tilde": self.reg_tilde,
-            "reg_hat": self.reg_hat,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def batch_coefficients(
@@ -195,8 +189,49 @@ def regularization_terms(m: MfModel, l2: float) -> tuple[float, float]:
     return reg_tilde, reg_hat
 
 
-def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+def _run_epoch(
+    m: MfModel,
+    opt: SparseAdam,
+    sources: list[tuple[Branch, Dataset, np.ndarray | None]],
+    objective: Objective,
+    cfg: TrainConfig,
+    epoch: int,
+) -> np.ndarray:
+    """One pass over ``(branch, dataset, per-row weights or None)`` sources.
+
+    Each source is shuffled by the epoch's generator. A single source runs
+    its batches in permutation order; several are interleaved by a shuffled
+    schedule, so every source is visited in proportion to its size. Returns
+    each source's sum of batch loss times batch size.
+    """
+    for _, source, _ in sources:
+        if len(source) == 0:
+            raise ValidationError("cannot train on an empty dataset")
+    rng = rng_for(cfg.seed, "epoch", epoch)
+    perms = [rng.permutation(len(source)) for _, source, _ in sources]
+    schedule = [
+        (si, lo)
+        for si, (_, source, _) in enumerate(sources)
+        for lo in range(0, len(source), cfg.batch_size)
+    ]
+    order = range(len(schedule))
+    if len(sources) > 1:
+        order = rng.permutation(len(schedule))
+
+    sums = np.zeros(len(sources))
+    for b in order:
+        si, lo = schedule[b]
+        branch, source, weights = sources[si]
+        idx = perms[si][lo:lo + cfg.batch_size]
+        w = None if weights is None else weights[idx]
+        coeffs = batch_coefficients(objective, w, len(idx))
+        bg = batch_gradients(
+            m, branch, source.users[idx], source.items[idx],
+            source.labels[idx].astype(np.float64), coeffs,
+        )
+        _apply_batch(m, opt, branch, bg, cfg.l2_lambda)
+        sums[si] += bg.loss * len(idx)
+    return sums
 
 
 def sste_epoch(
@@ -211,38 +246,12 @@ def sste_epoch(
     subset (Hat), batches shuffled together proportionally to source sizes."""
     if not a_tr:
         raise ValidationError("sste needs at least one auxiliary train subset")
-    sources = [(Branch.TILDE, d_tr)] + [(Branch.HAT, a) for a in a_tr]
-    for _, source in sources:
-        if len(source) == 0:
-            raise ValidationError("cannot train on an empty dataset")
-    rng = rng_for(cfg.seed, "epoch", epoch)
-    perms = [rng.permutation(len(source)) for _, source in sources]
-    schedule = [
-        (si, lo, hi)
-        for si, (_, source) in enumerate(sources)
-        for lo, hi in _batch_bounds(len(source), cfg.batch_size)
-    ]
-    order = rng.permutation(len(schedule))
-
-    sums = np.zeros(len(sources))
-    for b in order:
-        si, lo, hi = schedule[b]
-        branch, source = sources[si]
-        idx = perms[si][lo:hi]
-        coeffs = batch_coefficients(Objective.NAIVE, None, len(idx))
-        bg = batch_gradients(
-            m, branch, source.users[idx], source.items[idx],
-            source.labels[idx].astype(np.float64), coeffs,
-        )
-        _apply_batch(m, opt, branch, bg, cfg.l2_lambda)
-        sums[si] += bg.loss * len(idx)
-
-    tilde_bce = sums[0] / len(d_tr)
-    hat_bce = sums[1:].sum() / sum(len(a) for a in a_tr)
+    sources = [(Branch.TILDE, d_tr, None)] + [(Branch.HAT, a, None) for a in a_tr]
+    sums = _run_epoch(m, opt, sources, Objective.SSTE, cfg, epoch)
     reg_tilde, reg_hat = regularization_terms(m, cfg.l2_lambda)
     return LossBreakdown(
-        tilde_bce=float(tilde_bce),
-        hat_bce=float(hat_bce),
+        tilde_bce=float(sums[0] / len(d_tr)),
+        hat_bce=float(sums[1:].sum() / sum(len(a) for a in a_tr)),
         reg_tilde=reg_tilde,
         reg_hat=reg_hat,
     )
@@ -264,32 +273,16 @@ def baseline_epoch(
     objective = cfg.objective
     if objective is Objective.SSTE:
         raise ValidationError("use sste_epoch for the joint objective")
-    if len(d_tr) == 0:
-        raise ValidationError("cannot train on an empty dataset")
     weights = None
     if objective in (Objective.IPS, Objective.SNIPS):
         if pt is None:
             raise ValidationError(f"{objective.value} needs a propensity table")
         weights = 1.0 / pt.per_item_propensity[d_tr.items]
-    rng = rng_for(cfg.seed, "epoch", epoch)
-    perm = rng.permutation(len(d_tr))
-
-    loss_sum = 0.0
-    for lo, hi in _batch_bounds(len(d_tr), cfg.batch_size):
-        idx = perm[lo:hi]
-        w = None if weights is None else weights[idx]
-        coeffs = batch_coefficients(objective, w, len(idx))
-        bg = batch_gradients(
-            m, Branch.HAT, d_tr.users[idx], d_tr.items[idx],
-            d_tr.labels[idx].astype(np.float64), coeffs,
-        )
-        _apply_batch(m, opt, Branch.HAT, bg, cfg.l2_lambda)
-        loss_sum += bg.loss * len(idx)
-
+    sums = _run_epoch(m, opt, [(Branch.HAT, d_tr, weights)], objective, cfg, epoch)
     _, reg_hat = regularization_terms(m, cfg.l2_lambda)
     return LossBreakdown(
         tilde_bce=None,
-        hat_bce=float(loss_sum / len(d_tr)),
+        hat_bce=float(sums[0] / len(d_tr)),
         reg_tilde=None,
         reg_hat=reg_hat,
     )

@@ -8,6 +8,7 @@ own metric or gradient code paths.
 import numpy as np
 
 from sste.data import Dataset, Provenance
+from sste.seeding import rng_for
 
 
 def auc_bruteforce(predictions, labels) -> float:
@@ -67,6 +68,28 @@ def lazy_l2_batch_objective(params, branch: str, users, items, labels, coeffs,
                + (ub[touched_users] ** 2).sum() + (ib[touched_items] ** 2).sum()
                + float(gb) ** 2)
     return data + 0.5 * l2 * squares
+
+
+def epoch_batches(sources, batch_size: int, seed: int, epoch: int) -> list:
+    """The batches of one training epoch, in the order they are applied.
+
+    ``sources`` is a list of (branch, dataset, per-row weights or None).
+    The epoch generator first draws one permutation per source, in source
+    order; each permuted source is cut into consecutive batches. A single
+    source runs its batches in that order. With several, one more
+    permutation from the same generator reorders the list of every batch
+    (source by source, batch by batch). Each entry is (branch, dataset,
+    weights, row indices).
+    """
+    rng = rng_for(seed, "epoch", epoch)
+    batches = []
+    for branch, d, weights in sources:
+        perm = rng.permutation(len(d))
+        for lo in range(0, len(d), batch_size):
+            batches.append((branch, d, weights, perm[lo:lo + batch_size]))
+    if len(sources) > 1:
+        batches = [batches[b] for b in rng.permutation(len(batches))]
+    return batches
 
 
 def dcg_binary(ranked_flags) -> float:

@@ -98,6 +98,7 @@ class TestDebiasingStudy:
                     result = run_grid(
                         GridSpec(values=DEFAULT_GRID),
                         study_config(seed, objective, str(out)),
+                        workers=2,
                     )
                     selected[(seed, objective)] = selected_test_auc(
                         out, result.best_run_id

@@ -79,6 +79,16 @@ class TestDataCommands:
                      "--out-dir", str(tmp_path)]) == 1
         assert "error: line 1: bad value for n_users" in capsys.readouterr().err
 
+    def test_spec_missing_keys_names_them(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_users=10\n")
+        assert main(["data", "synth", "--spec", str(spec),
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing synthetic keys: n_items, latent_dim,")
+        assert "seed" in err
+        assert not (tmp_path / "train.tsv").exists()
+
 
 class TestPropensityCommands:
     def test_propensity_writes_one_line_per_item(self, synth_dir, capsys):

@@ -175,18 +175,19 @@ class TestDatasetValidation:
         path = write_lines(tmp_path / "a.tsv", ["0\t1\t5", "1\t0\t2"])
         ds = load_tsv(path, Schema.USER_ITEM_RATING)
         rows = list(zip(ds.users.tolist(), ds.items.tolist(),
-                        ds.labels.tolist(), ds.raw_ratings.tolist()))
-        assert rows == [(0, 1, 1, 5), (1, 0, 0, 2)]
+                        ds.labels.tolist()))
+        assert rows == [(0, 1, 1), (1, 0, 0)]
 
     def test_take_preserves_row_content(self):
         ds = make_dataset([0, 1, 2], [2, 1, 0], [1, 0, 1], 3, 3)
         sub = ds.take(np.array([2, 0]), Provenance.AUXILIARY_SUBSET,
-                      rng_seed=9, epsilon=0.5)
+                      epsilon=0.5)
         assert sub.users.tolist() == [2, 0]
         assert sub.items.tolist() == [0, 2]
         assert sub.labels.tolist() == [1, 1]
         assert sub.provenance is Provenance.AUXILIARY_SUBSET
-        assert sub.rng_seed == 9
+        assert sub.epsilon == 0.5
+        assert (sub.n_users, sub.n_items) == (3, 3)
 
 
 class TestSplit:

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sste.errors import (
-    DivisionGuardError,
-    MetricUndefinedError,
-    ValidationError,
-)
+from sste.errors import MetricUndefinedError, ValidationError
 from sste.evaluate import (
     EvalReport,
     RankedList,
@@ -20,7 +16,6 @@ from sste.evaluate import (
     auc_scores,
     build_ranked_lists,
     modified_score,
-    per_mille,
     topk_metrics,
 )
 from sste.experiment import RunConfig, build_datasets, train_model
@@ -270,21 +265,6 @@ class TestModifiedScore:
            st.floats(min_value=0, max_value=5, allow_nan=False))
     def test_never_exceeds_the_raw_score(self, val, a):
         assert modified_score(val, a) <= val
-
-
-class TestPerMille:
-    def test_five_in_a_thousand(self):
-        assert per_mille(5, 1000) == 5.0
-
-    def test_zero_numerator(self):
-        assert per_mille(0, 10) == 0.0
-
-    def test_fractional_rate(self):
-        assert per_mille(123.45, 1000) == pytest.approx(123.45)
-
-    def test_zero_impressions_is_guarded(self):
-        with pytest.raises(DivisionGuardError):
-            per_mille(5, 0)
 
 
 class TestEvalReport:

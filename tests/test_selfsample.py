@@ -56,7 +56,6 @@ class TestDrawAuxiliary:
         ds = make_dataset([0, 1], [0, 1], [1, 1], 2, 2)
         out = draw_auxiliary(ds, truncate(np.array([0.4, 0.9]), 0.5), seed=11)
         assert out.provenance is Provenance.AUXILIARY_SUBSET
-        assert out.rng_seed == 11
         assert out.epsilon == 0.5
 
     def test_same_seed_reproduces_the_draw(self):

@@ -19,6 +19,7 @@ from sste.train import (
     LossBreakdown,
     Objective,
     TrainConfig,
+    _apply_batch,
     baseline_epoch,
     batch_coefficients,
     batch_gradients,
@@ -28,7 +29,7 @@ from sste.train import (
     sste_epoch,
 )
 
-from reference import make_dataset, separable_4x4
+from reference import epoch_batches, make_dataset, separable_4x4
 from test_data import small_spec
 
 
@@ -283,6 +284,71 @@ class TestEpochs:
         preds = m.predict(Branch.HAT, train.users, train.items)
         assert preds == pytest.approx(0.5, abs=0.05)
         assert breakdown.hat_bce == pytest.approx(math.log(2.0), abs=0.05)
+
+
+class TestEpochOrder:
+    # The epoch functions must apply exactly the batches of
+    # reference.epoch_batches, in its order: replaying those batches one by
+    # one through the same gradient and optimizer step gives equal parameters.
+    EPOCHS = 3
+
+    @staticmethod
+    def world():
+        train, _, _, _ = generate_synthetic(
+            small_spec(n_users=30, n_items=20, train_impressions=700))
+        pt = estimate_popularity_propensity(train, gamma=1.0, floor=0.01)
+        return train, pt
+
+    def trained(self, cfg, step):
+        """Parameters after EPOCHS calls of ``step(model, opt, epoch)``."""
+        m = init(30, 20, 3, InitSpec(scale=0.1, seed=4))
+        opt = SparseAdam(m.parameters(), cfg.learning_rate)
+        for epoch in range(1, self.EPOCHS + 1):
+            step(m, opt, epoch)
+        return m.parameters()
+
+    def assert_replays(self, cfg, step, sources):
+        def replay(m, opt, epoch):
+            for branch, d, weights, idx in epoch_batches(
+                sources, cfg.batch_size, cfg.seed, epoch
+            ):
+                w = None if weights is None else weights[idx]
+                bg = batch_gradients(
+                    m, branch, d.users[idx], d.items[idx],
+                    d.labels[idx].astype(np.float64),
+                    batch_coefficients(cfg.objective, w, len(idx)),
+                )
+                _apply_batch(m, opt, branch, bg, cfg.l2_lambda)
+
+        got, expected = self.trained(cfg, step), self.trained(cfg, replay)
+        for name, value in got.items():
+            assert np.array_equal(value, expected[name]), name
+
+    @pytest.mark.parametrize("objective", ["naive", "ips"])
+    def test_baseline_epoch_runs_batches_in_permutation_order(self, objective):
+        train, pt = self.world()
+        cfg = TrainConfig(objective=objective, batch_size=64, seed=9,
+                          learning_rate=0.05, l2_lambda=0.01)
+        weights = None
+        if objective == "ips":
+            weights = 1.0 / pt.per_item_propensity[train.items]
+        self.assert_replays(
+            cfg,
+            lambda m, opt, epoch: baseline_epoch(m, opt, train, pt, cfg, epoch=epoch),
+            [(Branch.HAT, train, weights)],
+        )
+
+    def test_sste_epoch_interleaves_by_a_shuffled_schedule(self):
+        train, pt = self.world()
+        a_tr = train_family(train, pt, (0.3, 0.7), master_seed=2)
+        assert len(a_tr[0]) != len(a_tr[1])
+        cfg = TrainConfig(objective="sste", batch_size=64, seed=9,
+                          learning_rate=0.05, l2_lambda=0.01)
+        self.assert_replays(
+            cfg,
+            lambda m, opt, epoch: sste_epoch(m, opt, train, a_tr, cfg, epoch=epoch),
+            [(Branch.TILDE, train, None)] + [(Branch.HAT, a, None) for a in a_tr],
+        )
 
 
 class TestSelfEvaluate:
