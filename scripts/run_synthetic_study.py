@@ -2,8 +2,8 @@
 
 For each seed, both objectives search the default hyperparameter grid and
 the selected model (best modified validation score) is scored on the
-uniformly-exposed test pool. The summary reports per-seed test AUCs, the
-win count, and the mean margin.
+uniformly-exposed test pool. The summary reports per-seed test AUCs and
+margins (sste minus naive), the win count, and the mean margin.
 
 Run:
     python scripts/run_synthetic_study.py --out runs/synthetic-study
@@ -78,6 +78,8 @@ def main(argv=None) -> int:
             results[(seed, objective)] = selected_test_auc(grid_dir, res.best_run_id)
             print(f"seed={seed} {objective:>5}: test AUC "
                   f"{results[(seed, objective)]:.4f}", flush=True)
+        margin = results[(seed, "sste")] - results[(seed, "naive")]
+        print(f"seed={seed} margin: {margin:+.6f}", flush=True)
 
     wins = sum(results[(s, "sste")] > results[(s, "naive")] for s in seeds)
     naive_mean = sum(results[(s, "naive")] for s in seeds) / len(seeds)
@@ -88,10 +90,10 @@ def main(argv=None) -> int:
     print(f"elapsed: {time.time() - t0:.0f}s")
 
     summary = out_root / "summary.tsv"
-    lines = ["seed\tnaive_auc\tsste_auc\twin"]
+    lines = ["seed\tnaive_auc\tsste_auc\tmargin\twin"]
     for s in seeds:
         n, t = results[(s, "naive")], results[(s, "sste")]
-        lines.append(f"{s}\t{n:.6f}\t{t:.6f}\t{int(t > n)}")
+        lines.append(f"{s}\t{n:.6f}\t{t:.6f}\t{t - n:+.6f}\t{int(t > n)}")
     summary.parent.mkdir(parents=True, exist_ok=True)
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"summary written to {summary}")

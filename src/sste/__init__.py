@@ -39,7 +39,7 @@ from .experiment import (
     run_grid,
     run_one,
 )
-from .model import Branch, BranchHead, InitSpec, MfModel, init, load_checkpoint, save_checkpoint
+from .model import Branch, BranchHead, MfModel, init, load_checkpoint, save_checkpoint
 from .propensity import (
     PropensityTable,
     SampleProbTable,
@@ -50,7 +50,6 @@ from .propensity import (
 from .selfsample import draw_auxiliary
 from .train import (
     Objective,
-    TrainConfig,
     TrainState,
     baseline_epoch,
     fit,

@@ -20,7 +20,7 @@ from . import experiment as exp
 from . import propensity as prop
 from . import selfsample as ss
 from .errors import ParseError, SsteError, ValidationError
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint
 from .train import Objective, self_evaluate
 
 
@@ -122,14 +122,7 @@ def _cmd_train(args) -> int:
         if args.log:
             log_handle.close()
 
-    save_checkpoint(model, args.checkpoint_out)
-    sidecar = {
-        "users": {str(orig): dense for orig, dense in (train_set.user_id_map or {}).items()},
-        "items": {str(orig): dense for orig, dense in (train_set.item_id_map or {}).items()},
-    }
-    Path(str(args.checkpoint_out) + ".vocab.json").write_text(
-        json.dumps(sidecar, sort_keys=True), encoding="utf-8"
-    )
+    exp.save_model(model, train_set, args.checkpoint_out)
     _print_json(
         {
             "checkpoint": args.checkpoint_out,
@@ -248,17 +241,12 @@ def _cmd_exp_table(args) -> int:
     text, rows = exp.make_table(args.runs)
     print(text, end="")
     if args.out:
-        lines = ["\t".join(["label", "run_id", *exp._TABLE_COLUMNS])]
-        for row in rows:
-            cells = [row["label"], row["run_id"]]
-            cells += [f"{row['metrics'][c]:.6f}" for c in exp._TABLE_COLUMNS]
-            lines.append("\t".join(cells))
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        exp.save_table(rows, args.out)
     return 0
 
 
-def _add_schema(parser) -> None:
-    parser.add_argument("--schema", choices=["rating", "label"], default="rating")
+def _add_schema(parser, default="rating") -> None:
+    parser.add_argument("--schema", choices=["rating", "label"], default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,27 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema(p_ss)
     p_ss.set_defaults(func=_cmd_selfsample)
 
-    p_train = sub.add_parser("train", help="train one model")
+    # Flags left out take RunConfig's defaults.
+    p_train = sub.add_parser(
+        "train", help="train one model", argument_default=argparse.SUPPRESS
+    )
     p_train.add_argument(
         "--objective", choices=[o.value for o in Objective], required=True
     )
     p_train.add_argument("--train", dest="train_path", required=True)
     p_train.add_argument("--val", dest="val_path", required=True)
-    p_train.add_argument("--gamma", type=float, default=prop.DEFAULT_GAMMA)
-    p_train.add_argument("--floor", type=float, default=prop.DEFAULT_FLOOR)
-    p_train.add_argument("--epsilon-train", type=_epsilons, default="", help="comma-separated")
-    p_train.add_argument("--epsilon-val", type=_epsilons, default="", help="comma-separated")
-    p_train.add_argument("--lr", dest="learning_rate", type=float, default=0.01)
-    p_train.add_argument("--l2", dest="l2_lambda", type=float, default=0.0)
-    p_train.add_argument("--batch", dest="batch_size", type=int, default=512)
-    p_train.add_argument("--max-epochs", type=int, default=100)
-    p_train.add_argument("--patience", type=int, default=5)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--embedding-dim", type=int, default=10)
-    p_train.add_argument("--init-scale", type=float, default=0.01)
+    p_train.add_argument("--gamma", type=float)
+    p_train.add_argument("--floor", type=float)
+    p_train.add_argument("--epsilon-train", type=_epsilons, help="comma-separated")
+    p_train.add_argument("--epsilon-val", type=_epsilons, help="comma-separated")
+    p_train.add_argument("--lr", dest="learning_rate", type=float)
+    p_train.add_argument("--l2", dest="l2_lambda", type=float)
+    p_train.add_argument("--batch", dest="batch_size", type=int)
+    p_train.add_argument("--max-epochs", type=int)
+    p_train.add_argument("--patience", type=int)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--embedding-dim", type=int)
+    p_train.add_argument("--init-scale", type=float)
     p_train.add_argument("--checkpoint-out", required=True)
     p_train.add_argument("--log", default="", help="epoch JSONL path (default stdout)")
-    _add_schema(p_train)
+    _add_schema(p_train, default=argparse.SUPPRESS)
     p_train.set_defaults(func=_cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on a test TSV")

@@ -32,11 +32,11 @@ from .data import (
     split_ratio,
 )
 from .errors import ParseError, SsteError, ValidationError
-from .model import Branch, InitSpec, MfModel, save_checkpoint
-from .propensity import estimate_popularity_propensity
+from .model import Branch, MfModel, save_checkpoint
+from .propensity import DEFAULT_FLOOR, DEFAULT_GAMMA, estimate_popularity_propensity
 from .seeding import derive_seed
 from .selfsample import train_family, val_family
-from .train import Objective, TrainConfig, TrainState, fit
+from .train import Objective, TrainState, fit
 
 _RUN_ID_HEX_CHARS = 16
 
@@ -49,7 +49,8 @@ class RunConfig:
     (synthetic=false) loads TSVs instead, splitting train when val_path is
     empty. A file-mode config without test_path can train but not run. ``seed``
     drives training, initialization, and sampling; ``data_seed`` drives
-    dataset generation and splitting.
+    dataset generation and splitting. The model and optimizer settings are
+    range-checked here, so a bad value is rejected before any stage runs.
     """
 
     # data
@@ -70,8 +71,8 @@ class RunConfig:
     split_mode: str = "per_user"
     # objective
     objective: str = "naive"
-    gamma: float = 0.5
-    floor: float = 0.01
+    gamma: float = DEFAULT_GAMMA
+    floor: float = DEFAULT_FLOOR
     epsilon_train: tuple[float, ...] = ()
     epsilon_val: tuple[float, ...] = ()
     resample_each_epoch: bool = False
@@ -105,15 +106,18 @@ class RunConfig:
             raise ValidationError("file mode needs test_path")
         if self.ndcg_k < 1 or any(k < 1 for k in self.precision_ks):
             raise ValidationError("ndcg_k and every precision_ks value must be >= 1")
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("epsilon_train", "epsilon_val", "precision_ks"):
-            out[key] = list(out[key])
-        return out
+        if self.learning_rate <= 0:
+            raise ValidationError("learning_rate must be positive")
+        if self.l2_lambda < 0:
+            raise ValidationError("l2_lambda must be >= 0")
+        for name in ("batch_size", "max_epochs", "patience", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        if not np.isfinite(self.init_scale) or self.init_scale <= 0:
+            raise ValidationError("init_scale must be positive and finite")
 
     def identity_dict(self) -> dict:
-        out = self.to_dict()
+        out = asdict(self)
         out.pop("out_dir")
         return out
 
@@ -137,7 +141,7 @@ def _field_types() -> dict[str, type]:
     return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
 
 
-def _parse_scalar(name: str, text: str, kind: type):
+def _parse_scalar(text: str, kind: type):
     text = text.strip()
     if kind is bool:
         word = text.lower()
@@ -160,7 +164,7 @@ def _parse_value(name: str, text: str, kind: type):
         if not text:
             return ()
         return tuple(element(part.strip()) for part in text.split(","))
-    return _parse_scalar(name, text, kind)
+    return _parse_scalar(text, kind)
 
 
 def _read_kv_lines(path) -> list[tuple[int, str, str]]:
@@ -177,7 +181,7 @@ def _read_kv_lines(path) -> list[tuple[int, str, str]]:
     return entries
 
 
-def load_config(path, **overrides) -> RunConfig:
+def load_config(path) -> RunConfig:
     """RunConfig from a flat key=value file; unknown keys are errors."""
     types = _field_types()
     values: dict = {}
@@ -188,7 +192,6 @@ def load_config(path, **overrides) -> RunConfig:
             values[key] = _parse_value(key, text, types[key])
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {exc}", line_no) from None
-    values.update(overrides)
     return RunConfig(**values)
 
 
@@ -275,7 +278,7 @@ def load_grid(path) -> GridSpec:
                 control[key] = int(text)
             else:
                 values[key] = tuple(
-                    _parse_scalar(key, part, types[key]) for part in text.split(",")
+                    _parse_scalar(part, types[key]) for part in text.split(",")
                 )
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {exc}", line_no) from None
@@ -295,16 +298,9 @@ class RunResult:
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a config; test is None when file mode has no test_path."""
     if cfg.synthetic:
-        spec = SyntheticSpec(
-            n_users=cfg.n_users,
-            n_items=cfg.n_items,
-            latent_dim=cfg.latent_dim,
-            exposure_bias_strength=cfg.exposure_bias_strength,
-            positive_threshold=cfg.positive_threshold,
-            train_impressions=cfg.train_impressions,
-            test_impressions=cfg.test_impressions,
-            seed=cfg.data_seed,
-        )
+        # RunConfig names the world settings as SyntheticSpec does, except the seed.
+        names = [f.name for f in fields(SyntheticSpec) if f.name != "seed"]
+        spec = SyntheticSpec(**{n: getattr(cfg, n) for n in names}, seed=cfg.data_seed)
         train, val, test, _ = generate_synthetic(spec)
         return train, val, test
     schema = Schema(cfg.schema)
@@ -359,15 +355,6 @@ def train_model(
     a_val = val_family(val, pt, cfg.epsilon_val, aux_seed) if cfg.epsilon_val else []
 
     on_stage("train")
-    train_cfg = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        l2_lambda=cfg.l2_lambda,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        objective=objective,
-        seed=derive_seed(cfg.seed, "train"),
-    )
 
     def on_epoch(epoch, breakdown, report):
         line = {
@@ -381,9 +368,7 @@ def train_model(
         log.write(json.dumps(line, sort_keys=True) + "\n")
 
     return fit(
-        train, val, (a_tr, a_val), train_cfg,
-        embedding_dim=cfg.embedding_dim,
-        init_spec=InitSpec(scale=cfg.init_scale, seed=derive_seed(cfg.seed, "init")),
+        train, val, (a_tr, a_val), cfg,
         propensity=pt,
         resample_seed=aux_seed if cfg.resample_each_epoch else None,
         on_epoch=on_epoch,
@@ -391,7 +376,7 @@ def train_model(
 
 
 def test_metrics_for(
-    model: MfModel, test: Dataset, exclude: Dataset | None, ks=(5, 10), ndcg_k: int = 50
+    model: MfModel, test: Dataset, exclude: Dataset | None, ks: tuple[int, ...], ndcg_k: int
 ) -> dict[str, float]:
     """Global AUC plus full-ranking top-K metrics, ranking no positive of ``exclude``."""
     metrics = {
@@ -406,36 +391,51 @@ def test_metrics_for(
     return metrics
 
 
+def save_model(model: MfModel, train: Dataset, path) -> None:
+    """Checkpoint at ``path``, plus ``<path>.vocab.json`` when ``train`` was
+    loaded from files: its original-to-dense id maps, which ``sste evaluate``
+    needs to score files in the original id space."""
+    save_checkpoint(model, path)
+    if train.user_id_map is None:
+        return
+    vocab = {
+        "users": {str(orig): dense for orig, dense in train.user_id_map.items()},
+        "items": {str(orig): dense for orig, dense in train.item_id_map.items()},
+    }
+    Path(str(path) + ".vocab.json").write_text(
+        json.dumps(vocab, sort_keys=True), encoding="utf-8"
+    )
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def run_one(cfg: RunConfig) -> RunResult:
     """Execute one config end to end, persisting artifacts in its run dir.
 
-    Writes config.txt/config.json, epochs.jsonl, model.ckpt, report.json,
-    and status.json. Any failure is recorded in status.json with the stage
-    that failed, and reported in the returned RunResult.
+    Writes config.txt/config.json, epochs.jsonl, model.ckpt (with its vocab
+    sidecar in file mode), report.json, and status.json. Any failure is
+    recorded in status.json with the stage that failed, and reported in the
+    returned RunResult.
     """
     run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, run_dir / "config.txt")
-    (run_dir / "config.json").write_text(
-        json.dumps(cfg.identity_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(run_dir / "config.json", cfg.identity_dict())
     started = time.monotonic()
     stage = "data"
 
-    def _fail(exc: Exception) -> RunResult:
-        status = {
-            "status": "failed",
-            "stage": stage,
-            "error": f"{type(exc).__name__}: {exc}",
+    def finish(error: str | None, report: dict | None = None) -> RunResult:
+        """Write status.json: ok if ``error`` is None, else failed at ``stage``."""
+        status, at = ("ok", "done") if error is None else ("failed", stage)
+        _write_json(run_dir / "status.json", {
+            "status": status, "stage": at, "error": error,
             "elapsed_seconds": time.monotonic() - started,
-        }
-        (run_dir / "status.json").write_text(
-            json.dumps(status, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        })
         return RunResult(
-            run_id=cfg.run_id, run_dir=str(run_dir), status="failed",
-            stage=stage, error=status["error"], report=None,
+            run_id=cfg.run_id, run_dir=str(run_dir), status=status,
+            stage=at, error=error, report=report,
         )
 
     def enter(name: str) -> None:
@@ -456,7 +456,7 @@ def run_one(cfg: RunConfig) -> RunResult:
         best_report = state.history[state.best_epoch - 1]
 
         stage = "persist"
-        save_checkpoint(model, run_dir / "model.ckpt")
+        save_model(model, train, run_dir / "model.ckpt")
         report = {
             "run_id": cfg.run_id,
             "objective": cfg.objective,
@@ -468,24 +468,10 @@ def run_one(cfg: RunConfig) -> RunResult:
             "best_alpha": best_report.alpha,
             "test_metrics": {name: float(value) for name, value in metrics.items()},
         }
-        (run_dir / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        status = {
-            "status": "ok",
-            "stage": "done",
-            "error": None,
-            "elapsed_seconds": time.monotonic() - started,
-        }
-        (run_dir / "status.json").write_text(
-            json.dumps(status, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        return RunResult(
-            run_id=cfg.run_id, run_dir=str(run_dir), status="ok",
-            stage="done", error=None, report=report,
-        )
+        _write_json(run_dir / "report.json", report)
+        return finish(None, report)
     except (SsteError, OSError) as exc:
-        return _fail(exc)
+        return finish(f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -569,14 +555,21 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-_TABLE_COLUMNS = ("auc", "ndcg@50", "p@5", "p@10", "r@5", "r@10")
-_TABLE_HEADERS = ("AUC", "nDCG@50", "P@5", "P@10", "R@5", "R@10")
+def _table_columns(config: dict) -> tuple[str, ...]:
+    """auc, ndcg@K, then p@k and r@k for each k, as a run's config sets them."""
+    ks = config["precision_ks"]
+    return (
+        "auc", f"ndcg@{config['ndcg_k']}",
+        *(f"p@{k}" for k in ks), *(f"r@{k}" for k in ks),
+    )
 
 
 def make_table(run_dirs) -> tuple[str, list[dict]]:
     """Comparison table over completed runs (text + machine-readable rows).
 
-    The best value per column is wrapped in ** **, the second best in _ _.
+    The columns are the metrics each run's config asks for; runs must agree
+    on them. The best value per column is wrapped in ** **, the second best
+    in _ _.
     """
     run_dirs = list(run_dirs)
     if not run_dirs:
@@ -587,8 +580,15 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
         if not report_path.exists():
             raise ValidationError(f"missing report.json under {run_dir}")
         report = json.loads(report_path.read_text(encoding="utf-8"))
+        run_columns = _table_columns(report["config"])
+        if rows and run_columns != columns:
+            raise ValidationError(
+                f"{run_dir} reports {', '.join(run_columns)}, "
+                f"not {', '.join(columns)}"
+            )
+        columns = run_columns
         metrics = report.get("test_metrics", {})
-        missing = [c for c in _TABLE_COLUMNS if c not in metrics]
+        missing = [c for c in columns if c not in metrics]
         if missing:
             raise ValidationError(f"{run_dir} lacks metrics: {', '.join(missing)}")
         rows.append(
@@ -596,29 +596,28 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
                 "label": f"{report['objective']}/{report['run_id'][:8]}",
                 "run_id": report["run_id"],
                 "objective": report["objective"],
-                "metrics": {c: float(metrics[c]) for c in _TABLE_COLUMNS},
+                "metrics": {c: float(metrics[c]) for c in columns},
             }
         )
 
     marks: dict[tuple[int, str], str] = {}
-    for column in _TABLE_COLUMNS:
+    for column in columns:
         ranked = sorted(
             range(len(rows)), key=lambda i: -rows[i]["metrics"][column]
         )
-        if ranked:
-            marks[(ranked[0], column)] = "**"
+        marks[(ranked[0], column)] = "**"
         if len(ranked) > 1:
             marks[(ranked[1], column)] = "_"
 
     label_width = max(len("method"), max(len(r["label"]) for r in rows))
     cells_width = 12
     header = "method".ljust(label_width) + "".join(
-        h.rjust(cells_width) for h in _TABLE_HEADERS
+        c.upper().replace("NDCG", "nDCG").rjust(cells_width) for c in columns
     )
     lines = [header]
     for i, row in enumerate(rows):
         cells = []
-        for column in _TABLE_COLUMNS:
+        for column in columns:
             text = f"{row['metrics'][column]:.4f}"
             mark = marks.get((i, column))
             if mark:
@@ -626,3 +625,14 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
             cells.append(text.rjust(cells_width))
         lines.append(row["label"].ljust(label_width) + "".join(cells))
     return "\n".join(lines) + "\n", rows
+
+
+def save_table(rows: list[dict], path) -> None:
+    """The rows of ``make_table`` as TSV: label, run id, then each metric."""
+    columns = list(rows[0]["metrics"])
+    lines = ["\t".join(["label", "run_id", *columns])]
+    for row in rows:
+        cells = [row["label"], row["run_id"]]
+        cells += [f"{row['metrics'][c]:.6f}" for c in columns]
+        lines.append("\t".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -50,16 +50,6 @@ def bce_from_logits(z, y):
     return np.logaddexp(0.0, z) - y * z
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    scale: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ValidationError("init scale must be positive and finite")
-
-
 @dataclass
 class BranchHead:
     """Branch-private parameters: per-user bias, per-item bias, global bias."""
@@ -160,14 +150,14 @@ def _zero_head(n_users: int, n_items: int) -> BranchHead:
     )
 
 
-def init(n_users: int, n_items: int, k: int, spec: InitSpec = InitSpec()) -> MfModel:
+def init(n_users: int, n_items: int, k: int, scale: float, seed: int) -> MfModel:
     """Factors ~ Uniform(-scale, +scale), all biases zero, seeded."""
     if n_users <= 0 or n_items <= 0 or k <= 0:
         raise ValidationError("model dimensions must be positive")
-    rng = rng_for(spec.seed, "mf-init")
+    rng = rng_for(seed, "mf-init")
     return MfModel(
-        user_factors=rng.uniform(-spec.scale, spec.scale, size=(n_users, k)),
-        item_factors=rng.uniform(-spec.scale, spec.scale, size=(n_items, k)),
+        user_factors=rng.uniform(-scale, scale, size=(n_users, k)),
+        item_factors=rng.uniform(-scale, scale, size=(n_items, k)),
         branch_tilde=_zero_head(n_users, n_items),
         branch_hat=_zero_head(n_users, n_items),
     )

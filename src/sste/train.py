@@ -16,17 +16,21 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import evaluate as ev
 from .data import Dataset
 from .errors import MetricUndefinedError, TrainingDivergedError, ValidationError
-from .model import Branch, InitSpec, MfModel, bce_from_logits, init, sigmoid
+from .model import Branch, MfModel, bce_from_logits, init, sigmoid
 from .optim import SparseAdam
 from .propensity import PropensityTable
 from .selfsample import train_family
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
+
+if TYPE_CHECKING:
+    from .experiment import RunConfig
 
 LOSS_DIVERGENCE_LIMIT = 1e4  # nats; mean epoch loss beyond this is divergence
 
@@ -36,30 +40,6 @@ class Objective(Enum):
     IPS = "ips"
     SNIPS = "snips"
     SSTE = "sste"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
-    l2_lambda: float = 0.0
-    batch_size: int = 512
-    max_epochs: int = 100
-    patience: int = 5
-    objective: Objective = Objective.NAIVE
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", Objective(self.objective))
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.l2_lambda < 0:
-            raise ValidationError("l2_lambda must be >= 0")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ValidationError("patience must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -194,7 +174,7 @@ def _run_epoch(
     opt: SparseAdam,
     sources: list[tuple[Branch, Dataset, np.ndarray | None]],
     objective: Objective,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     epoch: int,
 ) -> np.ndarray:
     """One pass over ``(branch, dataset, per-row weights or None)`` sources.
@@ -207,7 +187,7 @@ def _run_epoch(
     for _, source, _ in sources:
         if len(source) == 0:
             raise ValidationError("cannot train on an empty dataset")
-    rng = rng_for(cfg.seed, "epoch", epoch)
+    rng = rng_for(derive_seed(cfg.seed, "train"), "epoch", epoch)
     perms = [rng.permutation(len(source)) for _, source, _ in sources]
     schedule = [
         (si, lo)
@@ -239,7 +219,7 @@ def sste_epoch(
     opt: SparseAdam,
     d_tr: Dataset,
     a_tr: list[Dataset],
-    cfg: TrainConfig,
+    cfg: RunConfig,
     epoch: int = 1,
 ) -> LossBreakdown:
     """One interleaved pass over the biased set (Tilde) and each auxiliary
@@ -262,7 +242,7 @@ def baseline_epoch(
     opt: SparseAdam,
     d_tr: Dataset,
     pt: PropensityTable | None,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     epoch: int = 1,
 ) -> LossBreakdown:
     """One pass of naive/ips/snips training through the Hat branch only.
@@ -270,7 +250,7 @@ def baseline_epoch(
     The reported loss is the size-weighted mean of per-batch objective
     values, each evaluated before its update.
     """
-    objective = cfg.objective
+    objective = Objective(cfg.objective)
     if objective is Objective.SSTE:
         raise ValidationError("use sste_epoch for the joint objective")
     weights = None
@@ -312,11 +292,9 @@ def self_evaluate(m: MfModel, val: Dataset, a_val: list[Dataset]) -> ev.EvalRepo
 def fit(
     train: Dataset,
     val: Dataset,
-    aux: tuple[list[Dataset], list[Dataset]] | None = None,
-    cfg: TrainConfig = TrainConfig(),
+    aux: tuple[list[Dataset], list[Dataset]] | None,
+    cfg: RunConfig,
     *,
-    embedding_dim: int = 10,
-    init_spec: InitSpec | None = None,
     propensity: PropensityTable | None = None,
     resample_seed: int | None = None,
     on_epoch=None,
@@ -327,7 +305,8 @@ def fit(
     lists may be empty for baselines, in which case the selection score
     degrades to plain validation AUC. The model with the highest modified
     score is returned, first-best winning ties; training stops when the
-    score has not strictly improved for ``cfg.patience`` epochs.
+    score has not strictly improved for ``cfg.patience`` epochs. The
+    initialization and the epoch shuffles use seeds derived from ``cfg.seed``.
     With ``resample_seed`` set, the joint objective redraws its auxiliary
     train subsets before every epoch after the first, at the thresholds
     they record, from ``train_family`` with that master seed.
@@ -337,14 +316,16 @@ def fit(
     for d in [train, val, *a_tr, *a_val]:
         if d.n_users != train.n_users or d.n_items != train.n_items:
             raise ValidationError("all datasets must share the vocabularies")
-    if cfg.objective is Objective.SSTE and not a_tr:
+    objective = Objective(cfg.objective)
+    if objective is Objective.SSTE and not a_tr:
         raise ValidationError("sste needs auxiliary train subsets")
-    resample = cfg.objective is Objective.SSTE and resample_seed is not None
+    resample = objective is Objective.SSTE and resample_seed is not None
     if resample and propensity is None:
         raise ValidationError("resampling needs the propensity table")
     epsilons = tuple(a.epsilon for a in a_tr)
 
-    model = init(train.n_users, train.n_items, embedding_dim, init_spec or InitSpec())
+    seed = derive_seed(cfg.seed, "init")
+    model = init(train.n_users, train.n_items, cfg.embedding_dim, cfg.init_scale, seed)
     opt = SparseAdam(model.parameters(), cfg.learning_rate)
 
     best_model = None
@@ -355,7 +336,7 @@ def fit(
     for epoch in range(1, cfg.max_epochs + 1):
         if resample and epoch > 1:
             a_tr = train_family(train, propensity, epsilons, resample_seed, epoch=epoch)
-        if cfg.objective is Objective.SSTE:
+        if objective is Objective.SSTE:
             breakdown = sste_epoch(model, opt, train, a_tr, cfg, epoch=epoch)
         else:
             breakdown = baseline_epoch(model, opt, train, propensity, cfg, epoch=epoch)

@@ -27,7 +27,7 @@ from sste.data import (
 )
 from sste.evaluate import RankedList, alpha, auc_scores, topk_metrics
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid, run_one
-from sste.model import Branch, InitSpec, init
+from sste.model import Branch, init
 from sste.propensity import truncate
 from sste.selfsample import draw_auxiliary
 from sste.train import (
@@ -153,7 +153,7 @@ class TestGradientMachinery:
             rng = np.random.default_rng(7)
             l2 = 0.3
             for trial in range(20):
-                m = init(6, 5, 3, InitSpec(scale=0.3, seed=trial))
+                m = init(6, 5, 3, 0.3, trial)
                 for head in (m.branch_tilde, m.branch_hat):
                     head.user_bias[:] = rng.normal(0.0, 0.3, 6)
                     head.item_bias[:] = rng.normal(0.0, 0.3, 5)
@@ -203,7 +203,7 @@ class TestGradientMachinery:
                 test_impressions=500, seed=11,
             )
             train, _, _, _ = generate_synthetic(spec)
-            m = init(30, 20, 8, InitSpec(scale=0.05, seed=2))
+            m = init(30, 20, 8, 0.05, 2)
             m.branch_hat.user_bias[:] = m.branch_tilde.user_bias
             m.branch_hat.item_bias[:] = m.branch_tilde.item_bias
             m.branch_hat.global_bias[...] = m.branch_tilde.global_bias
@@ -259,7 +259,7 @@ class TestBaselineEquivalences:
     def test_constant_propensities_collapse_the_estimators(self, criterion):
         with criterion(6, "fixed-propensity equivalences"):
             rng = np.random.default_rng(3)
-            m = init(12, 9, 4, InitSpec(scale=0.2, seed=5))
+            m = init(12, 9, 4, 0.2, 5)
             for c in (0.25, 0.4):
                 for _ in range(5):
                     batch = 32

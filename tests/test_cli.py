@@ -266,17 +266,21 @@ def train_and_run(synth_dir, tmp_path, capsys, settings):
     for key, value in settings.items():
         argv += ["--" + flags.get(key, key).replace("_", "-"), value]
     assert main(argv) == 0
+    return ckpt, log, exp_run(synth_dir, tmp_path, capsys, settings)
 
+
+def exp_run(data_dir, tmp_path, capsys, settings):
+    """``exp run`` on the train/val/test files of ``data_dir``; its run dir."""
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{k}={v}\n" for k, v in {
         **settings, "synthetic": "false",
-        "train_path": synth_dir / "train.tsv",
-        "val_path": synth_dir / "val.tsv",
-        "test_path": synth_dir / "test.tsv",
+        "train_path": data_dir / "train.tsv",
+        "val_path": data_dir / "val.tsv",
+        "test_path": data_dir / "test.tsv",
         "out_dir": tmp_path / "runs",
     }.items()))
     assert main(["exp", "run", "--config", str(config)]) == 0
-    return ckpt, log, Path(read_json_lines(capsys)[-1]["run_dir"])
+    return Path(read_json_lines(capsys)[-1]["run_dir"])
 
 
 PIPELINE_SETTINGS = {
@@ -298,6 +302,35 @@ class TestOnePipeline:
         )
         assert (run_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
         assert (run_dir / "epochs.jsonl").read_bytes() == log.read_bytes()
+
+    def test_train_defaults_match_exp_run_defaults(self, synth_dir, tmp_path,
+                                                   capsys):
+        ckpt, _, run_dir = train_and_run(
+            synth_dir, tmp_path, capsys, {"objective": "naive", "schema": "label"}
+        )
+        assert (run_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
+
+    def test_evaluate_scores_an_exp_run_checkpoint_of_shifted_ids(
+        self, synth_dir, tmp_path, capsys
+    ):
+        # With 1-based ids in the files, only the run's vocab sidecar maps
+        # them onto the checkpoint's rows.
+        shifted = tmp_path / "shifted"
+        shifted.mkdir()
+        for name in ("train.tsv", "val.tsv", "test.tsv"):
+            rows = [line.split("\t") for line in
+                    (synth_dir / name).read_text().splitlines()]
+            (shifted / name).write_text("".join(
+                f"{int(u) + 1}\t{int(i) + 1}\t{y}\n" for u, i, y in rows
+            ))
+        run_dir = exp_run(shifted, tmp_path, capsys,
+                          {**PIPELINE_SETTINGS, "objective": "naive"})
+        assert main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--test", str(shifted / "test.tsv"), "--schema", "label",
+                     "--exclude-train", str(shifted / "train.tsv"),
+                     "--metrics", "auc,p@5,p@10,r@5,r@10,ndcg@50"]) == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        assert read_json_lines(capsys)[-1] == report["test_metrics"]
 
     def test_evaluate_matches_exp_run_report(self, synth_dir, tmp_path, capsys):
         ckpt, _, run_dir = train_and_run(

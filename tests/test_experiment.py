@@ -18,11 +18,10 @@ from sste.experiment import (
     run_one,
     save_config,
 )
-from sste.model import InitSpec
 from sste.propensity import estimate_popularity_propensity
 from sste.seeding import derive_seed
 from sste.selfsample import train_family, val_family
-from sste.train import TrainConfig, fit
+from sste.train import fit
 
 from test_data import small_spec
 
@@ -99,13 +98,6 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         save_config(cfg, path)
         assert load_config(path) == cfg
-
-    def test_overrides_win(self, tmp_path):
-        cfg = quick_cfg(tmp_path)
-        path = tmp_path / "run.cfg"
-        save_config(cfg, path)
-        loaded = load_config(path, learning_rate=0.5)
-        assert loaded.learning_rate == 0.5
 
     def test_comments_and_blanks_are_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -313,18 +305,7 @@ class TestRunOne:
         # A zero threshold keeps the full training set.
         assert np.array_equal(a_tr[0].items, train.items)
         a_val = val_family(val, pt, cfg.epsilon_val, aux_seed)
-        train_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate, l2_lambda=cfg.l2_lambda,
-            batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
-            patience=cfg.patience, objective="sste",
-            seed=derive_seed(cfg.seed, "train"),
-        )
-        _, state = fit(
-            train, val, (a_tr, a_val), train_cfg,
-            embedding_dim=cfg.embedding_dim,
-            init_spec=InitSpec(scale=cfg.init_scale,
-                               seed=derive_seed(cfg.seed, "init")),
-        )
+        _, state = fit(train, val, (a_tr, a_val), cfg)
         assert state.best_score == pytest.approx(
             result.report["best_modified_score"], abs=1e-12
         )
@@ -365,6 +346,13 @@ class TestRunGrid:
         failed = [row for row in result.rows if row["status"] == "failed"]
         assert failed[0]["overrides"]["learning_rate"] == 1e3
         assert "modified_score" not in failed[0]
+
+    def test_a_bad_value_fails_before_any_cell_runs(self, tmp_path):
+        base = quick_cfg(tmp_path)
+        grid = GridSpec(values={"learning_rate": (0.01, 0)})
+        with pytest.raises(ValidationError, match="learning_rate"):
+            run_grid(grid, base)
+        assert not (tmp_path / "runs").exists()
 
     def test_every_cell_failing_is_an_error(self, tmp_path):
         base = quick_cfg(tmp_path, max_epochs=4)
@@ -409,12 +397,13 @@ class TestRunGrid:
 
 
 class TestMakeTable:
-    def write_report(self, tmp_path, name, objective, metrics):
+    def write_report(self, tmp_path, name, objective, metrics, ndcg_k=50):
         run_dir = tmp_path / name
         run_dir.mkdir()
         report = {
             "run_id": name.ljust(16, "0"),
             "objective": objective,
+            "config": {"ndcg_k": ndcg_k, "precision_ks": [5, 10]},
             "test_metrics": metrics,
         }
         (run_dir / "report.json").write_text(json.dumps(report))
@@ -456,10 +445,33 @@ class TestMakeTable:
         run_dir.mkdir()
         (run_dir / "report.json").write_text(json.dumps({
             "run_id": "x" * 16, "objective": "naive",
+            "config": {"ndcg_k": 50, "precision_ks": [5, 10]},
             "test_metrics": {"auc": 0.5},
         }))
         with pytest.raises(ValidationError):
             make_table([str(run_dir)])
+
+    def test_columns_follow_the_run_config(self, tmp_path):
+        metrics = self.metric_row(0.4)
+        metrics["ndcg@20"] = metrics.pop("ndcg@50")
+        d = self.write_report(tmp_path, "cut20", "naive", metrics, ndcg_k=20)
+        text, rows = make_table([d])
+        assert text.split()[:7] == [
+            "method", "AUC", "nDCG@20", "P@5", "P@10", "R@5", "R@10",
+        ]
+        assert list(rows[0]["metrics"]) == [
+            "auc", "ndcg@20", "p@5", "p@10", "r@5", "r@10",
+        ]
+
+    def test_runs_with_different_columns_are_rejected(self, tmp_path):
+        metrics = self.metric_row(0.4)
+        metrics["ndcg@20"] = 0.4
+        dirs = [
+            self.write_report(tmp_path, "cut50", "naive", metrics),
+            self.write_report(tmp_path, "cut20", "naive", metrics, ndcg_k=20),
+        ]
+        with pytest.raises(ValidationError, match="ndcg@20"):
+            make_table(dirs)
 
     def test_missing_report_is_rejected(self, tmp_path):
         run_dir = tmp_path / "empty"

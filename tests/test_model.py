@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sste.errors import ParseError, ValidationError
 from sste.model import (
     Branch,
-    InitSpec,
     MfModel,
     bce_from_logits,
     init,
@@ -25,7 +24,7 @@ from reference import central_difference
 
 
 def tiny_model(seed=0, scale=0.1, n_users=3, n_items=4, k=2):
-    return init(n_users, n_items, k, InitSpec(scale=scale, seed=seed))
+    return init(n_users, n_items, k, scale, seed)
 
 
 class TestActivations:
@@ -128,20 +127,14 @@ class TestInit:
             assert not head.item_bias.any()
             assert float(head.global_bias) == 0.0
 
-    def test_bad_scale_is_rejected(self):
-        with pytest.raises(ValidationError):
-            InitSpec(scale=0.0)
-        with pytest.raises(ValidationError):
-            InitSpec(scale=-1.0)
-
     def test_bad_dimensions_are_rejected(self):
         with pytest.raises(ValidationError):
-            init(0, 3, 2)
+            init(0, 3, 2, 0.1, 0)
         with pytest.raises(ValidationError):
-            init(3, 3, 0)
+            init(3, 3, 0, 0.1, 0)
 
     def test_parameter_shapes(self):
-        m = init(5, 7, 3, InitSpec(scale=0.1, seed=0))
+        m = init(5, 7, 3, 0.1, 0)
         p = m.parameters()
         assert p["user_factors"].shape == (5, 3)
         assert p["item_factors"].shape == (7, 3)

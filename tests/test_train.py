@@ -11,14 +11,15 @@ from sste.errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from sste.model import Branch, InitSpec, bce_from_logits, init, sigmoid
+from sste.experiment import RunConfig, load_config
+from sste.model import Branch, bce_from_logits, init, sigmoid
 from sste.optim import SparseAdam
 from sste.propensity import PropensityTable, estimate_popularity_propensity
+from sste.seeding import derive_seed
 from sste.selfsample import train_family, val_family
 from sste.train import (
     LossBreakdown,
     Objective,
-    TrainConfig,
     _apply_batch,
     baseline_epoch,
     batch_coefficients,
@@ -34,7 +35,16 @@ from test_data import small_spec
 
 
 def batch_model(seed=2, scale=0.3, n_users=4, n_items=4, k=2):
-    return init(n_users, n_items, k, InitSpec(scale=scale, seed=seed))
+    return init(n_users, n_items, k, scale, seed)
+
+
+def run_cfg(**settings):
+    """A RunConfig for direct epoch and fit calls: no L2 unless set, and one
+    auxiliary threshold for the joint objective, which requires it."""
+    settings.setdefault("l2_lambda", 0.0)
+    if settings.get("objective") == "sste":
+        settings.setdefault("epsilon_train", (0.5,))
+    return RunConfig(**settings)
 
 
 class TestBatchCoefficients:
@@ -159,7 +169,7 @@ class TestLossBreakdown:
 class TestEpochs:
     def test_identical_aux_and_heads_give_equal_terms(self):
         train = separable_4x4()
-        m = init(4, 4, 3, InitSpec(scale=0.2, seed=5))
+        m = init(4, 4, 3, 0.2, 5)
         labels = train.labels.astype(np.float64)
         coeffs = np.full(len(train), 1.0 / len(train))
         tilde = batch_gradients(m, Branch.TILDE, train.users, train.items,
@@ -187,7 +197,7 @@ class TestEpochs:
         # splitting one subset unevenly leaves it unchanged; a step size of
         # 1e-12 keeps each batch's loss where it was.
         train = separable_4x4()
-        cfg = TrainConfig(learning_rate=1e-12, batch_size=5, objective="sste")
+        cfg = run_cfg(learning_rate=1e-12, batch_size=5, objective="sste")
 
         def hat_bce(a_tr):
             m = batch_model(scale=0.4)
@@ -202,7 +212,7 @@ class TestEpochs:
         m = batch_model()
         opt = SparseAdam(m.parameters(), 0.01)
         with pytest.raises(ValidationError):
-            sste_epoch(m, opt, train, [], TrainConfig(objective="sste"))
+            sste_epoch(m, opt, train, [], run_cfg(objective="sste"))
 
     def test_baseline_epoch_rejects_the_joint_objective(self):
         train = separable_4x4()
@@ -210,23 +220,23 @@ class TestEpochs:
         opt = SparseAdam(m.parameters(), 0.01)
         with pytest.raises(ValidationError):
             baseline_epoch(m, opt, train, None,
-                           TrainConfig(objective="sste"))
+                           run_cfg(objective="sste"))
 
     def test_weighted_baseline_needs_a_propensity_table(self):
         train = separable_4x4()
         m = batch_model()
         opt = SparseAdam(m.parameters(), 0.01)
         with pytest.raises(ValidationError):
-            baseline_epoch(m, opt, train, None, TrainConfig(objective="ips"))
+            baseline_epoch(m, opt, train, None, run_cfg(objective="ips"))
 
     def test_all_one_propensities_make_ips_equal_naive(self):
         train = separable_4x4()
         table = PropensityTable(np.ones(4), gamma=0.0, floor=0.5)
         runs = {}
         for objective in ("naive", "ips"):
-            m = init(4, 4, 2, InitSpec(scale=0.2, seed=7))
+            m = init(4, 4, 2, 0.2, 7)
             opt = SparseAdam(m.parameters(), 0.05)
-            cfg = TrainConfig(objective=objective, batch_size=4, seed=3)
+            cfg = run_cfg(objective=objective, batch_size=4, seed=3)
             for epoch in range(1, 4):
                 baseline_epoch(m, opt, train, table, cfg, epoch=epoch)
             runs[objective] = m
@@ -235,9 +245,9 @@ class TestEpochs:
 
     def test_naive_learns_a_separable_toy_problem(self):
         train = separable_4x4()
-        m = init(4, 4, 4, InitSpec(scale=0.1, seed=1))
+        m = init(4, 4, 4, 0.1, 1)
         opt = SparseAdam(m.parameters(), 0.05)
-        cfg = TrainConfig(objective="naive", batch_size=16, seed=0)
+        cfg = run_cfg(objective="naive", batch_size=16, seed=0)
         for epoch in range(1, 201):
             baseline_epoch(m, opt, train, None, cfg, epoch=epoch)
         preds = m.predict(Branch.HAT, train.users, train.items)
@@ -249,10 +259,10 @@ class TestEpochs:
         spec = small_spec(n_users=30, n_items=20, train_impressions=2000)
         train, _, _, _ = generate_synthetic(spec)
         pt = estimate_popularity_propensity(train, gamma=1.0, floor=0.01)
-        cfg = TrainConfig(objective="sste", batch_size=256, seed=4,
-                          learning_rate=0.05)
+        cfg = run_cfg(objective="sste", batch_size=256, seed=4,
+                      learning_rate=0.05)
         a_tr = train_family(train, pt, (0.5,), master_seed=8)
-        m = init(30, 20, 4, InitSpec(scale=0.1, seed=2))
+        m = init(30, 20, 4, 0.1, 2)
         opt = SparseAdam(m.parameters(), cfg.learning_rate)
         losses = [sste_epoch(m, opt, train, a_tr, cfg, epoch=e).total
                   for e in range(1, 9)]
@@ -260,10 +270,10 @@ class TestEpochs:
 
     def test_single_positive_prediction_rises_monotonically(self):
         one = make_dataset([0], [0], [1], 1, 1)
-        m = init(1, 1, 2, InitSpec(scale=0.01, seed=0))
+        m = init(1, 1, 2, 0.01, 0)
         opt = SparseAdam(m.parameters(), 0.05)
-        cfg = TrainConfig(objective="sste", batch_size=1, seed=0,
-                          learning_rate=0.05)
+        cfg = run_cfg(objective="sste", batch_size=1, seed=0,
+                      learning_rate=0.05)
         preds = []
         for epoch in range(1, 101):
             sste_epoch(m, opt, one, [one], cfg, epoch=epoch)
@@ -274,10 +284,10 @@ class TestEpochs:
 
     def test_strong_shrinkage_pulls_losses_to_the_coin_flip_level(self):
         train = separable_4x4()
-        m = init(4, 4, 2, InitSpec(scale=0.3, seed=6))
+        m = init(4, 4, 2, 0.3, 6)
         opt = SparseAdam(m.parameters(), 0.05)
-        cfg = TrainConfig(objective="sste", batch_size=16, seed=1,
-                          learning_rate=0.05, l2_lambda=10.0)
+        cfg = run_cfg(objective="sste", batch_size=16, seed=1,
+                      learning_rate=0.05, l2_lambda=10.0)
         for epoch in range(1, 60):
             breakdown = sste_epoch(m, opt, train, [train], cfg, epoch=epoch)
         assert np.abs(m.user_factors).max() < 0.05
@@ -301,7 +311,7 @@ class TestEpochOrder:
 
     def trained(self, cfg, step):
         """Parameters after EPOCHS calls of ``step(model, opt, epoch)``."""
-        m = init(30, 20, 3, InitSpec(scale=0.1, seed=4))
+        m = init(30, 20, 3, 0.1, 4)
         opt = SparseAdam(m.parameters(), cfg.learning_rate)
         for epoch in range(1, self.EPOCHS + 1):
             step(m, opt, epoch)
@@ -310,7 +320,7 @@ class TestEpochOrder:
     def assert_replays(self, cfg, step, sources):
         def replay(m, opt, epoch):
             for branch, d, weights, idx in epoch_batches(
-                sources, cfg.batch_size, cfg.seed, epoch
+                sources, cfg.batch_size, derive_seed(cfg.seed, "train"), epoch
             ):
                 w = None if weights is None else weights[idx]
                 bg = batch_gradients(
@@ -327,8 +337,8 @@ class TestEpochOrder:
     @pytest.mark.parametrize("objective", ["naive", "ips"])
     def test_baseline_epoch_runs_batches_in_permutation_order(self, objective):
         train, pt = self.world()
-        cfg = TrainConfig(objective=objective, batch_size=64, seed=9,
-                          learning_rate=0.05, l2_lambda=0.01)
+        cfg = run_cfg(objective=objective, batch_size=64, seed=9,
+                      learning_rate=0.05, l2_lambda=0.01)
         weights = None
         if objective == "ips":
             weights = 1.0 / pt.per_item_propensity[train.items]
@@ -342,8 +352,8 @@ class TestEpochOrder:
         train, pt = self.world()
         a_tr = train_family(train, pt, (0.3, 0.7), master_seed=2)
         assert len(a_tr[0]) != len(a_tr[1])
-        cfg = TrainConfig(objective="sste", batch_size=64, seed=9,
-                          learning_rate=0.05, l2_lambda=0.01)
+        cfg = run_cfg(objective="sste", batch_size=64, seed=9,
+                      learning_rate=0.05, l2_lambda=0.01)
         self.assert_replays(
             cfg,
             lambda m, opt, epoch: sste_epoch(m, opt, train, a_tr, cfg, epoch=epoch),
@@ -379,22 +389,29 @@ class TestSelfEvaluate:
 
 
 class TestConfigs:
+    # Training reads its settings from RunConfig, which checks them.
     def test_objective_strings_are_coerced(self):
-        assert TrainConfig(objective="snips").objective is Objective.SNIPS
+        assert Objective(RunConfig(objective="snips").objective) is Objective.SNIPS
 
     def test_unknown_objective_is_rejected(self):
         with pytest.raises(ValueError):
-            TrainConfig(objective="dr")
+            RunConfig(objective="dr")
 
     def test_bad_numbers_are_rejected(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ValidationError):
-            TrainConfig(patience=0)
-        with pytest.raises(ValidationError):
-            TrainConfig(max_epochs=0)
+        for name, value in [
+            ("learning_rate", 0.0), ("learning_rate", -1.0), ("l2_lambda", -1e-5),
+            ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
+            ("embedding_dim", 0), ("init_scale", 0.0), ("init_scale", -1.0),
+            ("init_scale", math.inf), ("init_scale", math.nan),
+        ]:
+            with pytest.raises(ValidationError, match=name):
+                RunConfig(**{name: value})
+
+    def test_load_config_rejects_a_zero_learning_rate(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("learning_rate = 0\n")
+        with pytest.raises(ValidationError, match="learning_rate"):
+            load_config(path)
 
 
 def fit_world(seed=3):
@@ -410,10 +427,10 @@ def fit_world(seed=3):
 class TestFit:
     def test_returns_the_best_epoch_snapshot(self):
         train, val, _, _, aux = fit_world()
-        cfg = TrainConfig(objective="sste", batch_size=512, seed=5,
-                          learning_rate=0.01, max_epochs=12, patience=4)
-        model, state = fit(train, val, aux, cfg, embedding_dim=6,
-                           init_spec=InitSpec(scale=0.1, seed=1))
+        cfg = run_cfg(objective="sste", batch_size=512, seed=5,
+                      learning_rate=0.01, max_epochs=12, patience=4,
+                      embedding_dim=6, init_scale=0.1)
+        model, state = fit(train, val, aux, cfg)
         scores = [r.modified_score for r in state.history]
         assert state.best_score == max(scores)
         assert state.best_epoch == scores.index(max(scores)) + 1
@@ -422,11 +439,11 @@ class TestFit:
 
     def test_two_runs_are_bitwise_identical(self):
         train, val, _, _, aux = fit_world()
-        cfg = TrainConfig(objective="sste", batch_size=256, seed=9,
-                          learning_rate=0.01, max_epochs=6, patience=6)
-        spec = InitSpec(scale=0.1, seed=2)
-        m1, s1 = fit(train, val, aux, cfg, embedding_dim=5, init_spec=spec)
-        m2, s2 = fit(train, val, aux, cfg, embedding_dim=5, init_spec=spec)
+        cfg = run_cfg(objective="sste", batch_size=256, seed=9,
+                      learning_rate=0.01, max_epochs=6, patience=6,
+                      embedding_dim=5, init_scale=0.1)
+        m1, s1 = fit(train, val, aux, cfg)
+        m2, s2 = fit(train, val, aux, cfg)
         assert s1.best_epoch == s2.best_epoch
         assert [r.modified_score for r in s1.history] == [
             r.modified_score for r in s2.history
@@ -439,10 +456,10 @@ class TestFit:
         # selection score is constant from the first epoch onward.
         train = make_dataset([0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], 4, 4)
         val = make_dataset([2, 3], [2, 3], [1, 0], 4, 4)
-        cfg = TrainConfig(objective="naive", batch_size=4, seed=0,
-                          learning_rate=0.01, max_epochs=50, patience=5)
-        _, state = fit(train, val, None, cfg, embedding_dim=2,
-                       init_spec=InitSpec(scale=0.1, seed=4))
+        cfg = run_cfg(objective="naive", batch_size=4, seed=0,
+                      learning_rate=0.01, max_epochs=50, patience=5,
+                      embedding_dim=2, init_scale=0.1)
+        _, state = fit(train, val, None, cfg)
         assert state.best_epoch == 1
         assert state.epoch == 1 + cfg.patience
         assert len(state.history) == cfg.patience + 1
@@ -451,23 +468,25 @@ class TestFit:
 
     def test_baseline_without_aux_uses_plain_validation_score(self):
         train, val, _, _, _ = fit_world()
-        cfg = TrainConfig(objective="naive", batch_size=512, seed=2,
-                          learning_rate=0.01, max_epochs=4, patience=4)
-        _, state = fit(train, val, None, cfg, embedding_dim=4)
+        cfg = run_cfg(objective="naive", batch_size=512, seed=2,
+                      learning_rate=0.01, max_epochs=4, patience=4,
+                      embedding_dim=4)
+        _, state = fit(train, val, None, cfg)
         for report in state.history:
             assert report.alpha == 0.0
             assert report.modified_score == report.score_on_val
 
     def test_huge_learning_rate_raises_divergence(self):
         train, val, _, _, _ = fit_world()
-        cfg = TrainConfig(objective="naive", batch_size=512, seed=2,
-                          learning_rate=1e3, max_epochs=10, patience=10)
+        cfg = run_cfg(objective="naive", batch_size=512, seed=2,
+                      learning_rate=1e3, max_epochs=10, patience=10,
+                      embedding_dim=4)
         with pytest.raises(TrainingDivergedError):
-            fit(train, val, None, cfg, embedding_dim=4)
+            fit(train, val, None, cfg)
 
     def test_joint_objective_requires_auxiliary_subsets(self):
         train, val, _, _, _ = fit_world()
-        cfg = TrainConfig(objective="sste")
+        cfg = run_cfg(objective="sste")
         with pytest.raises(ValidationError):
             fit(train, val, ([], []), cfg)
 
@@ -475,17 +494,15 @@ class TestFit:
         train, val, _, _, _ = fit_world()
         other_val = make_dataset([0], [0], [1], 99, 99)
         with pytest.raises(ValidationError):
-            fit(train, other_val, None, TrainConfig(objective="naive"))
+            fit(train, other_val, None, run_cfg(objective="naive"))
 
     def test_resampling_changes_the_training_stream(self):
         train, val, _, pt, aux = fit_world()
-        cfg = TrainConfig(objective="sste", batch_size=256, seed=7,
-                          learning_rate=0.05, max_epochs=6, patience=6)
-        spec = InitSpec(scale=0.1, seed=3)
-        _, frozen_state = fit(train, val, aux, cfg, embedding_dim=5,
-                              init_spec=spec)
-        _, resampled_state = fit(train, val, aux, cfg, embedding_dim=5,
-                                 init_spec=spec, propensity=pt,
+        cfg = run_cfg(objective="sste", batch_size=256, seed=7,
+                      learning_rate=0.05, max_epochs=6, patience=6,
+                      embedding_dim=5, init_scale=0.1)
+        _, frozen_state = fit(train, val, aux, cfg)
+        _, resampled_state = fit(train, val, aux, cfg, propensity=pt,
                                  resample_seed=13)
         assert [r.score_on_val for r in frozen_state.history] != [
             r.score_on_val for r in resampled_state.history
@@ -493,9 +510,10 @@ class TestFit:
 
     def test_epoch_callback_sees_every_epoch(self):
         train, val, _, _, _ = fit_world()
-        cfg = TrainConfig(objective="naive", batch_size=512, seed=2,
-                          learning_rate=0.01, max_epochs=3, patience=3)
+        cfg = run_cfg(objective="naive", batch_size=512, seed=2,
+                      learning_rate=0.01, max_epochs=3, patience=3,
+                      embedding_dim=4)
         seen = []
-        fit(train, val, None, cfg, embedding_dim=4,
+        fit(train, val, None, cfg,
             on_epoch=lambda epoch, breakdown, report: seen.append(epoch))
         assert seen == [1, 2, 3]
