@@ -10,6 +10,7 @@ tables moves both branches; updating a branch head moves only that branch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -154,6 +155,8 @@ def init(n_users: int, n_items: int, k: int, scale: float, seed: int) -> MfModel
     """Factors ~ Uniform(-scale, +scale), all biases zero, seeded."""
     if n_users <= 0 or n_items <= 0 or k <= 0:
         raise ValidationError("model dimensions must be positive")
+    if not math.isfinite(scale) or scale <= 0:
+        raise ValidationError("init scale must be positive and finite")
     rng = rng_for(seed, "mf-init")
     return MfModel(
         user_factors=rng.uniform(-scale, scale, size=(n_users, k)),
