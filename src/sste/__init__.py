@@ -23,7 +23,6 @@ from .errors import (
 )
 from .evaluate import (
     EvalReport,
-    RankedList,
     alpha,
     auc_scores,
     build_ranked_lists,

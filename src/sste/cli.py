@@ -31,14 +31,8 @@ def _print_json(payload) -> None:
 def _cmd_data_stats(args) -> int:
     d = datamod.load_tsv(args.input, args.schema)
     s = datamod.stats(d)
-    _print_json(
-        {
-            "n_feedback": s.n_feedback,
-            "pn_ratio_percent": s.pn_ratio_percent,
-            "n_users": s.n_users,
-            "n_items": s.n_items,
-        }
-    )
+    _print_json({name: getattr(s, name)
+                 for name in ("n_feedback", "pn_ratio_percent", "n_users", "n_items")})
     return 0
 
 
@@ -62,20 +56,20 @@ def _parse_synth_spec(path) -> datamod.SyntheticSpec:
 def _cmd_data_synth(args) -> int:
     spec = _parse_synth_spec(args.spec)
     train, val, test, relevance = datamod.generate_synthetic(spec)
+    # sste train maps val/test ids through the ids train.tsv shows.
+    for name, d in (("val.tsv", val), ("test.tsv", test)):
+        for kind, unseen in (("user", np.setdiff1d(d.users, train.users)),
+                             ("item", np.setdiff1d(d.items, train.items))):
+            if len(unseen):
+                raise ValidationError(f"{name} would hold {len(unseen)} {kind} ids that "
+                                      f"train.tsv never shows (first: {unseen[0]})")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     datamod.save_tsv(train, out / "train.tsv")
     datamod.save_tsv(val, out / "val.tsv")
     datamod.save_tsv(test, out / "test.tsv")
     np.save(out / "relevance.npy", relevance)
-    _print_json(
-        {
-            "out_dir": str(out),
-            "train": len(train),
-            "val": len(val),
-            "test": len(test),
-        }
-    )
+    _print_json({"out_dir": str(out), "train": len(train), "val": len(val), "test": len(test)})
     return 0
 
 
@@ -211,15 +205,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_exp_run(args) -> int:
     cfg = exp.load_config(args.config)
     result = exp.run_one(cfg)
-    _print_json(
-        {
-            "run_id": result.run_id,
-            "run_dir": result.run_dir,
-            "status": result.status,
-            "stage": result.stage,
-            "error": result.error,
-        }
-    )
+    _print_json({name: getattr(result, name)
+                 for name in ("run_id", "run_dir", "status", "stage", "error")})
     return 0 if result.status == "ok" else 1
 
 
@@ -227,13 +214,8 @@ def _cmd_exp_grid(args) -> int:
     base = exp.load_config(args.config)
     grid = exp.load_grid(args.grid)
     result = exp.run_grid(grid, base, workers=args.workers)
-    _print_json(
-        {
-            "best_run_id": result.best_run_id,
-            "leaderboard": result.leaderboard_path,
-            "n_rows": len(result.rows),
-        }
-    )
+    _print_json({"best_run_id": result.best_run_id, "leaderboard": result.leaderboard_path,
+                 "n_rows": len(result.rows)})
     return 0
 
 

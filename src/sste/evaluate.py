@@ -3,10 +3,13 @@
 AUC is the main metric and is computed globally over scored pairs by
 rank-sum with tie-averaged ranks. Top-K precision/recall and nDCG are
 macro-averaged over users that have at least one relevant item among their
-candidates. Alpha is the largest absolute performance difference between
-any two of the evaluated sets (validation plus each auxiliary subset), and
-subtracting it from the validation score gives the selection score used
-for early stopping and grid search.
+candidates. Ranking is full (every item not excluded is a candidate, never
+a sample) and exact: users are scored in blocks of at most ``PAIR_BUDGET``
+pairs per call, and the metrics equal a per-user loop's bit for bit. Alpha
+is the largest absolute performance difference between any two of the
+evaluated sets (validation plus each auxiliary subset), and subtracting it
+from the validation score gives the selection score used for early
+stopping and grid search.
 """
 
 from __future__ import annotations
@@ -42,95 +45,118 @@ def auc_scores(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+# Pairs scored per score_fn call: a block holds as many users as fit, at least
+# one. model.predict gathers 16 * k bytes of factors per pair: 6.5 MB at k = 50.
+PAIR_BUDGET = 1 << 13
+
+
 @dataclass(frozen=True)
-class RankedList:
-    """One user's candidates sorted by descending score, plus the relevant set."""
+class RankedUsers:
+    """Top of the full ranking of each user with a surviving relevant item.
 
-    user: int
-    ranked_items: np.ndarray
-    relevant: np.ndarray
+    Row ``r`` is user ``users[r]``, in ascending id order: whether each of
+    its best ``depth`` items, highest score first and the smaller item id
+    first among ties, is relevant (``hits``), and its relevant and candidate
+    counts over the whole ranking. Past a user's candidates ``hits`` is False.
+    """
 
-    def __post_init__(self):
-        ranked = np.asarray(self.ranked_items, dtype=np.int64)
-        relevant = np.unique(np.asarray(self.relevant, dtype=np.int64))
-        object.__setattr__(self, "ranked_items", ranked)
-        object.__setattr__(self, "relevant", relevant)
-        if len(np.unique(ranked)) != len(ranked):
-            raise ValidationError("ranked_items must not repeat a candidate")
-        if len(relevant) == 0:
-            raise ValidationError("a ranked list needs at least one relevant item")
-        if not np.all(np.isin(relevant, ranked)):
-            raise ValidationError("relevant items must appear among the candidates")
+    users: np.ndarray
+    hits: np.ndarray
+    n_relevant: np.ndarray
+    n_candidates: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
-def topk_metrics(lists, ks=(5, 10), ndcg_k: int = 50) -> dict[str, float]:
-    """Macro-averaged P@K, R@K for each K, and nDCG@ndcg_k with binary gains."""
-    lists = list(lists)
-    if not lists:
+def topk_metrics(result: RankedUsers, ks, ndcg_k: int) -> dict[str, float]:
+    """Macro-averaged P@K, R@K for each K, and nDCG@ndcg_k with binary gains.
+
+    A user's DCG sums over its first min(ndcg_k, n_candidates) positions.
+    The per-user terms are added left to right in ascending user order
+    (``cumsum``; a pairwise ``sum`` can differ in the last bit), so the
+    values equal a per-user loop's, whatever the blocking.
+    """
+    if len(result) == 0:
         raise MetricUndefinedError("top-K metrics over an empty user set")
-    totals = {f"p@{k}": 0.0 for k in ks}
-    totals.update({f"r@{k}": 0.0 for k in ks})
-    ndcg_name = f"ndcg@{ndcg_k}"
-    totals[ndcg_name] = 0.0
-    for rl in lists:
-        for k in ks:
-            hits = int(np.isin(rl.ranked_items[:k], rl.relevant).sum())
-            totals[f"p@{k}"] += hits / k
-            totals[f"r@{k}"] += hits / len(rl.relevant)
-        gains = np.isin(rl.ranked_items[:ndcg_k], rl.relevant).astype(np.float64)
-        positions = np.arange(1, len(gains) + 1)
-        dcg = float((gains / np.log2(positions + 1)).sum())
-        n_ideal = min(len(rl.relevant), ndcg_k)
-        idcg = float((1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)).sum())
-        totals[ndcg_name] += dcg / idcg
-    return {name: value / len(lists) for name, value in totals.items()}
+    depth = result.hits.shape[1]
+    if depth < max((*ks, ndcg_k)) and depth < result.n_candidates.max():
+        raise ValidationError(f"ranking depth {depth} is too shallow for these cutoffs")
+    hits = {k: result.hits[:, :k].sum(axis=1) for k in ks}
+    terms = {f"p@{k}": hits[k] / k for k in ks}
+    terms.update({f"r@{k}": hits[k] / result.n_relevant for k in ks})
+    lengths = np.minimum(result.n_candidates, ndcg_k)
+    n_ideal = np.minimum(result.n_relevant, ndcg_k)
+    dcg, idcg = np.empty(len(result)), np.empty(len(result))
+    for n in np.unique(lengths).tolist():
+        gains = result.hits[lengths == n, :n].astype(np.float64)
+        dcg[lengths == n] = (gains / np.log2(np.arange(1, n + 1) + 1)).sum(axis=1)
+    for n in np.unique(n_ideal).tolist():
+        idcg[n_ideal == n] = (1.0 / np.log2(np.arange(1, n + 1) + 1)).sum()
+    terms[f"ndcg@{ndcg_k}"] = dcg / idcg
+    return {name: float(np.cumsum(values)[-1]) / len(result) for name, values in terms.items()}
 
 
-def _positives_by_user(d: Dataset) -> dict[int, np.ndarray]:
-    pos = np.flatnonzero(d.labels == 1)
-    if len(pos) == 0:
-        return {}
-    users = d.users[pos]
-    items = d.items[pos]
-    order = np.argsort(users, kind="stable")
-    users_sorted = users[order]
-    items_sorted = items[order]
-    boundaries = np.flatnonzero(np.diff(users_sorted)) + 1
-    return {
-        int(users_sorted[chunk[0]]): np.unique(items_sorted[chunk])
-        for chunk in np.split(np.arange(len(order)), boundaries)
-    }
+def _positive_keys(d: Dataset) -> np.ndarray:
+    """Sorted distinct ``user * n_items + item`` keys of the positives of ``d``."""
+    pos = d.labels == 1
+    return np.unique(d.users[pos] * d.n_items + d.items[pos])
 
 
-def build_ranked_lists(score_fn, eval_set: Dataset, exclude: Dataset | None = None):
-    """Full-ranking lists for every user with a usable relevant set.
+def _block_mask(keys: np.ndarray, offsets: np.ndarray, block: np.ndarray, n_items: int):
+    """(len(block), n_items) mask of the keys of the users in ``block``, whose
+    keys are ``keys[offsets[u]:offsets[u + 1]]``."""
+    starts = offsets[block]
+    counts = offsets[block + 1] - starts
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    mask = np.zeros((len(block), n_items), dtype=bool)
+    mask[np.repeat(np.arange(len(block)), counts), keys[at] % n_items] = True
+    return mask
+
+
+def build_ranked_lists(
+    score_fn, eval_set: Dataset, exclude: Dataset | None = None, *, depth: int
+) -> RankedUsers:
+    """Full ranking of every item for each user with a usable relevant set.
 
     Candidates are the whole item vocabulary minus the user's positives in
     ``exclude`` (normally the training split). Relevant items are the user's
     positives in ``eval_set`` that survive the exclusion; users left with
-    none are skipped. ``score_fn(user_ids, item_ids)`` must return scores.
-    Ties rank the smaller item id first.
+    none are skipped. ``score_fn(user_ids, item_ids)`` must return finite
+    scores; it is called once per block of users with every (user, item)
+    pair of the block, at most ``PAIR_BUDGET`` pairs unless one user's row
+    is longer. Each user keeps the hits of its top ``depth`` candidates.
     """
     n_items = eval_set.n_items
-    relevant_by_user = _positives_by_user(eval_set)
     if exclude is not None and exclude.n_items != n_items:
         raise ValidationError("exclusion set must share the item vocabulary")
-    excluded_by_user = _positives_by_user(exclude) if exclude is not None else {}
-
-    lists = []
+    depth = min(depth, n_items)
+    banned = _positive_keys(exclude) if exclude is not None else np.empty(0, np.int64)
+    relevant = _positive_keys(eval_set)
+    relevant = relevant[~np.isin(relevant, banned, assume_unique=True)]
+    bounds = np.arange(eval_set.n_users + 1) * n_items
+    rel_offsets, ban_offsets = np.searchsorted(relevant, bounds), np.searchsorted(banned, bounds)
+    n_relevant = np.diff(rel_offsets)
+    users = np.flatnonzero(n_relevant)
+    n_candidates = n_items - np.diff(ban_offsets)[users]
+    hits = np.empty((len(users), depth), dtype=bool)
     all_items = np.arange(n_items, dtype=np.int64)
-    for u in sorted(relevant_by_user):
-        banned = excluded_by_user.get(u)
-        candidates = all_items if banned is None else np.setdiff1d(all_items, banned)
-        relevant = relevant_by_user[u]
-        if banned is not None:
-            relevant = np.setdiff1d(relevant, banned)
-        if len(relevant) == 0:
-            continue
-        scores = np.asarray(score_fn(np.full(len(candidates), u), candidates))
-        order = np.argsort(-scores, kind="stable")
-        lists.append(RankedList(user=u, ranked_items=candidates[order], relevant=relevant))
-    return lists
+    per_block = max(1, PAIR_BUDGET // n_items)
+    for lo in range(0, len(users), per_block):
+        block = users[lo:lo + per_block]
+        scores = np.asarray(
+            score_fn(np.repeat(block, n_items), np.tile(all_items, len(block))), dtype=np.float64
+        )
+        if not np.all(np.isfinite(scores)):
+            raise ValidationError("scores must be finite")
+        neg = -scores.reshape(len(block), n_items)
+        # Excluded items sort after every candidate.
+        neg[_block_mask(banned, ban_offsets, block, n_items)] = np.inf
+        order = np.argsort(neg, axis=1, kind="stable")[:, :depth]
+        hits[lo:lo + len(block)] = np.take_along_axis(
+            _block_mask(relevant, rel_offsets, block, n_items), order, axis=1
+        )
+    return RankedUsers(users, hits, n_relevant[users], n_candidates)
 
 
 def alpha(score_val: float, scores_aux) -> float:

@@ -254,9 +254,7 @@ class GridSpec:
             dict(zip(names, combo))
             for combo in product(*(self.values[name] for name in names))
         ]
-        if self.mode == "full":
-            return all_cells
-        if self.samples >= len(all_cells):
+        if self.mode == "full" or self.samples >= len(all_cells):
             return all_cells
         rng = np.random.default_rng(self.grid_seed)
         picks = np.sort(rng.choice(len(all_cells), size=self.samples, replace=False))
@@ -382,12 +380,13 @@ def test_metrics_for(
     metrics = {
         "auc": ev.auc_scores(model.predict(Branch.HAT, test.users, test.items), test.labels)
     }
-    lists = ev.build_ranked_lists(
+    ranked = ev.build_ranked_lists(
         lambda users, items: model.predict(Branch.HAT, users, items),
         test,
         exclude=exclude,
+        depth=max((*ks, ndcg_k)),
     )
-    metrics.update(ev.topk_metrics(lists, ks=ks, ndcg_k=ndcg_k))
+    metrics.update(ev.topk_metrics(ranked, ks=ks, ndcg_k=ndcg_k))
     return metrics
 
 
@@ -481,6 +480,10 @@ class GridResult:
     leaderboard_path: str
 
 
+# Leaderboard scores of a completed cell, each its report's best_<name>.
+_SCORE_COLUMNS = ("modified_score", "val_score", "alpha")
+
+
 def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
     """Run every grid cell with a derived seed and rank completed runs.
 
@@ -511,9 +514,7 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
             "error": result.error,
         }
         if result.status == "ok":
-            row["modified_score"] = result.report["best_modified_score"]
-            row["val_score"] = result.report["best_val_score"]
-            row["alpha"] = result.report["best_alpha"]
+            row.update({name: result.report[f"best_{name}"] for name in _SCORE_COLUMNS})
         rows.append(row)
 
     completed = [r for r in rows if r["status"] == "ok"]
@@ -526,23 +527,11 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
     out_dir = Path(base.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     leaderboard = out_dir / "leaderboard.tsv"
-    header = ["rank", "run_id", "status", "modified_score", "val_score", "alpha", "overrides"]
-    lines = ["\t".join(header)]
+    lines = ["\t".join(["rank", "run_id", "status", *_SCORE_COLUMNS, "overrides"])]
     for rank, row in enumerate(ordered, start=1):
+        scores = [_fmt(row.get(name)) for name in _SCORE_COLUMNS]
         overrides = ";".join(f"{k}={v}" for k, v in sorted(row["overrides"].items()))
-        lines.append(
-            "\t".join(
-                [
-                    str(rank),
-                    row["run_id"],
-                    row["status"],
-                    _fmt(row.get("modified_score")),
-                    _fmt(row.get("val_score")),
-                    _fmt(row.get("alpha")),
-                    overrides,
-                ]
-            )
-        )
+        lines.append("\t".join([str(rank), row["run_id"], row["status"], *scores, overrides]))
     leaderboard.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return GridResult(
         rows=tuple(ordered),

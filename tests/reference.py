@@ -1,9 +1,11 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the slow, obvious way (pair enumeration,
-pooled ranges, explicit finite differences) and stays free of the package's
-own metric or gradient code paths.
+pooled ranges, one user at a time, explicit finite differences) and stays
+free of the package's own metric or gradient code paths.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,6 +92,66 @@ def epoch_batches(sources, batch_size: int, seed: int, epoch: int) -> list:
     if len(sources) > 1:
         batches = [batches[b] for b in rng.permutation(len(batches))]
     return batches
+
+
+@dataclass(frozen=True)
+class RankedList:
+    """One user's candidates sorted by descending score, plus the relevant set."""
+
+    user: int
+    ranked_items: np.ndarray
+    relevant: np.ndarray
+
+
+def positives_by_user(d: Dataset) -> dict[int, np.ndarray]:
+    """User -> sorted distinct items of its positive rows."""
+    by_user: dict[int, set] = {}
+    for u, i, y in zip(d.users.tolist(), d.items.tolist(), d.labels.tolist()):
+        if y == 1:
+            by_user.setdefault(u, set()).add(i)
+    return {u: np.array(sorted(items), dtype=np.int64) for u, items in by_user.items()}
+
+
+def ranked_lists_by_user(score_fn, eval_set: Dataset, exclude: Dataset | None = None):
+    """The per-user full ranking: for each user in ascending id order, score
+    only its candidates (every item minus its positives in ``exclude``) with
+    one ``score_fn`` call and stable-sort them by descending score; users
+    with no relevant item left after the exclusion are skipped."""
+    relevant_by_user = positives_by_user(eval_set)
+    excluded_by_user = positives_by_user(exclude) if exclude is not None else {}
+    all_items = np.arange(eval_set.n_items, dtype=np.int64)
+    lists = []
+    for u in sorted(relevant_by_user):
+        banned = excluded_by_user.get(u, np.empty(0, dtype=np.int64))
+        candidates = np.setdiff1d(all_items, banned)
+        relevant = np.setdiff1d(relevant_by_user[u], banned)
+        if len(relevant) == 0:
+            continue
+        scores = np.asarray(score_fn(np.full(len(candidates), u), candidates))
+        order = np.argsort(-scores, kind="stable")
+        lists.append(RankedList(u, candidates[order], relevant))
+    return lists
+
+
+def topk_by_user(lists, ks, ndcg_k: int) -> dict[str, float]:
+    """Macro P@K, R@K and nDCG@ndcg_k over per-user lists, one user at a
+    time, each term added to a running Python float."""
+    totals = {f"p@{k}": 0.0 for k in ks}
+    totals.update({f"r@{k}": 0.0 for k in ks})
+    ndcg_name = f"ndcg@{ndcg_k}"
+    totals[ndcg_name] = 0.0
+    for rl in lists:
+        for k in ks:
+            hits = int(np.isin(rl.ranked_items[:k], rl.relevant).sum())
+            totals[f"p@{k}"] += hits / k
+            totals[f"r@{k}"] += hits / len(rl.relevant)
+        gains = np.isin(rl.ranked_items[:ndcg_k], rl.relevant).astype(np.float64)
+        positions = np.arange(1, len(gains) + 1)
+        dcg = float((gains / np.log2(positions + 1)).sum())
+        n_ideal = min(len(rl.relevant), ndcg_k)
+        idcg = float((1.0 / np.log2(np.arange(1, n_ideal + 1) + 1)).sum())
+        totals[ndcg_name] += dcg / idcg
+    return {name: value / len(lists) for name, value in totals.items()}
 
 
 def dcg_binary(ranked_flags) -> float:

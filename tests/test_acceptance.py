@@ -25,7 +25,7 @@ from sste.data import (
     split_ratio,
     stats,
 )
-from sste.evaluate import RankedList, alpha, auc_scores, topk_metrics
+from sste.evaluate import alpha, auc_scores, build_ranked_lists, topk_metrics
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid, run_one
 from sste.model import Branch, init
 from sste.propensity import truncate
@@ -126,14 +126,17 @@ class TestMetricOracles:
                     auc_pair_matrix(scores, labels), abs=1e-12
                 )
 
-            top = RankedList(user=0, ranked_items=list(range(60)), relevant=[0])
-            assert topk_metrics([top])["ndcg@50"] == pytest.approx(1.0, abs=1e-9)
-            below = RankedList(user=0, ranked_items=list(range(60)), relevant=[59])
-            assert topk_metrics([below])["ndcg@50"] == pytest.approx(0.0, abs=1e-9)
-            split = RankedList(user=0, ranked_items=list(range(60)), relevant=[0, 2])
+            def ndcg_at_50(relevant):
+                # Every item of 60 is a candidate, ranked in ascending id order.
+                test = make_dataset([0] * len(relevant), relevant, [1] * len(relevant), 1, 60)
+                ranked = build_ranked_lists(lambda u, i: -i.astype(float), test, depth=50)
+                return topk_metrics(ranked, (), 50)["ndcg@50"]
+
+            assert ndcg_at_50([0]) == pytest.approx(1.0, abs=1e-9)
+            assert ndcg_at_50([59]) == pytest.approx(0.0, abs=1e-9)
             hand = dcg_binary([1, 0, 1]) / dcg_binary([1, 1])
             assert hand == pytest.approx(0.9197207891481876, abs=1e-12)
-            assert topk_metrics([split])["ndcg@50"] == pytest.approx(hand, abs=1e-9)
+            assert ndcg_at_50([0, 2]) == pytest.approx(hand, abs=1e-9)
 
             for _ in range(1000):
                 score_val = float(rng.random())

@@ -1,5 +1,6 @@
 """End-to-end command line flows on small synthetic data."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -88,6 +89,33 @@ class TestDataCommands:
         assert err.startswith("error: missing synthetic keys: n_items, latent_dim,")
         assert "seed" in err
         assert not (tmp_path / "train.tsv").exists()
+
+    def test_synth_refuses_a_triple_train_cannot_load(self, tmp_path, capsys):
+        # This world's train split shows 44 of its 80 items; its val split
+        # holds 4 more, which sste train would reject as unknown ids.
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(
+            "n_users=300\nn_items=80\nlatent_dim=6\nexposure_bias_strength=1.5\n"
+            "train_impressions=30000\ntest_impressions=5000\npositive_threshold=0.25\n"
+            "seed=3\n"
+        )
+        out = tmp_path / "data"
+        assert main(["data", "synth", "--spec", str(spec), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: val.tsv would hold 4 item ids that train.tsv never shows")
+        assert "(first: 6)" in err
+        assert not out.exists()
+
+    def test_synth_files_of_a_loadable_spec_are_unchanged(self, synth_dir):
+        # Digests of the files this spec has always produced.
+        expected = {
+            "train.tsv": "632facccd413d9cb3134785c2d77c85ef66f8199c052b42cfe02b5f9dc3c2617",
+            "val.tsv": "a493cc907eb4a7dad38ed17e066ebe16c19e5f4f0e6b543d3ab1ce4cff44604d",
+            "test.tsv": "6b29f5326b8e386b4bb61dec68f1bdc7850fea379fb34e2284e46c83b09ade2e",
+            "relevance.npy": "7ee6e3d0a0a4094788f56daf53783653e76db509a3a043e371caa1c5046f7ad7",
+        }
+        for name, digest in expected.items():
+            assert hashlib.sha256((synth_dir / name).read_bytes()).hexdigest() == digest
 
 
 class TestPropensityCommands:

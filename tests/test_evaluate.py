@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sste import evaluate
 from sste.errors import MetricUndefinedError, ValidationError
 from sste.evaluate import (
+    PAIR_BUDGET,
     EvalReport,
-    RankedList,
     alpha,
     auc_scores,
     build_ranked_lists,
@@ -19,8 +20,17 @@ from sste.evaluate import (
     topk_metrics,
 )
 from sste.experiment import RunConfig, build_datasets, train_model
+from sste.model import Branch, init
 
-from reference import alpha_range, auc_bruteforce, dcg_binary, make_dataset
+from reference import (
+    alpha_range,
+    auc_bruteforce,
+    dcg_binary,
+    make_dataset,
+    positives_by_user,
+    ranked_lists_by_user,
+    topk_by_user,
+)
 
 score_lists = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1,
@@ -99,38 +109,35 @@ class TestAuc:
         assert auc_scores(np.exp(preds), labels) == pytest.approx(base)
 
 
-class TestRankedList:
-    def test_duplicate_candidates_are_rejected(self):
-        with pytest.raises(ValidationError):
-            RankedList(user=0, ranked_items=[1, 1, 2], relevant=[1])
+def by_item_id(users, items):
+    """Ranks every user's items in ascending id order."""
+    return -items.astype(np.float64)
 
-    def test_relevant_outside_candidates_is_rejected(self):
-        with pytest.raises(ValidationError):
-            RankedList(user=0, ranked_items=[1, 2], relevant=[3])
 
-    def test_empty_relevant_set_is_rejected(self):
-        with pytest.raises(ValidationError):
-            RankedList(user=0, ranked_items=[1, 2], relevant=[])
+def ranked_metrics(relevant_by_user, n_items, score_fn=by_item_id, ks=(5, 10), ndcg_k=50):
+    """Top-K metrics through the evaluator for a test set holding exactly
+    the given positives (user -> relevant item ids)."""
+    pairs = [(u, i) for u, items in relevant_by_user.items() for i in items]
+    test = make_dataset([u for u, _ in pairs], [i for _, i in pairs], [1] * len(pairs),
+                        max(relevant_by_user) + 1, n_items)
+    ranked = build_ranked_lists(score_fn, test, depth=max((*ks, ndcg_k)))
+    return topk_metrics(ranked, ks, ndcg_k)
 
 
 class TestTopkMetrics:
     def test_single_relevant_ranked_first(self):
-        rl = RankedList(user=0, ranked_items=list(range(60)), relevant=[0])
-        out = topk_metrics([rl])
+        out = ranked_metrics({0: [0]}, 60)
         assert out["p@5"] == pytest.approx(0.2)
         assert out["r@5"] == 1.0
         assert out["ndcg@50"] == 1.0
 
     def test_relevant_below_the_ndcg_cut_scores_zero(self):
-        rl = RankedList(user=0, ranked_items=list(range(60)), relevant=[59])
-        out = topk_metrics([rl])
+        out = ranked_metrics({0: [59]}, 60)
         assert out["ndcg@50"] == 0.0
         assert out["p@10"] == 0.0
 
     def test_two_relevant_at_ranks_one_and_three(self):
-        rl = RankedList(user=0, ranked_items=list(range(60)),
-                        relevant=[0, 2])
-        out = topk_metrics([rl])
+        out = ranked_metrics({0: [0, 2]}, 60)
         expected = dcg_binary([1, 0, 1]) / dcg_binary([1, 1])
         assert out["ndcg@50"] == pytest.approx(expected, abs=1e-9)
         assert out["ndcg@50"] == pytest.approx(0.9197207891481876, abs=1e-9)
@@ -138,15 +145,20 @@ class TestTopkMetrics:
         assert out["r@5"] == 1.0
 
     def test_metrics_macro_average_over_users(self):
-        first = RankedList(user=0, ranked_items=list(range(60)), relevant=[0])
-        last = RankedList(user=1, ranked_items=list(range(60)), relevant=[59])
-        out = topk_metrics([first, last])
+        out = ranked_metrics({0: [0], 1: [59]}, 60)
         assert out["ndcg@50"] == pytest.approx(0.5)
         assert out["r@10"] == pytest.approx(0.5)
 
     def test_empty_user_set_is_undefined(self):
+        test = make_dataset([0], [1], [0], 1, 6)
         with pytest.raises(MetricUndefinedError):
-            topk_metrics([])
+            topk_metrics(build_ranked_lists(by_item_id, test, depth=50), (5, 10), 50)
+
+    def test_too_shallow_a_ranking_is_rejected(self):
+        test = make_dataset([0], [1], [1], 1, 60)
+        ranked = build_ranked_lists(by_item_id, test, depth=10)
+        with pytest.raises(ValidationError):
+            topk_metrics(ranked, (5, 10), 50)
 
     @given(st.data())
     @settings(max_examples=40)
@@ -156,18 +168,24 @@ class TestTopkMetrics:
         perm = np.random.default_rng(
             data.draw(st.integers(min_value=0, max_value=10**6))
         ).permutation(n)
-        rl = RankedList(user=0, ranked_items=perm, relevant=perm[:n_rel])
-        out = topk_metrics([rl])
+        position = np.argsort(perm)  # rank perm[0] first
+
+        def score_fn(users, items):
+            return -position[items].astype(np.float64)
+
+        out = ranked_metrics({0: perm[:n_rel].tolist()}, n, score_fn)
         for value in out.values():
             # One ulp of slack: the DCG and ideal-DCG sums group terms
             # differently under pairwise summation.
             assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_recall_hits_one_when_everything_relevant_is_on_top(self):
-        rl = RankedList(user=0, ranked_items=list(range(30)),
-                        relevant=[0, 1, 2])
-        out = topk_metrics([rl], ks=(5,))
+        out = ranked_metrics({0: [0, 1, 2]}, 30, ks=(5,))
         assert out["r@5"] == 1.0
+
+    def test_a_repeated_cutoff_counts_once(self):
+        # A run config may list a cutoff twice; its metrics must not double.
+        assert ranked_metrics({0: [0]}, 60, ks=(5, 5)) == ranked_metrics({0: [0]}, 60, ks=(5,))
 
 
 class TestBuildRankedLists:
@@ -179,42 +197,166 @@ class TestBuildRankedLists:
 
     def test_candidates_are_the_full_vocabulary_without_exclusions(self):
         test = make_dataset([0, 0], [1, 4], [1, 0], 1, 6)
-        lists = build_ranked_lists(self.score_fn, test)
-        assert len(lists) == 1
-        assert set(lists[0].ranked_items.tolist()) == set(range(6))
-        assert lists[0].relevant.tolist() == [1]
+        ranked = build_ranked_lists(self.score_fn, test, depth=10)
+        assert len(ranked) == 1
+        assert ranked.n_candidates.tolist() == [6]
+        assert ranked.hits[0].tolist() == [False, True, False, False, False, False]
+        assert ranked.n_relevant.tolist() == [1]
 
     def test_training_positives_are_excluded(self):
         train = make_dataset([0, 0], [0, 1], [1, 1], 1, 6)
         test = make_dataset([0, 0], [1, 5], [1, 1], 1, 6)
-        lists = build_ranked_lists(self.score_fn, test, exclude=train)
-        assert 0 not in lists[0].ranked_items
-        assert 1 not in lists[0].ranked_items
-        assert lists[0].relevant.tolist() == [5]
+        ranked = build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+        # Candidates 2, 3, 4, 5 in that order; relevant item 1 is excluded.
+        assert ranked.n_candidates.tolist() == [4]
+        assert ranked.hits[0].tolist() == [False, False, False, True, False, False]
+        assert ranked.n_relevant.tolist() == [1]
 
     def test_negative_training_rows_are_not_excluded(self):
         train = make_dataset([0], [0], [0], 1, 4)
         test = make_dataset([0], [2], [1], 1, 4)
-        lists = build_ranked_lists(self.score_fn, test, exclude=train)
-        assert 0 in lists[0].ranked_items
+        ranked = build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+        assert ranked.n_candidates.tolist() == [4]
+        assert ranked.hits[0].tolist() == [False, False, True, False]
 
     def test_users_with_no_surviving_relevant_items_are_dropped(self):
         train = make_dataset([0], [1], [1], 1, 4)
         test = make_dataset([0, 1], [1, 2], [1, 1], 2, 4)
-        lists = build_ranked_lists(self.score_fn, test, exclude=train)
-        assert [rl.user for rl in lists] == [1]
+        ranked = build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+        assert ranked.users.tolist() == [1]
 
     def test_ties_rank_the_smaller_item_first(self):
+        # Items 2 and 3 tie; 3 is relevant and ranks right after 2.
+        test = make_dataset([0], [3], [1], 1, 6)
+        ranked = build_ranked_lists(self.score_fn, test, depth=10)
+        assert ranked.hits[0].tolist().index(True) == 3
+
+    def test_only_the_top_depth_items_are_kept(self):
         test = make_dataset([0], [0], [1], 1, 6)
-        lists = build_ranked_lists(self.score_fn, test)
-        ranked = lists[0].ranked_items.tolist()
-        assert ranked.index(2) < ranked.index(3)
+        ranked = build_ranked_lists(self.score_fn, test, depth=3)
+        assert ranked.hits.tolist() == [[True, False, False]]
 
     def test_mismatched_vocabulary_is_rejected(self):
         train = make_dataset([0], [0], [1], 1, 3)
         test = make_dataset([0], [0], [1], 1, 4)
         with pytest.raises(ValidationError):
-            build_ranked_lists(self.score_fn, test, exclude=train)
+            build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+
+    def test_nonfinite_scores_are_rejected(self):
+        test = make_dataset([0], [0], [1], 1, 4)
+        with pytest.raises(ValidationError):
+            build_ranked_lists(lambda u, i: np.full(len(i), np.nan), test, depth=10)
+
+
+def random_world(rng, n_users, n_items, n_rows, exclude_share):
+    """A test set and a train set (or None) over shared vocabularies, the
+    train set holding about ``exclude_share`` of each user's items."""
+    test = make_dataset(rng.integers(0, n_users, n_rows), rng.integers(0, n_items, n_rows),
+                        rng.integers(0, 2, n_rows), n_users, n_items)
+    if exclude_share == 0:
+        return test, None
+    n_train = int(exclude_share * n_users * n_items)
+    train = make_dataset(rng.integers(0, n_users, n_train), rng.integers(0, n_items, n_train),
+                         (rng.random(n_train) < 0.9).astype(int), n_users, n_items)
+    return test, train
+
+
+def assert_exact(score_fn, test, train, ks, ndcg_k):
+    """Ranked users, hits and metrics equal the per-user oracle's, the
+    metrics bit for bit."""
+    depth = max((*ks, ndcg_k))
+    ranked = build_ranked_lists(score_fn, test, exclude=train, depth=depth)
+    lists = ranked_lists_by_user(score_fn, test, exclude=train)
+    assert ranked.users.tolist() == [rl.user for rl in lists]
+    assert ranked.n_candidates.tolist() == [len(rl.ranked_items) for rl in lists]
+    assert ranked.n_relevant.tolist() == [len(rl.relevant) for rl in lists]
+    for row, rl in enumerate(lists):
+        expected = np.isin(rl.ranked_items[:depth], rl.relevant).tolist()
+        hits = ranked.hits[row].tolist()
+        assert hits[:len(expected)] == expected
+        assert not any(hits[len(expected):])
+    assert topk_metrics(ranked, ks, ndcg_k) == topk_by_user(lists, ks, ndcg_k)
+
+
+class TestExactAgainstOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_scores_force_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 4, size=(40, 30)).astype(np.float64)
+        test, train = random_world(rng, 40, 30, 600, exclude_share=0.3)
+        assert_exact(lambda u, i: table[u, i], test, train, ks=(1, 5, 10), ndcg_k=20)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_users_with_fewer_candidates_than_ndcg_k(self, seed):
+        # With 12 items and most of them excluded, every user has fewer
+        # candidates than the cutoffs; some lose every relevant item.
+        rng = np.random.default_rng(100 + seed)
+        table = rng.normal(size=(30, 12))
+        test, train = random_world(rng, 30, 12, 300, exclude_share=0.8)
+        assert_exact(lambda u, i: table[u, i], test, train, ks=(5, 10, 20), ndcg_k=50)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_an_exclusion_set(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        table = np.round(rng.normal(size=(25, 40)), 1)
+        test, _ = random_world(rng, 25, 40, 400, exclude_share=0)
+        assert_exact(lambda u, i: table[u, i], test, None, ks=(5, 10), ndcg_k=50)
+
+    def test_users_whose_relevant_items_are_all_excluded(self):
+        train = make_dataset([0, 0, 2], [1, 3, 0], [1, 1, 1], 3, 8)
+        test = make_dataset([0, 0, 1, 2], [1, 3, 4, 0], [1, 1, 1, 1], 3, 8)
+        assert_exact(by_item_id, test, train, ks=(2,), ndcg_k=5)
+        assert build_ranked_lists(by_item_id, test, exclude=train, depth=5).users.tolist() == [1]
+
+    def test_dcg_sums_only_the_users_candidates(self):
+        # 6 candidates with hits at ranks 2..6: summing 10 positions, the
+        # zero gains past the candidates included, changes the last bit.
+        train = make_dataset([0] * 4, [6, 7, 8, 9], [1] * 4, 1, 10)
+        test = make_dataset([0] * 5, [1, 2, 3, 4, 5], [1] * 5, 1, 10)
+        assert_exact(by_item_id, test, train, ks=(), ndcg_k=10)
+
+    def test_model_scores_over_several_blocks(self):
+        # The real score function, over blocks of several users each.
+        rng = np.random.default_rng(7)
+        n_users, n_items = 250, 700
+        model = init(n_users, n_items, 4, 0.1, seed=3)
+        test, train = random_world(rng, n_users, n_items, 4000, exclude_share=0.05)
+        assert 1 < PAIR_BUDGET // n_items < n_users // 2
+        assert_exact(lambda u, i: model.predict(Branch.HAT, u, i), test, train,
+                     ks=(5, 10), ndcg_k=50)
+
+    @pytest.mark.parametrize("budget", [1, 17, 100])
+    def test_block_size_does_not_change_any_bit(self, monkeypatch, budget):
+        rng = np.random.default_rng(300 + budget)
+        table = rng.integers(0, 6, size=(60, 20)).astype(np.float64)
+        test, train = random_world(rng, 60, 20, 700, exclude_share=0.4)
+        monkeypatch.setattr(evaluate, "PAIR_BUDGET", budget)
+        assert_exact(lambda u, i: table[u, i], test, train, ks=(3, 10), ndcg_k=15)
+
+
+class TestBlocking:
+    def test_calls_stay_within_the_pair_budget_and_cover_every_pair(self):
+        rng = np.random.default_rng(11)
+        n_users, n_items = 400, 300
+        test, train = random_world(rng, n_users, n_items, 3000, exclude_share=0.02)
+        table = rng.normal(size=(n_users, n_items))
+        calls = []
+
+        def recording(users, items):
+            calls.append(len(users))
+            return table[users, items]
+
+        ranked = build_ranked_lists(recording, test, exclude=train, depth=50)
+        assert len(calls) > 1
+        assert max(calls) <= PAIR_BUDGET
+        assert sum(calls) == len(ranked) * n_items
+        relevant = positives_by_user(test)
+        excluded = positives_by_user(train)
+        surviving = [
+            u for u, items in relevant.items()
+            if len(np.setdiff1d(items, excluded.get(u, []))) > 0
+        ]
+        assert len(ranked) == len(surviving)
 
 
 class TestAlpha:
