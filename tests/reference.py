@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sste.data import Dataset, Provenance
+from sste.errors import ValidationError
 from sste.seeding import rng_for
 
 
@@ -101,6 +102,18 @@ class RankedList:
     user: int
     ranked_items: np.ndarray
     relevant: np.ndarray
+
+    def __post_init__(self):
+        ranked = np.asarray(self.ranked_items, dtype=np.int64)
+        relevant = np.unique(np.asarray(self.relevant, dtype=np.int64))
+        object.__setattr__(self, "ranked_items", ranked)
+        object.__setattr__(self, "relevant", relevant)
+        if len(np.unique(ranked)) != len(ranked):
+            raise ValidationError("ranked_items must not repeat a candidate")
+        if len(relevant) == 0:
+            raise ValidationError("a ranked list needs at least one relevant item")
+        if not np.all(np.isin(relevant, ranked)):
+            raise ValidationError("relevant items must appear among the candidates")
 
 
 def positives_by_user(d: Dataset) -> dict[int, np.ndarray]:

@@ -23,6 +23,7 @@ from sste.experiment import RunConfig, build_datasets, train_model
 from sste.model import Branch, init
 
 from reference import (
+    RankedList,
     alpha_range,
     auc_bruteforce,
     dcg_binary,
@@ -186,6 +187,22 @@ class TestTopkMetrics:
     def test_a_repeated_cutoff_counts_once(self):
         # A run config may list a cutoff twice; its metrics must not double.
         assert ranked_metrics({0: [0]}, 60, ks=(5, 5)) == ranked_metrics({0: [0]}, 60, ks=(5,))
+
+
+class TestRankedList:
+    """The oracle's per-user list refuses inputs no full ranking can produce."""
+
+    def test_duplicate_candidates_are_rejected(self):
+        with pytest.raises(ValidationError):
+            RankedList(user=0, ranked_items=[1, 1, 2], relevant=[1])
+
+    def test_relevant_outside_candidates_is_rejected(self):
+        with pytest.raises(ValidationError):
+            RankedList(user=0, ranked_items=[1, 2], relevant=[3])
+
+    def test_empty_relevant_set_is_rejected(self):
+        with pytest.raises(ValidationError):
+            RankedList(user=0, ranked_items=[1, 2], relevant=[])
 
 
 class TestBuildRankedLists:
