@@ -10,6 +10,7 @@ their modified validation score.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -106,6 +107,9 @@ class RunConfig:
             raise ValidationError("file mode needs test_path")
         if self.ndcg_k < 1 or any(k < 1 for k in self.precision_ks):
             raise ValidationError("ndcg_k and every precision_ks value must be >= 1")
+        repeated = sorted({k for k in self.precision_ks if self.precision_ks.count(k) > 1})
+        if repeated:
+            raise ValidationError(f"precision_ks repeats {', '.join(map(str, repeated))}")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         if self.l2_lambda < 0:
@@ -293,14 +297,24 @@ class RunResult:
     report: dict | None
 
 
+@functools.lru_cache(maxsize=1)
+def _synthetic_world(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
+    """(train, val, test) of ``spec``, built once per spec in a process.
+
+    A grid's cells share one world; runs stay independent because Dataset
+    columns are read-only.
+    """
+    train, val, test, _ = generate_synthetic(spec)
+    return train, val, test
+
+
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a config; test is None when file mode has no test_path."""
     if cfg.synthetic:
         # RunConfig names the world settings as SyntheticSpec does, except the seed.
         names = [f.name for f in fields(SyntheticSpec) if f.name != "seed"]
         spec = SyntheticSpec(**{n: getattr(cfg, n) for n in names}, seed=cfg.data_seed)
-        train, val, test, _ = generate_synthetic(spec)
-        return train, val, test
+        return _synthetic_world(spec)
     schema = Schema(cfg.schema)
     biased = load_tsv(cfg.train_path, schema, provenance=Provenance.BIASED_TRAIN)
     if cfg.val_path:

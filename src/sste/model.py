@@ -30,14 +30,11 @@ class Branch(Enum):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: exp only ever sees -|z|."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def bce_from_logits(z, y):
@@ -94,23 +91,8 @@ class MfModel:
     def head(self, branch: Branch) -> BranchHead:
         return self.branch_tilde if branch is Branch.TILDE else self.branch_hat
 
-    def _check_ids(self, users, items):
-        if len(users) == 0:
-            return
-        if users.min() < 0 or users.max() >= self.n_users:
-            raise ValidationError("user id out of range")
-        if items.min() < 0 or items.max() >= self.n_items:
-            raise ValidationError("item id out of range")
-
     def logits(self, branch: Branch, users, items) -> np.ndarray:
-        users = np.atleast_1d(np.asarray(users, dtype=np.int64))
-        items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        self._check_ids(users, items)
-        head = self.head(branch)
-        dot = np.einsum(
-            "ij,ij->i", self.user_factors[users], self.item_factors[items]
-        )
-        return dot + head.user_bias[users] + head.item_bias[items] + float(head.global_bias)
+        return _logits_with_rows(self, branch, users, items)[0]
 
     def predict(self, branch: Branch, users, items):
         """Probability of a positive label, strictly inside (0,1)."""
@@ -141,6 +123,28 @@ class MfModel:
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(p)) for p in self.parameters().values())
+
+
+def _logits_with_rows(m: MfModel, branch: Branch, users, items):
+    """(logits, user factor rows, item factor rows) of the pairs (users, items).
+
+    The one scoring formula: the factor row dot product, then the branch's
+    user bias, item bias and global bias, in that order. Ids are checked
+    first, since a raw gather would wrap a negative id. The gathered rows are
+    fresh arrays that the caller may overwrite.
+    """
+    users = np.atleast_1d(np.asarray(users, dtype=np.int64))
+    items = np.atleast_1d(np.asarray(items, dtype=np.int64))
+    if len(users) and (users.min() < 0 or users.max() >= m.n_users):
+        raise ValidationError("user id out of range")
+    if len(items) and (items.min() < 0 or items.max() >= m.n_items):
+        raise ValidationError("item id out of range")
+    head = m.head(branch)
+    user_rows = m.user_factors[users]
+    item_rows = m.item_factors[items]
+    dot = np.einsum("ij,ij->i", user_rows, item_rows)
+    z = dot + head.user_bias[users] + head.item_bias[items] + float(head.global_bias)
+    return z, user_rows, item_rows
 
 
 def _zero_head(n_users: int, n_items: int) -> BranchHead:

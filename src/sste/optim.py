@@ -47,13 +47,17 @@ class SparseAdam:
             v_hat = v / (1.0 - ADAM_BETA2 ** t)
             param[...] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             return
-        t[rows] += 1
-        steps = t[rows].astype(np.float64)
-        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grad
-        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grad * grad
+        # Each row's state is gathered once and written back once; rows are unique.
+        t_rows = t[rows] + 1
+        m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grad
+        v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grad * grad
+        t[rows] = t_rows
+        m[rows] = m_rows
+        v[rows] = v_rows
+        steps = t_rows.astype(np.float64)
         c1 = 1.0 - ADAM_BETA1 ** steps
         c2 = 1.0 - ADAM_BETA2 ** steps
         if param.ndim == 2:
             c1 = c1[:, None]
             c2 = c2[:, None]
-        param[rows] -= self.lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + ADAM_EPS)
+        param[rows] -= self.lr * (m_rows / c1) / (np.sqrt(v_rows / c2) + ADAM_EPS)

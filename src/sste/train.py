@@ -23,7 +23,7 @@ import numpy as np
 from . import evaluate as ev
 from .data import Dataset
 from .errors import MetricUndefinedError, TrainingDivergedError, ValidationError
-from .model import Branch, MfModel, bce_from_logits, init, sigmoid
+from .model import Branch, MfModel, _logits_with_rows, bce_from_logits, init, sigmoid
 from .optim import SparseAdam
 from .propensity import PropensityTable
 from .selfsample import train_family
@@ -104,6 +104,18 @@ class BatchGradients:
     loss: float  # sum of coefficient * BCE over the batch
 
 
+def _sum_rows_by(inverse: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, k) sums of ``rows`` by group id ``inverse``.
+
+    One ``bincount`` over the flat index ``group * k + column``; it adds in
+    input order from zero, as ``np.add.at`` does, so the sums are the same
+    to the bit.
+    """
+    k = rows.shape[1]
+    flat = (inverse[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n_groups * k).reshape(n_groups, k)
+
+
 def batch_gradients(
     m: MfModel,
     branch: Branch,
@@ -116,14 +128,16 @@ def batch_gradients(
 
     All gradients are evaluated before any update (simultaneous step).
     """
-    z = m.logits(branch, users, items)
+    z, user_rows, item_rows = _logits_with_rows(m, branch, users, items)
     residual = coeffs * (sigmoid(z) - labels)
     uniq_users, u_inv = np.unique(users, return_inverse=True)
     uniq_items, i_inv = np.unique(items, return_inverse=True)
-    g_user = np.zeros((len(uniq_users), m.k))
-    np.add.at(g_user, u_inv, residual[:, None] * m.item_factors[items])
-    g_item = np.zeros((len(uniq_items), m.k))
-    np.add.at(g_item, i_inv, residual[:, None] * m.user_factors[users])
+    # The gathered rows are scaled in place: at k=50, B=4096 each table is
+    # 1.6 MB, and every further large temporary costs page faults.
+    item_rows *= residual[:, None]
+    g_user = _sum_rows_by(u_inv, item_rows, len(uniq_users))
+    user_rows *= residual[:, None]
+    g_item = _sum_rows_by(i_inv, user_rows, len(uniq_items))
     g_user_bias = np.bincount(u_inv, weights=residual, minlength=len(uniq_users))
     g_item_bias = np.bincount(i_inv, weights=residual, minlength=len(uniq_items))
     loss = float((coeffs * bce_from_logits(z, labels)).sum())

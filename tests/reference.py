@@ -1,8 +1,9 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the slow, obvious way (pair enumeration,
-pooled ranges, one user at a time, explicit finite differences) and stays
-free of the package's own metric or gradient code paths.
+pooled ranges, one user at a time, explicit finite differences, masked
+sigmoid, ``np.add.at`` scatters, Adam state read row by row twice) and
+stays free of the package's own metric, gradient or optimizer code paths.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ import numpy as np
 
 from sste.data import Dataset, Provenance
 from sste.errors import ValidationError
+from sste.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sste.seeding import rng_for
 
 
@@ -71,6 +73,72 @@ def lazy_l2_batch_objective(params, branch: str, users, items, labels, coeffs,
                + (ub[touched_users] ** 2).sum() + (ib[touched_items] ** 2).sum()
                + float(gb) ** 2)
     return data + 0.5 * l2 * squares
+
+
+def sigmoid_masked(z):
+    """The logistic function by two boolean masks, one per sign of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def batch_gradients_add_at(m, branch, users, items, labels, coeffs) -> dict:
+    """The batch gradient with each factor row gathered twice, once for the
+    logits and once for the scatter, and summed by ``np.add.at``.
+
+    Returns the fields of ``sste.train.BatchGradients`` as a dict.
+    """
+    head = m.head(branch)
+    z = (np.einsum("ij,ij->i", m.user_factors[users], m.item_factors[items])
+         + head.user_bias[users] + head.item_bias[items] + float(head.global_bias))
+    residual = coeffs * (sigmoid_masked(z) - labels)
+    uniq_users, u_inv = np.unique(users, return_inverse=True)
+    uniq_items, i_inv = np.unique(items, return_inverse=True)
+    g_user = np.zeros((len(uniq_users), m.k))
+    np.add.at(g_user, u_inv, residual[:, None] * m.item_factors[items])
+    g_item = np.zeros((len(uniq_items), m.k))
+    np.add.at(g_item, i_inv, residual[:, None] * m.user_factors[users])
+    loss = float((coeffs * (np.logaddexp(0.0, z) - labels * z)).sum())
+    return {
+        "users": uniq_users,
+        "user_factors": g_user,
+        "items": uniq_items,
+        "item_factors": g_item,
+        "user_bias": np.bincount(u_inv, weights=residual, minlength=len(uniq_users)),
+        "item_bias": np.bincount(i_inv, weights=residual, minlength=len(uniq_items)),
+        "global_bias": float(residual.sum()),
+        "loss": loss,
+    }
+
+
+def adam_update_double_gather(state, name: str, rows, grad, lr: float) -> None:
+    """One lazy per-row Adam step that reads each row's state twice.
+
+    ``state`` maps ``name`` to its live (param, m, v, t) arrays; ``rows``
+    are unique, or None for a 0-d parameter.
+    """
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    param, m, v, t = state[name]
+    if rows is None:
+        t += 1
+        m[...] = b1 * m + (1.0 - b1) * grad
+        v[...] = b2 * v + (1.0 - b2) * grad * grad
+        param[...] -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        return
+    t[rows] += 1
+    steps = t[rows].astype(np.float64)
+    m[rows] = b1 * m[rows] + (1.0 - b1) * grad
+    v[rows] = b2 * v[rows] + (1.0 - b2) * grad * grad
+    c1 = 1.0 - b1 ** steps
+    c2 = 1.0 - b2 ** steps
+    if param.ndim == 2:
+        c1 = c1[:, None]
+        c2 = c2[:, None]
+    param[rows] -= lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + eps)
 
 
 def epoch_batches(sources, batch_size: int, seed: int, epoch: int) -> list:

@@ -1,16 +1,20 @@
 """Run configs, grid search, run directories, and the comparison table."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sste import experiment
+from sste.cli import main as cli_main
 from sste.data import generate_synthetic, save_tsv
 from sste.errors import ParseError, SsteError, ValidationError
 from sste.experiment import (
     GridSpec,
     RunConfig,
+    build_datasets,
     load_config,
     load_grid,
     make_table,
@@ -23,6 +27,7 @@ from sste.seeding import derive_seed
 from sste.selfsample import train_family, val_family
 from sste.train import fit
 
+from compare_runs import differing_files
 from test_data import small_spec
 
 
@@ -89,6 +94,18 @@ class TestRunConfig:
         path.write_text(line + "\n")
         with pytest.raises(ValidationError, match=">= 1"):
             load_config(path)
+
+
+    def test_a_repeated_cutoff_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="precision_ks repeats 5"):
+            quick_cfg(tmp_path, precision_ks=(5, 10, 5))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"precision_ks=10,10\nout_dir={tmp_path / 'runs'}\n")
+        with pytest.raises(ValidationError, match="precision_ks repeats 10"):
+            load_config(path)
+        assert cli_main(["exp", "run", "--config", str(path)]) == 1
+        assert "precision_ks repeats 10" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestConfigFiles:
@@ -491,3 +508,59 @@ class TestMakeTable:
         assert rows[0]["metrics"]["auc"] == pytest.approx(
             naive.report["test_metrics"]["auc"]
         )
+
+
+class TestSyntheticWorldCache:
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """Specs passed to experiment.generate_synthetic, with an empty cache."""
+        built = []
+        real = experiment.generate_synthetic
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(experiment, "generate_synthetic", counting)
+        experiment._synthetic_world.cache_clear()
+        yield built
+        experiment._synthetic_world.cache_clear()
+
+    def test_configs_of_one_world_build_it_once(self, tmp_path, builds):
+        first = build_datasets(quick_cfg(tmp_path, seed=1))
+        second = build_datasets(quick_cfg(
+            tmp_path, objective="sste", epsilon_train=(0.5,), seed=2, embedding_dim=8,
+        ))
+        assert len(builds) == 1
+        assert all(a is b for a, b in zip(first, second))
+        for d in first:
+            assert not any(col.flags.writeable for col in (d.users, d.items, d.labels))
+
+    def test_another_data_seed_rebuilds_the_world(self, tmp_path, builds):
+        first = build_datasets(quick_cfg(tmp_path, data_seed=1))
+        second = build_datasets(quick_cfg(tmp_path, data_seed=2))
+        assert [spec.seed for spec in builds] == [1, 2]
+        assert not np.array_equal(first[0].users, second[0].users)
+
+    def test_grid_runs_match_runs_that_build_their_own_world(
+        self, tmp_path, monkeypatch, builds
+    ):
+        base = quick_cfg(
+            tmp_path, objective="sste", epsilon_train=(0.5,), epsilon_val=(0.3,),
+            resample_each_epoch=True, max_epochs=2, patience=2,
+            out_dir=str(tmp_path / "shared"),
+        )
+        grid = GridSpec(values={"embedding_dim": (4, 8), "learning_rate": (0.01, 0.05)})
+        run_grid(grid, base)
+        assert len(builds) == 1
+
+        real_run_one = experiment.run_one
+
+        def run_one_with_a_fresh_world(cfg):
+            experiment._synthetic_world.cache_clear()
+            return real_run_one(cfg)
+
+        monkeypatch.setattr(experiment, "run_one", run_one_with_a_fresh_world)
+        run_grid(grid, replace(base, out_dir=str(tmp_path / "fresh")))
+        assert len(builds) == 1 + 4
+        assert differing_files(tmp_path / "shared", tmp_path / "fresh") == []

@@ -20,7 +20,7 @@ from sste.model import (
 )
 from sste.train import batch_gradients
 
-from reference import central_difference
+from reference import central_difference, sigmoid_masked
 
 
 def tiny_model(seed=0, scale=0.1, n_users=3, n_items=4, k=2):
@@ -50,6 +50,31 @@ class TestActivations:
     def test_sigmoid_is_monotone(self, a, b):
         if a < b:
             assert sigmoid(a) <= sigmoid(b)
+
+    EDGE_LOGITS = (0.0, -0.0, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf,
+                   1e-300, -1e-300, 36.75, -36.75)
+
+    def test_sigmoid_matches_the_masked_form_at_the_edges(self):
+        z = np.array([*self.EDGE_LOGITS, np.nan, -np.nan])
+        got, want = sigmoid(z), sigmoid_masked(z)
+        number = ~np.isnan(z)
+        assert got[number].tobytes() == want[number].tobytes()
+        # A NaN stays NaN; its sign bit may differ.
+        assert np.isnan(got[~number]).all()
+
+    @pytest.mark.parametrize("z", EDGE_LOGITS)
+    def test_sigmoid_of_a_0d_input_matches_the_masked_form(self, z):
+        got = sigmoid(np.float64(z))
+        assert got.shape == ()
+        assert got.tobytes() == sigmoid_masked(np.float64(z)).tobytes()
+
+    def test_sigmoid_of_a_0d_nan_is_nan(self):
+        assert np.isnan(sigmoid(np.nan))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_sigmoid_matches_the_masked_form_to_the_bit(self, values):
+        z = np.array(values)
+        assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 
 
 class TestPrediction:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sste.errors import ValidationError
 from sste.optim import SparseAdam
+
+from reference import adam_update_double_gather
 
 
 def make_params():
@@ -80,3 +84,45 @@ class TestSparseAdam:
             for _ in range(5):
                 opt.update("bias", np.array([row]), np.array([sign]))
         assert params["bias"][0] == pytest.approx(-params["bias"][1])
+
+
+class TestExactAgainstOracle:
+    """update equals the oracle that reads each row's state twice, to the bit."""
+
+    @given(
+        k=st.sampled_from([1, 10, 50]),
+        n_rows=st.integers(1, 12),
+        n_steps=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_consecutive_steps_match_byte_for_byte(self, k, n_rows, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        params = {
+            "table": rng.normal(size=(n_rows, k)),
+            "bias": rng.normal(size=n_rows),
+            "scalar": np.asarray(rng.normal()),
+        }
+        lr = 0.05
+        opt = SparseAdam(params, learning_rate=lr)
+        state = {
+            name: (p.copy(), np.zeros_like(p), np.zeros_like(p),
+                   np.zeros(p.shape[0] if p.ndim else (), dtype=np.int64))
+            for name, p in params.items()
+        }
+        for _ in range(n_steps):
+            for name in ("table", "bias", "scalar"):
+                if name == "scalar":
+                    rows, grad = None, np.asarray(rng.normal())
+                else:
+                    # Unique rows in any order, some untouched this step.
+                    rows = rng.permutation(n_rows)[:rng.integers(1, n_rows + 1)]
+                    grad = rng.normal(size=(len(rows), *params[name].shape[1:]))
+                opt.update(name, rows, grad)
+                adam_update_double_gather(state, name, rows, grad, lr)
+            for name, p in params.items():
+                assert p.tobytes() == state[name][0].tobytes(), name
+        for name in params:
+            _, m, v, t = state[name]
+            assert opt._m[name].tobytes() == m.tobytes(), name
+            assert opt._v[name].tobytes() == v.tobytes(), name
+            assert opt._t[name].tobytes() == t.tobytes(), name

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sste.data import generate_synthetic
 from sste.errors import (
@@ -30,7 +32,12 @@ from sste.train import (
     sste_epoch,
 )
 
-from reference import epoch_batches, make_dataset, separable_4x4
+from reference import (
+    batch_gradients_add_at,
+    epoch_batches,
+    make_dataset,
+    separable_4x4,
+)
 from test_data import small_spec
 
 
@@ -138,6 +145,64 @@ class TestBatchGradients:
         assert snips.user_factors == pytest.approx(naive.user_factors,
                                                    abs=1e-10)
         assert snips.item_bias == pytest.approx(naive.item_bias, abs=1e-10)
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    @pytest.mark.parametrize("bad_user, bad_item, which", [
+        (-1, 0, "user"), (4, 0, "user"), (0, -1, "item"), (0, 4, "item"),
+    ])
+    def test_out_of_range_ids_are_rejected(self, branch, bad_user, bad_item, which):
+        # A raw gather would wrap -1 to the last row instead of failing.
+        m = batch_model()
+        users, items = np.array([0, bad_user]), np.array([1, bad_item])
+        with pytest.raises(ValidationError, match=f"{which} id out of range"):
+            batch_gradients(m, branch, users, items, np.array([1.0, 0.0]),
+                            np.full(2, 0.5))
+
+
+def oracle_case(k, n_users, n_items, size, seed):
+    """A model with nonzero biases on both branches and one batch over it;
+    small vocabularies make ids repeat within the batch."""
+    rng = np.random.default_rng(seed)
+    m = init(n_users, n_items, k, 0.5, seed)
+    for head in (m.branch_tilde, m.branch_hat):
+        head.user_bias[:] = rng.normal(size=n_users)
+        head.item_bias[:] = rng.normal(size=n_items)
+        head.global_bias[...] = rng.normal()
+    users = rng.integers(0, n_users, size)
+    items = rng.integers(0, n_items, size)
+    labels = rng.integers(0, 2, size).astype(np.float64)
+    coeffs = rng.uniform(0.01, 2.0, size)
+    return m, users, items, labels, coeffs
+
+
+class TestExactAgainstOracle:
+    """batch_gradients equals the double-gather, np.add.at oracle to the bit."""
+
+    @given(
+        k=st.sampled_from([1, 10, 50]),
+        n_users=st.integers(1, 12),
+        n_items=st.integers(1, 12),
+        size=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        branch=st.sampled_from(list(Branch)),
+    )
+    @example(k=50, n_users=1, n_items=1, size=1, seed=0, branch=Branch.HAT)
+    @example(k=10, n_users=1, n_items=3, size=64, seed=1, branch=Branch.TILDE)
+    def test_every_field_matches_byte_for_byte(
+        self, k, n_users, n_items, size, seed, branch
+    ):
+        m, users, items, labels, coeffs = oracle_case(k, n_users, n_items, size, seed)
+        before = {name: p.copy() for name, p in m.parameters().items()}
+        got = batch_gradients(m, branch, users, items, labels, coeffs)
+        want = batch_gradients_add_at(m, branch, users, items, labels, coeffs)
+        for name, value in want.items():
+            got_value = np.asarray(getattr(got, name))
+            value = np.asarray(value)
+            assert (got_value.dtype, got_value.shape) == (value.dtype, value.shape), name
+            assert got_value.tobytes() == value.tobytes(), name
+        # The gathered rows are scaled in place; the model's tables are not.
+        for name, p in m.parameters().items():
+            assert p.tobytes() == before[name].tobytes(), name
 
 
 class TestRegularization:
