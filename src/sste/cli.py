@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -36,25 +37,13 @@ def _cmd_data_stats(args) -> int:
     return 0
 
 
-def _parse_synth_spec(path) -> datamod.SyntheticSpec:
-    types = {f.name: f.type for f in fields(datamod.SyntheticSpec)}
-    values = {}
-    for line_no, key, text in exp._read_kv_lines(path):
-        if key not in types:
-            raise ParseError(f"unknown synthetic key {key!r}", line_no)
-        is_float = key in ("exposure_bias_strength", "positive_threshold")
-        try:
-            values[key] = float(text) if is_float else int(text)
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key}: {exc}", line_no) from None
-    missing = [name for name in types if name not in values]
+def _cmd_data_synth(args) -> int:
+    hints = typing.get_type_hints(datamod.SyntheticSpec)
+    values = exp.read_fields(args.spec, hints, "synthetic")
+    missing = [name for name in hints if name not in values]
     if missing:
         raise ParseError(f"missing synthetic keys: {', '.join(missing)}")
-    return datamod.SyntheticSpec(**values)
-
-
-def _cmd_data_synth(args) -> int:
-    spec = _parse_synth_spec(args.spec)
+    spec = datamod.SyntheticSpec(**values)
     train, val, test, relevance = datamod.generate_synthetic(spec)
     # sste train maps val/test ids through the ids train.tsv shows.
     for name, d in (("val.tsv", val), ("test.tsv", test)):
@@ -99,7 +88,7 @@ def _cmd_selfsample(args) -> int:
 
 
 def _epsilons(text: str) -> tuple[float, ...]:
-    return exp._parse_value("epsilon_train", text, tuple)
+    return exp.parse_value(text, typing.get_type_hints(exp.RunConfig)["epsilon_train"])
 
 
 def _cmd_train(args) -> int:

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
@@ -50,8 +51,8 @@ class RunConfig:
     (synthetic=false) loads TSVs instead, splitting train when val_path is
     empty. A file-mode config without test_path can train but not run. ``seed``
     drives training, initialization, and sampling; ``data_seed`` drives
-    dataset generation and splitting. The model and optimizer settings are
-    range-checked here, so a bad value is rejected before any stage runs.
+    dataset generation and splitting. Every setting is range-checked here
+    (the world's by SyntheticSpec), so no bad value reaches a stage.
     """
 
     # data
@@ -112,13 +113,27 @@ class RunConfig:
             raise ValidationError(f"precision_ks repeats {', '.join(map(str, repeated))}")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
-        if self.l2_lambda < 0:
-            raise ValidationError("l2_lambda must be >= 0")
+        for name in ("l2_lambda", "gamma"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0")
         for name in ("batch_size", "max_epochs", "patience", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if not np.isfinite(self.init_scale) or self.init_scale <= 0:
             raise ValidationError("init_scale must be positive and finite")
+        self.synthetic_spec()
+        if not 0 < self.floor <= 1:
+            raise ValidationError("floor must lie in (0,1]")
+        for name in ("epsilon_train", "epsilon_val"):
+            if not all(0 <= e <= 1 for e in getattr(self, name)):
+                raise ValidationError(f"every {name} value must lie in [0,1]")
+        if not 0 < self.split_ratio < 1:
+            raise ValidationError("split_ratio must lie in (0,1)")
+
+    def synthetic_spec(self) -> SyntheticSpec:
+        """The world of this config: its SyntheticSpec fields, seeded by data_seed."""
+        names = [f.name for f in fields(SyntheticSpec) if f.name != "seed"]
+        return SyntheticSpec(**{n: getattr(self, n) for n in names}, seed=self.data_seed)
 
     def identity_dict(self) -> dict:
         out = asdict(self)
@@ -131,47 +146,30 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:_RUN_ID_HEX_CHARS]
 
 
-_TUPLE_ELEMENT_TYPES = {
-    "epsilon_train": float,
-    "epsilon_val": float,
-    "precision_ks": int,
-}
 _TRUE_WORDS = {"true", "1", "yes"}
 _FALSE_WORDS = {"false", "0", "no"}
 
 
-def _field_types() -> dict[str, type]:
-    defaults = RunConfig()
-    return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
-
-
-def _parse_scalar(text: str, kind: type):
+def parse_value(text: str, hint):
+    """``text`` as a ``hint`` value, or ValueError: bool (true/1/yes or
+    false/0/no, any case), tuple[T, ...] (comma-separated; an empty text is
+    ()), or a converter of the stripped text such as int, float or str."""
     text = text.strip()
-    if kind is bool:
+    if typing.get_origin(hint) is tuple:
+        element = typing.get_args(hint)[0]
+        return tuple(parse_value(part, element) for part in text.split(",")) if text else ()
+    if hint is bool:
         word = text.lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    return text
+        if word not in _TRUE_WORDS | _FALSE_WORDS:
+            raise ValueError(f"not a boolean: {text!r}")
+        return word in _TRUE_WORDS
+    return hint(text)
 
 
-def _parse_value(name: str, text: str, kind: type):
-    if kind is tuple:
-        element = _TUPLE_ELEMENT_TYPES[name]
-        text = text.strip()
-        if not text:
-            return ()
-        return tuple(element(part.strip()) for part in text.split(","))
-    return _parse_scalar(text, kind)
-
-
-def _read_kv_lines(path) -> list[tuple[int, str, str]]:
+def read_fields(path, hints: dict, kind: str) -> dict:
+    """The ``key = value`` lines of ``path`` (blanks and ``#`` comments
+    skipped), typed by ``hints``. A line without ``=`` (checked first), an
+    unknown ``kind`` key or a bad value is a ParseError naming its line."""
     entries = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -180,23 +178,22 @@ def _read_kv_lines(path) -> list[tuple[int, str, str]]:
                 continue
             if "=" not in line:
                 raise ParseError(f"expected key = value, got {line!r}", line_no)
-            key, _, value = line.partition("=")
-            entries.append((line_no, key.strip(), value.strip()))
-    return entries
+            key, _, text = line.partition("=")
+            entries.append((line_no, key.strip(), text))
+    values = {}
+    for line_no, key, text in entries:
+        if key not in hints:
+            raise ParseError(f"unknown {kind} key {key!r}", line_no)
+        try:
+            values[key] = parse_value(text, hints[key])
+        except ValueError as exc:
+            raise ParseError(f"bad value for {key}: {exc}", line_no) from None
+    return values
 
 
 def load_config(path) -> RunConfig:
     """RunConfig from a flat key=value file; unknown keys are errors."""
-    types = _field_types()
-    values: dict = {}
-    for line_no, key, text in _read_kv_lines(path):
-        if key not in types:
-            raise ParseError(f"unknown config key {key!r}", line_no)
-        try:
-            values[key] = _parse_value(key, text, types[key])
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key}: {exc}", line_no) from None
-    return RunConfig(**values)
+    return RunConfig(**read_fields(path, typing.get_type_hints(RunConfig), "config"))
 
 
 def save_config(cfg: RunConfig, path) -> None:
@@ -236,11 +233,11 @@ class GridSpec:
         if not self.values:
             raise ValidationError("grid needs at least one field")
         clean = {}
-        types = _field_types()
+        hints = typing.get_type_hints(RunConfig)
         for name, options in self.values.items():
-            if name not in types:
+            if name not in hints:
                 raise ValidationError(f"unknown grid field {name!r}")
-            if types[name] is tuple:
+            if typing.get_origin(hints[name]) is tuple:
                 raise ValidationError(f"cannot sweep list-valued field {name!r}")
             options = tuple(options)
             if not options:
@@ -265,26 +262,22 @@ class GridSpec:
         return [all_cells[i] for i in picks]
 
 
+def _value_list(hint, text: str) -> tuple:
+    """One or more comma-separated ``hint`` values; an empty part is a bad value."""
+    return tuple(parse_value(part, hint) for part in text.split(","))
+
+
 def load_grid(path) -> GridSpec:
-    """GridSpec from key=value lines; non-control keys sweep RunConfig fields."""
-    types = _field_types()
-    control = {"mode": "full", "samples": 0, "grid_seed": 0}
-    values: dict[str, tuple] = {}
-    for line_no, key, text in _read_kv_lines(path):
-        if key not in control and key not in types:
-            raise ParseError(f"unknown grid key {key!r}", line_no)
-        try:
-            if key == "mode":
-                control[key] = text
-            elif key in control:
-                control[key] = int(text)
-            else:
-                values[key] = tuple(
-                    _parse_scalar(part, types[key]) for part in text.split(",")
-                )
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key}: {exc}", line_no) from None
-    return GridSpec(values=values, **control)
+    """GridSpec from key=value lines: control keys, or a swept RunConfig field."""
+    control = typing.get_type_hints(GridSpec)
+    del control["values"]
+    hints = {
+        name: functools.partial(_value_list, hint)
+        for name, hint in typing.get_type_hints(RunConfig).items()
+    }
+    values = read_fields(path, {**hints, **control}, "grid")
+    settings = {name: values.pop(name) for name in control if name in values}
+    return GridSpec(values=values, **settings)
 
 
 @dataclass(frozen=True)
@@ -311,10 +304,7 @@ def _synthetic_world(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a config; test is None when file mode has no test_path."""
     if cfg.synthetic:
-        # RunConfig names the world settings as SyntheticSpec does, except the seed.
-        names = [f.name for f in fields(SyntheticSpec) if f.name != "seed"]
-        spec = SyntheticSpec(**{n: getattr(cfg, n) for n in names}, seed=cfg.data_seed)
-        return _synthetic_world(spec)
+        return _synthetic_world(cfg.synthetic_spec())
     schema = Schema(cfg.schema)
     biased = load_tsv(cfg.train_path, schema, provenance=Provenance.BIASED_TRAIN)
     if cfg.val_path:

@@ -94,11 +94,9 @@ class MfModel:
     def logits(self, branch: Branch, users, items) -> np.ndarray:
         return _logits_with_rows(self, branch, users, items)[0]
 
-    def predict(self, branch: Branch, users, items):
-        """Probability of a positive label, strictly inside (0,1)."""
-        scalar = np.isscalar(users) and np.isscalar(items)
-        p = np.clip(sigmoid(self.logits(branch, users, items)), _PROB_EPS, 1.0 - _PROB_EPS)
-        return float(p[0]) if scalar else p
+    def predict(self, branch: Branch, users, items) -> np.ndarray:
+        """Probability of a positive label per pair, strictly inside (0,1)."""
+        return np.clip(sigmoid(self.logits(branch, users, items)), _PROB_EPS, 1.0 - _PROB_EPS)
 
     def copy(self) -> "MfModel":
         return MfModel(
@@ -173,8 +171,9 @@ def init(n_users: int, n_items: int, k: int, scale: float, seed: int) -> MfModel
 def save_checkpoint(m: MfModel, path) -> None:
     """Binary checkpoint: magic line, JSON dims header, float64 blocks.
 
-    Block order: user_factors, item_factors, tilde user/item/global bias,
-    hat user/item/global bias; all little-endian float64, row-major.
+    Blocks in ``MfModel.parameters()`` order: user_factors, item_factors,
+    tilde user/item/global bias, hat user/item/global bias; all
+    little-endian float64, row-major.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -184,21 +183,8 @@ def save_checkpoint(m: MfModel, path) -> None:
     with open(path, "wb") as handle:
         handle.write(_CHECKPOINT_MAGIC)
         handle.write(header.encode("utf-8") + b"\n")
-        for block in _checkpoint_blocks(m):
+        for block in m.parameters().values():
             handle.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-
-
-def _checkpoint_blocks(m: MfModel):
-    return (
-        m.user_factors,
-        m.item_factors,
-        m.branch_tilde.user_bias,
-        m.branch_tilde.item_bias,
-        m.branch_tilde.global_bias,
-        m.branch_hat.user_bias,
-        m.branch_hat.item_bias,
-        m.branch_hat.global_bias,
-    )
 
 
 def load_checkpoint(path) -> MfModel:

@@ -39,22 +39,19 @@ class SparseAdam:
     def update(self, name: str, rows: np.ndarray | None, grad: np.ndarray) -> None:
         param = self.params[name]
         m, v, t = self._m[name], self._v[name], self._t[name]
+        # Each row's state is gathered once and written back once; rows are
+        # unique, and the index () reads and writes a 0-d parameter whole.
         if rows is None:
-            t += 1
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            param[...] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            return
-        # Each row's state is gathered once and written back once; rows are unique.
+            rows = ()
         t_rows = t[rows] + 1
         m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grad
         v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grad * grad
         t[rows] = t_rows
         m[rows] = m_rows
         v[rows] = v_rows
-        steps = t_rows.astype(np.float64)
+        # An array even for a 0-d parameter: ``**`` on a numpy scalar rounds
+        # differently from the ufunc in the last bit.
+        steps = np.asarray(t_rows, dtype=np.float64)
         c1 = 1.0 - ADAM_BETA1 ** steps
         c2 = 1.0 - ADAM_BETA2 ** steps
         if param.ndim == 2:

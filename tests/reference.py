@@ -124,10 +124,7 @@ def adam_update_double_gather(state, name: str, rows, grad, lr: float) -> None:
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     param, m, v, t = state[name]
     if rows is None:
-        t += 1
-        m[...] = b1 * m + (1.0 - b1) * grad
-        v[...] = b2 * v + (1.0 - b2) * grad * grad
-        param[...] -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        adam_update_scalar(param, m, v, t, grad, lr)
         return
     t[rows] += 1
     steps = t[rows].astype(np.float64)
@@ -139,6 +136,17 @@ def adam_update_double_gather(state, name: str, rows, grad, lr: float) -> None:
         c1 = c1[:, None]
         c2 = c2[:, None]
     param[rows] -= lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + eps)
+
+
+def adam_update_scalar(param, m, v, t, grad, lr: float) -> None:
+    """One Adam step of a 0-d parameter on its live 0-d state arrays, each
+    updated whole through ``[...]``: the optimizer's former scalar branch."""
+    t += 1
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    param[...] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def epoch_batches(sources, batch_size: int, seed: int, epoch: int) -> list:

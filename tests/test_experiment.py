@@ -1,14 +1,17 @@
 """Run configs, grid search, run directories, and the comparison table."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sste import experiment
-from sste.cli import main as cli_main
+from sste.cli import build_parser, main as cli_main
 from sste.data import generate_synthetic, save_tsv
 from sste.errors import ParseError, SsteError, ValidationError
 from sste.experiment import (
@@ -28,7 +31,10 @@ from sste.selfsample import train_family, val_family
 from sste.train import fit
 
 from compare_runs import differing_files
+from run_synthetic_study import study_config
 from test_data import small_spec
+
+TESTS = Path(__file__).parent
 
 
 def quick_cfg(tmp_path, **overrides):
@@ -147,6 +153,138 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         path.write_text("synthetic=false\ntest_path=t.tsv\n")
         assert load_config(path).synthetic is False
+
+
+def synth_spec(path):
+    args = build_parser().parse_args(
+        ["data", "synth", "--spec", str(path), "--out-dir", str(path.parent / "out")]
+    )
+    return args.func(args)
+
+
+# Each file kind: its loader, a valid line, and a line with a bad value.
+FILE_KINDS = {
+    "config": (load_config, "learning_rate = 0.1", "batch_size = many"),
+    "grid": (load_grid, "batch_size = 16,32", "learning_rate = 0.1,many"),
+    "synthetic": (synth_spec, "n_users = 10", "n_items = many"),
+}
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    @pytest.mark.parametrize("bad_line, message", [
+        ("just words", "expected key = value, got 'just words'"),
+        ("what = 3", "unknown {kind} key 'what'"),
+        (None, "bad value for "),
+    ])
+    def test_a_bad_line_is_named(self, tmp_path, kind, bad_line, message):
+        load, good, bad_value = FILE_KINDS[kind]
+        path = tmp_path / f"{kind}.txt"
+        lines = ["# settings", "", good, "   ", "# the bad line", bad_line or bad_value]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert info.value.line_number == 6
+        assert str(info.value).startswith("line 6: " + message.format(kind=kind))
+
+    def test_an_empty_grid_value_list_names_its_line(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("learning_rate = 0.1\n\nbatch_size =\n")
+        with pytest.raises(ParseError, match="line 3: bad value for batch_size"):
+            load_grid(path)
+
+    def test_an_empty_tuple_in_a_config_is_the_empty_tuple(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epsilon_val =\nprecision_ks = 5\n")
+        cfg = load_config(path)
+        assert (cfg.epsilon_val, cfg.precision_ks) == ((), (5,))
+
+    @pytest.mark.parametrize("word, value", [
+        ("TRUE", True), ("1", True), ("Yes", True),
+        ("false", False), ("0", False), ("NO", False),
+    ])
+    def test_boolean_words_in_any_case(self, tmp_path, word, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"resample_each_epoch = {word}\nobjective = sste\n"
+                        "epsilon_train = 0.5\n")
+        assert load_config(path).resample_each_epoch is value
+
+
+# Text that survives one `key = value` line: no line break, no outer blanks.
+line_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=12
+).filter(lambda s: s == s.strip())
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def run_configs(draw):
+    objective = draw(st.sampled_from(["naive", "ips", "snips", "sste"]))
+    sste = objective == "sste"
+    synthetic = draw(st.booleans())
+    n_users, n_items = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    return RunConfig(
+        synthetic=synthetic,
+        n_users=n_users,
+        n_items=n_items,
+        latent_dim=draw(st.integers(1, min(n_users, n_items))),
+        exposure_bias_strength=draw(st.floats(0.0, 5.0)),
+        positive_threshold=draw(st.floats(0.01, 0.99)),
+        data_seed=draw(st.integers(0, 2**31)),
+        train_path=draw(line_text),
+        val_path=draw(line_text),
+        test_path=draw(line_text) if synthetic else draw(line_text.filter(bool)),
+        schema=draw(st.sampled_from(["rating", "label"])),
+        split_ratio=draw(st.floats(0.01, 0.99)),
+        split_mode=draw(st.sampled_from(["per_user", "chronological"])),
+        objective=objective,
+        gamma=draw(st.floats(0.0, 3.0)),
+        floor=draw(st.floats(1e-6, 1.0)),
+        epsilon_train=tuple(draw(st.lists(unit, min_size=1, max_size=3))) if sste else (),
+        epsilon_val=tuple(draw(st.lists(unit, max_size=3))),
+        resample_each_epoch=sste and draw(st.booleans()),
+        learning_rate=draw(st.floats(1e-6, 1.0)),
+        l2_lambda=draw(st.floats(0.0, 1.0)),
+        precision_ks=tuple(draw(st.lists(st.integers(1, 100), max_size=3, unique=True))),
+        out_dir=draw(line_text),
+    )
+
+
+class TestConfigRoundTrip:
+    @given(cfg=run_configs())
+    def test_save_then_load_gives_the_same_config(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "config.txt"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_a_study_config_file_keeps_its_bytes(self, tmp_path):
+        path = tmp_path / "config.txt"
+        save_config(study_config(1, "sste", "runs/synthetic-study/seed1/sste"), path)
+        golden = TESTS / "golden" / "study_seed1_sste_config.txt"
+        assert path.read_bytes() == golden.read_bytes()
+
+
+class TestReadmeExamples:
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config and grid files", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"```\n(.*?)```", section, flags=re.DOTALL)
+
+    def test_the_config_example_loads(self, tmp_path, blocks):
+        path = tmp_path / "run.txt"
+        path.write_text(blocks[0])
+        cfg = load_config(path)
+        assert (cfg.objective, cfg.epsilon_train, cfg.resample_each_epoch) == (
+            "sste", (0.5,), True
+        )
+
+    def test_the_grid_example_loads(self, tmp_path, blocks):
+        path = tmp_path / "grid.txt"
+        path.write_text(blocks[1])
+        grid = load_grid(path)
+        assert grid.values == experiment.DEFAULT_GRID
+        assert len(grid.combinations()) == 16
 
 
 class TestGridSpec:
@@ -370,6 +508,13 @@ class TestRunGrid:
         with pytest.raises(ValidationError, match="learning_rate"):
             run_grid(grid, base)
         assert not (tmp_path / "runs").exists()
+
+    def test_a_bad_floor_fails_before_any_cell_runs(self, tmp_path):
+        base = quick_cfg(tmp_path)
+        grid = GridSpec(values={"floor": (0.05, 0.0)})
+        with pytest.raises(ValidationError, match="floor"):
+            run_grid(grid, base)
+        assert not list(tmp_path.glob("runs/run-*"))
 
     def test_every_cell_failing_is_an_error(self, tmp_path):
         base = quick_cfg(tmp_path, max_epochs=4)

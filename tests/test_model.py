@@ -85,16 +85,16 @@ class TestPrediction:
             branch_tilde=tiny_model().branch_tilde,
             branch_hat=tiny_model().branch_hat,
         )
-        assert m.predict(Branch.TILDE, 0, 1) == 0.5
-        assert m.predict(Branch.HAT, 1, 0) == 0.5
+        assert m.predict(Branch.TILDE, [0], [1]).tolist() == [0.5]
+        assert m.predict(Branch.HAT, [1], [0]).tolist() == [0.5]
 
     def test_branch_heads_apply_to_their_own_branch_only(self):
         m = tiny_model()
         m.user_factors[...] = 0.0
         m.item_factors[...] = 0.0
         m.branch_hat.global_bias[...] = math.log(3.0)
-        assert m.predict(Branch.HAT, 0, 0) == pytest.approx(0.75)
-        assert m.predict(Branch.TILDE, 0, 0) == 0.5
+        assert m.predict(Branch.HAT, [0], [0]) == pytest.approx([0.75])
+        assert m.predict(Branch.TILDE, [0], [0]).tolist() == [0.5]
 
     def test_branches_share_the_factor_tables(self):
         m = tiny_model(scale=0.5)
@@ -112,8 +112,8 @@ class TestPrediction:
     def test_prediction_stays_inside_open_interval(self):
         m = tiny_model()
         m.branch_hat.global_bias[...] = 500.0
-        p = m.predict(Branch.HAT, 0, 0)
-        assert 0.0 < p < 1.0
+        p = m.predict(Branch.HAT, [0], [0])
+        assert 0.0 < p[0] < 1.0
 
     def test_out_of_range_ids_are_rejected(self):
         m = tiny_model()
@@ -125,8 +125,9 @@ class TestPrediction:
     def test_vector_prediction_matches_scalar(self):
         m = tiny_model(scale=0.3)
         batch = m.predict(Branch.TILDE, np.array([0, 2]), np.array([1, 3]))
-        assert batch[0] == pytest.approx(m.predict(Branch.TILDE, 0, 1))
-        assert batch[1] == pytest.approx(m.predict(Branch.TILDE, 2, 3))
+        single = m.predict(Branch.TILDE, 2, 3)
+        assert isinstance(single, np.ndarray) and single.shape == (1,)
+        assert single[0] == batch[1]
 
 
 class TestInit:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sste.errors import ValidationError
 from sste.optim import SparseAdam
 
-from reference import adam_update_double_gather
+from reference import adam_update_double_gather, adam_update_scalar
 
 
 def make_params():
@@ -126,3 +126,26 @@ class TestExactAgainstOracle:
             assert opt._m[name].tobytes() == m.tobytes(), name
             assert opt._v[name].tobytes() == v.tobytes(), name
             assert opt._t[name].tobytes() == t.tobytes(), name
+
+    @given(
+        lr=st.floats(1e-4, 1e-1),
+        start=st.floats(-1.0, 1.0),
+        grads=st.lists(
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 2.0)),
+            min_size=1, max_size=60,
+        ),
+    )
+    def test_a_scalar_trajectory_matches_the_old_branch(self, lr, start, grads):
+        # The global biases take the row path with the index (); the oracle
+        # is the scalar branch it replaced.
+        params = {"scalar": np.asarray(start)}
+        opt = SparseAdam(params, learning_rate=lr)
+        old = [np.asarray(start), np.zeros(()), np.zeros(()), np.zeros((), dtype=np.int64)]
+        for sign, exponent in grads:
+            grad = sign * 10.0 ** exponent
+            opt.update("scalar", None, grad)
+            adam_update_scalar(*old, grad, lr)
+            assert params["scalar"].tobytes() == old[0].tobytes()
+        assert opt._m["scalar"].tobytes() == old[1].tobytes()
+        assert opt._v["scalar"].tobytes() == old[2].tobytes()
+        assert opt._t["scalar"].tobytes() == old[3].tobytes()

@@ -342,7 +342,7 @@ class TestEpochs:
         preds = []
         for epoch in range(1, 101):
             sste_epoch(m, opt, one, [one], cfg, epoch=epoch)
-            preds.append(m.predict(Branch.TILDE, 0, 0))
+            preds.append(m.predict(Branch.TILDE, [0], [0])[0])
         settled = preds[5:]
         assert all(b >= a for a, b in zip(settled, settled[1:]))
         assert preds[-1] > 0.95
@@ -468,9 +468,15 @@ class TestConfigs:
             ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
             ("embedding_dim", 0), ("init_scale", 0.0), ("init_scale", -1.0),
             ("init_scale", math.inf), ("init_scale", math.nan),
+            ("n_users", 0), ("latent_dim", 1000), ("positive_threshold", 1.0),
+            ("gamma", -1.0), ("gamma", math.nan), ("floor", 0.0), ("floor", 1.5),
+            ("epsilon_val", (-0.5,)), ("epsilon_val", (0.3, math.nan)),
+            ("split_ratio", 1.5), ("split_ratio", 0.0),
         ]:
             with pytest.raises(ValidationError, match=name):
                 RunConfig(**{name: value})
+        with pytest.raises(ValidationError, match="epsilon_train"):
+            RunConfig(objective="sste", epsilon_train=(0.5, 2.0))
 
     def test_load_config_rejects_a_zero_learning_rate(self, tmp_path):
         path = tmp_path / "run.cfg"
