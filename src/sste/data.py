@@ -313,7 +313,7 @@ class SyntheticSpec:
             raise ValidationError("latent_dim must not exceed min(n_users, n_items)")
         if not 0.0 < self.positive_threshold < 1.0:
             raise ValidationError("positive_threshold must lie in (0,1)")
-        if self.exposure_bias_strength < 0.0:
+        if not self.exposure_bias_strength >= 0.0:
             raise ValidationError("exposure_bias_strength must be >= 0")
 
 

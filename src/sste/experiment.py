@@ -35,7 +35,8 @@ from .data import (
 )
 from .errors import ParseError, SsteError, ValidationError
 from .model import Branch, MfModel, save_checkpoint
-from .propensity import DEFAULT_FLOOR, DEFAULT_GAMMA, estimate_popularity_propensity
+from .propensity import (DEFAULT_FLOOR, DEFAULT_GAMMA, check_epsilon, check_settings,
+                         estimate_popularity_propensity)
 from .seeding import derive_seed
 from .selfsample import train_family, val_family
 from .train import Objective, TrainState, fit
@@ -111,22 +112,20 @@ class RunConfig:
         repeated = sorted({k for k in self.precision_ks if self.precision_ks.count(k) > 1})
         if repeated:
             raise ValidationError(f"precision_ks repeats {', '.join(map(str, repeated))}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
-        for name in ("l2_lambda", "gamma"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0")
+        if not self.l2_lambda >= 0:
+            raise ValidationError("l2_lambda must be >= 0")
         for name in ("batch_size", "max_epochs", "patience", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if not np.isfinite(self.init_scale) or self.init_scale <= 0:
             raise ValidationError("init_scale must be positive and finite")
         self.synthetic_spec()
-        if not 0 < self.floor <= 1:
-            raise ValidationError("floor must lie in (0,1]")
+        check_settings(self.gamma, self.floor)
         for name in ("epsilon_train", "epsilon_val"):
-            if not all(0 <= e <= 1 for e in getattr(self, name)):
-                raise ValidationError(f"every {name} value must lie in [0,1]")
+            for e in getattr(self, name):
+                check_epsilon(e, name)
         if not 0 < self.split_ratio < 1:
             raise ValidationError("split_ratio must lie in (0,1)")
 

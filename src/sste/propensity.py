@@ -20,6 +20,20 @@ DEFAULT_GAMMA = 0.5
 DEFAULT_FLOOR = 0.01
 
 
+def check_settings(gamma: float, floor: float) -> None:
+    """Raise ValidationError unless gamma >= 0 and floor lies in (0,1]; NaN fails."""
+    if not gamma >= 0:
+        raise ValidationError("gamma must be >= 0")
+    if not 0.0 < floor <= 1.0:
+        raise ValidationError("floor must lie in (0,1]")
+
+
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Raise ValidationError unless ``epsilon`` lies in [0,1]; NaN fails."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"{name} must lie in [0,1], got {epsilon}")
+
+
 @dataclass(frozen=True)
 class PropensityTable:
     """Per-item propensities in (0,1] together with the estimator settings."""
@@ -33,10 +47,7 @@ class PropensityTable:
         object.__setattr__(self, "per_item_propensity", values)
         if values.ndim != 1 or len(values) == 0:
             raise ValidationError("propensity table must be a nonempty vector")
-        if self.gamma < 0:
-            raise ValidationError("gamma must be >= 0")
-        if not 0.0 < self.floor <= 1.0:
-            raise ValidationError("floor must lie in (0,1]")
+        check_settings(self.gamma, self.floor)
         if values.min() < self.floor or values.max() > 1.0:
             raise ValidationError("propensities must lie in [floor, 1]")
         if values.max() != 1.0:
@@ -60,8 +71,7 @@ class SampleProbTable:
             raise ValidationError("probabilities and flags must align")
         if len(probs) and (probs.min() <= 0.0 or probs.max() > 1.0):
             raise ValidationError("probabilities must lie in (0,1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError("epsilon must lie in [0,1]")
+        check_epsilon(self.epsilon)
         if len(probs) and not np.all(probs[flags] == 1.0):
             raise ValidationError("truncated entries must equal 1")
 
@@ -75,10 +85,7 @@ def estimate_popularity_propensity(
     """
     if len(d) == 0:
         raise ValidationError("cannot estimate propensities on an empty dataset")
-    if gamma < 0:
-        raise ValidationError("gamma must be >= 0")
-    if not 0.0 < floor <= 1.0:
-        raise ValidationError("floor must lie in (0,1]")
+    check_settings(gamma, floor)
     counts = np.bincount(d.items, minlength=d.n_items).astype(np.float64)
     values = np.power(counts / counts.max(), gamma)
     values[counts == 0] = floor
@@ -98,18 +105,14 @@ def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
             f"dataset references item {int(d.items.max())}"
         )
     inverse = 1.0 / t.per_item_propensity[d.items]
-    if len(inverse) == 0:
-        return inverse
-    return inverse / inverse.max()
+    return inverse / inverse.max() if len(inverse) else inverse
 
 
 def truncate(p: np.ndarray, epsilon: float) -> SampleProbTable:
-    """Force probabilities >= epsilon to 1, keep the rest unchanged."""
+    """Force probabilities >= epsilon to 1, keep the rest unchanged; the table checks epsilon."""
     p = np.asarray(p, dtype=np.float64)
     if len(p) and (p.min() <= 0.0 or p.max() > 1.0):
         raise ValidationError("probabilities must lie in (0,1]")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0,1], got {epsilon}")
     truncated = p >= epsilon
     return SampleProbTable(
         per_instance_prob=np.where(truncated, 1.0, p),

@@ -127,6 +127,7 @@ class TestPrediction:
         batch = m.predict(Branch.TILDE, np.array([0, 2]), np.array([1, 3]))
         single = m.predict(Branch.TILDE, 2, 3)
         assert isinstance(single, np.ndarray) and single.shape == (1,)
+        assert m.predict(Branch.TILDE, 0, 1)[0] == batch[0]
         assert single[0] == batch[1]
 
 

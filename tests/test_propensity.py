@@ -1,5 +1,7 @@
 """Popularity propensity estimation, inverse sampling probabilities, truncation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,10 @@ class TestEstimate:
             estimate_popularity_propensity(ds, gamma=-1.0)
         with pytest.raises(ValidationError):
             estimate_popularity_propensity(ds, floor=0.0)
+        with pytest.raises(ValidationError, match="gamma"):
+            estimate_popularity_propensity(ds, gamma=math.nan)
+        with pytest.raises(ValidationError, match="floor"):
+            estimate_popularity_propensity(ds, floor=math.nan)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=50), min_size=2,
@@ -87,6 +93,10 @@ class TestTableValidation:
     def test_value_below_floor_is_rejected(self):
         with pytest.raises(ValidationError):
             PropensityTable(np.array([1.0, 0.001]), gamma=1.0, floor=0.01)
+
+    def test_nan_gamma_is_rejected(self):
+        with pytest.raises(ValidationError, match="gamma"):
+            PropensityTable(np.array([1.0, 0.5]), gamma=math.nan, floor=0.01)
 
     def test_empty_vector_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -167,6 +177,8 @@ class TestTruncate:
             truncate(np.array([0.5]), epsilon=1.5)
         with pytest.raises(ValidationError):
             truncate(np.array([0.5]), epsilon=-0.1)
+        with pytest.raises(ValidationError, match="epsilon must lie in"):
+            truncate(np.array([0.5]), epsilon=math.nan)
 
     def test_zero_probability_is_rejected(self):
         with pytest.raises(ValidationError):

@@ -464,7 +464,8 @@ class TestConfigs:
 
     def test_bad_numbers_are_rejected(self):
         for name, value in [
-            ("learning_rate", 0.0), ("learning_rate", -1.0), ("l2_lambda", -1e-5),
+            ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", math.nan),
+            ("l2_lambda", -1e-5), ("l2_lambda", math.nan), ("exposure_bias_strength", math.nan),
             ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
             ("embedding_dim", 0), ("init_scale", 0.0), ("init_scale", -1.0),
             ("init_scale", math.inf), ("init_scale", math.nan),
