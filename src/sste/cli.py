@@ -21,7 +21,6 @@ from . import experiment as exp
 from . import propensity as prop
 from . import selfsample as ss
 from .errors import ParseError, SsteError, ValidationError
-from .model import load_checkpoint
 from .train import Objective, self_evaluate
 
 
@@ -117,30 +116,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_maps(checkpoint_path, model):
-    sidecar = Path(str(checkpoint_path) + ".vocab.json")
-    if sidecar.exists():
-        try:
-            raw = json.loads(sidecar.read_text(encoding="utf-8"))
-            users = {int(k): int(v) for k, v in raw["users"].items()}
-            items = {int(k): int(v) for k, v in raw["items"].items()}
-        except (ValueError, KeyError, TypeError, AttributeError):
-            raise ParseError(f"malformed vocab sidecar {sidecar}") from None
-        for kind, mapping, rows in (
-            ("user", users, model.n_users), ("item", items, model.n_items)
-        ):
-            if any(not 0 <= dense < rows for dense in mapping.values()):
-                raise ParseError(
-                    f"{sidecar} maps {kind} ids outside the checkpoint's {rows} rows"
-                )
-        if users and items:
-            return users, items
-    return (
-        {i: i for i in range(model.n_users)},
-        {i: i for i in range(model.n_items)},
-    )
-
-
 def _parse_metrics(text: str) -> tuple[list[str], tuple[int, ...], int]:
     """Requested names, the P/R cutoffs and the nDCG cutoff (50 if none)."""
     names = [m.strip() for m in text.split(",") if m.strip()]
@@ -162,11 +137,10 @@ def _parse_metrics(text: str) -> tuple[list[str], tuple[int, ...], int]:
 
 def _cmd_evaluate(args) -> int:
     names, ks, ndcg_k = _parse_metrics(args.metrics)
-    model = load_checkpoint(args.checkpoint)
-    user_map, item_map = _checkpoint_maps(args.checkpoint, model)
+    model, user_ids, item_ids = exp.load_model(args.checkpoint)
 
     def load(path, schema, provenance):
-        return datamod.load_tsv(path, schema, provenance, user_map, item_map)
+        return datamod.load_tsv(path, schema, provenance, user_ids, item_ids)
 
     test_set = load(args.test, args.schema, datamod.Provenance.UNIFORM_TEST)
     exclude = None

@@ -3,15 +3,16 @@
 A dataset is a fixed-length table of (user, item, label) records stored as
 column arrays, plus vocabulary sizes and a provenance tag saying which pool
 the records came from (biased logs, uniform exposure, or a sampled auxiliary
-subset). Raw ids from disk are re-mapped to dense 0..n-1 indices; the maps
-are kept for reporting.
+subset). Raw ids from disk are re-mapped to dense 0..n-1 indices; the
+sorted original ids are kept as id maps (dense id ``i`` is ``ids[i]``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +49,25 @@ def _frozen_column(values, dtype) -> np.ndarray:
     return col
 
 
+def _frozen_id_map(ids, name: str, n: int | None = None) -> np.ndarray:
+    """A read-only int64 copy of the id map ``name``, which must be a nonempty,
+    strictly increasing vector (of length ``n`` if given) for ``searchsorted``."""
+    ids = np.asarray(ids)
+    if (ids.ndim != 1 or len(ids) == 0 or ids.dtype.kind not in "iu"
+            or not np.can_cast(ids.dtype, np.int64) or np.any(ids[1:] <= ids[:-1])):
+        raise ValidationError(f"{name} must be a nonempty, strictly increasing int64 vector")
+    if n is not None and len(ids) != n:
+        raise ValidationError(f"{name} holds {len(ids)} ids, expected {n}")
+    return _frozen_column(ids, np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable table of interactions with vocabulary sizes and provenance.
 
     ``epsilon`` records the threshold a sampled subset was drawn under and is
-    mandatory for AUXILIARY_SUBSET provenance.
+    mandatory for AUXILIARY_SUBSET provenance. A dataset loaded from a file
+    keeps its original ids as ``user_id_map``/``item_id_map``; else None.
     """
 
     users: np.ndarray
@@ -63,8 +77,8 @@ class Dataset:
     n_items: int
     provenance: Provenance
     epsilon: float | None = None
-    user_id_map: dict[int, int] | None = field(default=None, repr=False)
-    item_id_map: dict[int, int] | None = field(default=None, repr=False)
+    user_id_map: np.ndarray | None = field(default=None, repr=False)
+    item_id_map: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         users = _frozen_column(self.users, np.int64)
@@ -77,6 +91,9 @@ class Dataset:
             raise ValidationError("column arrays must have equal length")
         if self.n_users <= 0 or self.n_items <= 0:
             raise ValidationError("vocabulary sizes must be positive")
+        for name, n in (("user_id_map", self.n_users), ("item_id_map", self.n_items)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen_id_map(getattr(self, name), name, n))
         if len(users):
             if users.min() < 0 or users.max() >= self.n_users:
                 raise ValidationError("user_id out of range [0, n_users)")
@@ -101,16 +118,10 @@ class Dataset:
     def take(self, indices: np.ndarray, provenance: Provenance | None = None,
              epsilon: float | None = None) -> "Dataset":
         """New dataset from a subset of rows, preserving vocabularies."""
-        return Dataset(
-            users=self.users[indices],
-            items=self.items[indices],
-            labels=self.labels[indices],
-            n_users=self.n_users,
-            n_items=self.n_items,
-            provenance=provenance or self.provenance,
+        return replace(
+            self, users=self.users[indices], items=self.items[indices],
+            labels=self.labels[indices], provenance=provenance or self.provenance,
             epsilon=epsilon if epsilon is not None else self.epsilon,
-            user_id_map=self.user_id_map,
-            item_id_map=self.item_id_map,
         )
 
 
@@ -122,67 +133,73 @@ class DatasetStats:
     n_items: int
 
 
-def _dense_map(original_ids: np.ndarray) -> dict[int, int]:
-    uniq = np.unique(original_ids)
-    return {int(orig): dense for dense, orig in enumerate(uniq)}
+def _nonblank_lines(path):
+    """(1-based line number, text) of every non-blank line of a TSV file."""
+    with open(path, "r", encoding="utf-8", newline=None) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip("\n").strip("\r")
+            if line:
+                yield line_no, line
 
 
 def load_tsv(
     path,
     schema: Schema,
     provenance: Provenance = Provenance.BIASED_TRAIN,
-    user_map: dict[int, int] | None = None,
-    item_map: dict[int, int] | None = None,
+    user_map: np.ndarray | None = None,
+    item_map: np.ndarray | None = None,
 ) -> Dataset:
     """Parse a user/item/rating-or-label TSV into a Dataset.
 
     Ids are re-mapped to dense indices in sorted original-id order. Pass
     ``user_map``/``item_map`` from a previously loaded dataset to align a
-    second file to the same vocabulary; an unknown original id then raises
-    ValidationError.
+    second file to the same vocabulary.
 
     Raises:
         ParseError: malformed line (wrong field count, non-integer field,
-            out-of-range rating or label), with its 1-based line number.
-        ValidationError: empty file or id missing from a provided map.
+            out-of-range rating or label, an id a given map lacks), with its
+            1-based line number.
+        ValidationError: empty file or a malformed given map.
     """
     schema = Schema(schema)
     raw_users: list[int] = []
     raw_items: list[int] = []
     raw_values: list[int] = []
-    with open(path, "r", encoding="utf-8", newline=None) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip("\n").strip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}", line_no
-                )
-            try:
-                u, v, x = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"non-integer field in {parts!r}", line_no) from None
-            if schema is Schema.USER_ITEM_RATING and not 1 <= x <= 5:
-                raise ParseError(f"rating {x} outside 1..5", line_no)
-            if schema is Schema.USER_ITEM_LABEL and x not in (0, 1):
-                raise ParseError(f"label {x} must be 0 or 1", line_no)
-            raw_users.append(u)
-            raw_items.append(v)
-            raw_values.append(x)
+    for line_no, line in _nonblank_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 3 tab-separated fields, got {len(parts)}", line_no
+            )
+        try:
+            u, v, x = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"non-integer field in {parts!r}", line_no) from None
+        if schema is Schema.USER_ITEM_RATING and not 1 <= x <= 5:
+            raise ParseError(f"rating {x} outside 1..5", line_no)
+        if schema is Schema.USER_ITEM_LABEL and x not in (0, 1):
+            raise ParseError(f"label {x} must be 0 or 1", line_no)
+        raw_users.append(u)
+        raw_items.append(v)
+        raw_values.append(x)
     if not raw_users:
         raise ValidationError(f"no interactions found in {path}")
 
     users_arr = np.asarray(raw_users, dtype=np.int64)
     items_arr = np.asarray(raw_items, dtype=np.int64)
+    user_ids = np.unique(users_arr) if user_map is None else _frozen_id_map(user_map, "user_map")
+    item_ids = np.unique(items_arr) if item_map is None else _frozen_id_map(item_map, "item_map")
+    users = np.minimum(np.searchsorted(user_ids, users_arr), len(user_ids) - 1)
+    items = np.minimum(np.searchsorted(item_ids, items_arr), len(item_ids) - 1)
+    unknown_user = user_ids[users] != users_arr
+    unknown = unknown_user | (item_ids[items] != items_arr)
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        kind, original = ("user", users_arr) if unknown_user[row] else ("item", items_arr)
+        line_no = next(islice(_nonblank_lines(path), row, None))[0]
+        raise ParseError(f"unknown {kind} id {original[row]}", line_no)
+
     values_arr = np.asarray(raw_values, dtype=np.int64)
-
-    user_map = user_map if user_map is not None else _dense_map(users_arr)
-    item_map = item_map if item_map is not None else _dense_map(items_arr)
-    users = _apply_map(users_arr, user_map, "user")
-    items = _apply_map(items_arr, item_map, "item")
-
     if schema is Schema.USER_ITEM_RATING:
         labels = (values_arr > _POSITIVE_RATING_CUTOFF).astype(np.int8)
     else:
@@ -191,19 +208,12 @@ def load_tsv(
         users=users,
         items=items,
         labels=labels,
-        n_users=len(user_map),
-        n_items=len(item_map),
+        n_users=len(user_ids),
+        n_items=len(item_ids),
         provenance=provenance,
-        user_id_map=user_map,
-        item_id_map=item_map,
+        user_id_map=user_ids,
+        item_id_map=item_ids,
     )
-
-
-def _apply_map(original: np.ndarray, id_map: dict[int, int], kind: str) -> np.ndarray:
-    try:
-        return np.asarray([id_map[int(x)] for x in original], dtype=np.int64)
-    except KeyError as exc:
-        raise ValidationError(f"unknown {kind} id {exc.args[0]}") from None
 
 
 def save_tsv(d: Dataset, path) -> None:
@@ -215,20 +225,9 @@ def save_tsv(d: Dataset, path) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    users = _originals(d.users, d.user_id_map)
-    items = _originals(d.items, d.item_id_map)
-    with open(path, "w", encoding="utf-8") as handle:
-        for i in range(len(d)):
-            handle.write(f"{int(users[i])}\t{int(items[i])}\t{int(d.labels[i])}\n")
-
-
-def _originals(dense: np.ndarray, id_map: dict[int, int] | None) -> np.ndarray:
-    if id_map is None:
-        return dense
-    inverse = np.empty(len(id_map), dtype=np.int64)
-    for orig, idx in id_map.items():
-        inverse[idx] = orig
-    return inverse[dense]
+    users = d.users if d.user_id_map is None else d.user_id_map[d.users]
+    items = d.items if d.item_id_map is None else d.item_id_map[d.items]
+    np.savetxt(path, np.column_stack([users, items, d.labels]), fmt="%d", delimiter="\t")
 
 
 def split_ratio(

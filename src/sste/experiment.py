@@ -34,7 +34,7 @@ from .data import (
     split_ratio,
 )
 from .errors import ParseError, SsteError, ValidationError
-from .model import Branch, MfModel, save_checkpoint
+from .model import Branch, MfModel, load_checkpoint, save_checkpoint
 from .propensity import (DEFAULT_FLOOR, DEFAULT_GAMMA, check_epsilon, check_settings,
                          estimate_popularity_propensity)
 from .seeding import derive_seed
@@ -306,12 +306,12 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
         return _synthetic_world(cfg.synthetic_spec())
     schema = Schema(cfg.schema)
     biased = load_tsv(cfg.train_path, schema, provenance=Provenance.BIASED_TRAIN)
+
+    def aligned(path, provenance: Provenance) -> Dataset:
+        return load_tsv(path, schema, provenance, biased.user_id_map, biased.item_id_map)
+
     if cfg.val_path:
-        train = biased
-        val = load_tsv(
-            cfg.val_path, schema, provenance=Provenance.BIASED_VALIDATION,
-            user_map=biased.user_id_map, item_map=biased.item_id_map,
-        )
+        train, val = biased, aligned(cfg.val_path, Provenance.BIASED_VALIDATION)
     else:
         train, val = split_ratio(
             biased, cfg.split_ratio, SplitMode(cfg.split_mode),
@@ -319,11 +319,7 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
         )
     if not cfg.test_path:
         return train, val, None
-    test = load_tsv(
-        cfg.test_path, schema, provenance=Provenance.UNIFORM_TEST,
-        user_map=biased.user_id_map, item_map=biased.item_id_map,
-    )
-    return train, val, test
+    return train, val, aligned(cfg.test_path, Provenance.UNIFORM_TEST)
 
 
 def train_model(
@@ -395,18 +391,45 @@ def test_metrics_for(
 
 def save_model(model: MfModel, train: Dataset, path) -> None:
     """Checkpoint at ``path``, plus ``<path>.vocab.json`` when ``train`` was
-    loaded from files: its original-to-dense id maps, which ``sste evaluate``
-    needs to score files in the original id space."""
+    loaded from files: its original-to-dense id maps, which ``load_model``
+    reads back so that ``sste evaluate`` scores files in the original id space."""
     save_checkpoint(model, path)
     if train.user_id_map is None:
         return
     vocab = {
-        "users": {str(orig): dense for orig, dense in train.user_id_map.items()},
-        "items": {str(orig): dense for orig, dense in train.item_id_map.items()},
+        key: {str(orig): dense for dense, orig in enumerate(ids.tolist())}
+        for key, ids in (("users", train.user_id_map), ("items", train.item_id_map))
     }
     Path(str(path) + ".vocab.json").write_text(
         json.dumps(vocab, sort_keys=True), encoding="utf-8"
     )
+
+
+def load_model(path) -> tuple[MfModel, np.ndarray, np.ndarray]:
+    """(model, user ids, item ids) of a ``save_model`` checkpoint; row ``i`` is
+    original id ``ids[i]``, and the ids are the rows when there is no sidecar.
+    A sidecar must map nonempty, distinct int64 ids of each kind onto the rows
+    ``0..n-1`` in original-id order, else ParseError."""
+    model = load_checkpoint(path)
+    sidecar = Path(str(path) + ".vocab.json")
+    if not sidecar.exists():
+        return model, np.arange(model.n_users), np.arange(model.n_items)
+    try:
+        raw = json.loads(sidecar.read_text(encoding="utf-8"))
+        maps = [sorted((int(orig), row) for orig, row in raw[key].items())
+                for key in ("users", "items")]
+        ids = [np.array([orig for orig, _ in pairs], dtype=np.int64) for pairs in maps]
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError):
+        raise ParseError(f"malformed vocab sidecar {sidecar}") from None
+    for kind, n_rows, pairs in zip(("user", "item"), (model.n_users, model.n_items), maps):
+        rows = [row for _, row in pairs]
+        if any(type(row) is int and not 0 <= row < n_rows for row in rows):
+            raise ParseError(f"{sidecar} maps {kind} ids outside the checkpoint's {n_rows} rows")
+        if (not rows or any(type(row) is not int for row in rows)
+                or rows != list(range(len(rows))) or len(dict(pairs)) < len(pairs)):
+            raise ParseError(f"malformed vocab sidecar {sidecar}: the {kind} ids must be "
+                             f"distinct and take rows 0..n-1 in original-id order")
+    return model, *ids
 
 
 def _write_json(path: Path, payload: dict) -> None:

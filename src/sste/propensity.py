@@ -121,13 +121,14 @@ def truncate(p: np.ndarray, epsilon: float) -> SampleProbTable:
     )
 
 
-def save_table(t: PropensityTable, path, item_id_map: dict[int, int] | None = None) -> None:
+def save_table(t: PropensityTable, path, item_ids: np.ndarray | None = None) -> None:
     """Write item<TAB>propensity lines in dense-id order.
 
-    ``item_id_map`` is a loaded dataset's original-to-dense item map; with it
-    the lines carry the original ids, without it the dense ids.
+    ``item_ids`` is a loaded dataset's ``item_id_map``; with it the lines
+    carry the original ids, without it the dense ids.
     """
-    original = {dense: orig for orig, dense in (item_id_map or {}).items()}
+    values = t.per_item_propensity
+    items = np.arange(len(values)) if item_ids is None else item_ids
     with open(path, "w", encoding="utf-8") as handle:
-        for dense, value in enumerate(t.per_item_propensity):
-            handle.write(f"{original.get(dense, dense)}\t{float(value)!r}\n")
+        for item, value in zip(items.tolist(), values.tolist(), strict=True):
+            handle.write(f"{item}\t{value!r}\n")

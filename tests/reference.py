@@ -255,7 +255,7 @@ def central_difference(f, x: float, h: float = 1e-5) -> float:
 
 
 def make_dataset(users, items, labels, n_users, n_items,
-                 provenance=Provenance.BIASED_TRAIN) -> Dataset:
+                 provenance=Provenance.BIASED_TRAIN, **id_maps) -> Dataset:
     return Dataset(
         users=np.asarray(users, dtype=np.int64),
         items=np.asarray(items, dtype=np.int64),
@@ -263,7 +263,22 @@ def make_dataset(users, items, labels, n_users, n_items,
         n_users=n_users,
         n_items=n_items,
         provenance=provenance,
+        **id_maps,
     )
+
+
+def save_tsv_per_row(d: Dataset) -> str:
+    """The text of a label-schema TSV, one f-string per row, original ids
+    inverted through a dict built from each id map."""
+    def originals(dense, ids):
+        if ids is None:
+            return [int(x) for x in dense]
+        inverse = {i: int(orig) for i, orig in enumerate(ids)}
+        return [inverse[int(x)] for x in dense]
+
+    users = originals(d.users, d.user_id_map)
+    items = originals(d.items, d.item_id_map)
+    return "".join(f"{users[i]}\t{items[i]}\t{int(d.labels[i])}\n" for i in range(len(d)))
 
 
 def separable_4x4() -> Dataset:

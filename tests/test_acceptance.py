@@ -10,6 +10,7 @@ binding one.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from sste.data import (
     SyntheticSpec,
     generate_synthetic,
     load_tsv,
+    save_tsv,
     split_ratio,
     stats,
 )
@@ -45,6 +47,7 @@ from reference import (
     lazy_l2_batch_objective,
     make_dataset,
 )
+from compare_runs import differing_files
 from run_synthetic_study import selected_test_auc, study_config
 
 YAHOO_DIR = Path(os.environ.get("SSTE_YAHOO_R3_DIR", "data/yahoo-r3"))
@@ -330,3 +333,28 @@ class TestRepeatRuns:
             report_b = json.loads((dir_b / "report.json").read_text())
             assert report_a["best_epoch"] == report_b["best_epoch"]
             assert report_a["test_metrics"] == report_b["test_metrics"]
+            assert differing_files(tmp_path / "first", tmp_path / "second") == []
+
+            # File mode, on ids that are neither contiguous nor from 0, also
+            # writes the vocab sidecar. A milder bias lets train show every
+            # item, as file mode requires.
+            data_dir = tmp_path / "files"
+            spec = replace(config(data_dir), exposure_bias_strength=0.5).synthetic_spec()
+            world = generate_synthetic(spec)[:3]
+            for name, d in zip(("train", "val", "test"), world):
+                save_tsv(replace(d, user_id_map=5 * np.arange(d.n_users) - 40,
+                                 item_id_map=7 * np.arange(d.n_items) + 2**40),
+                         data_dir / f"{name}.tsv")
+
+            def file_config(out_dir) -> RunConfig:
+                return replace(
+                    config(out_dir), synthetic=False, schema="label", max_epochs=2,
+                    **{f"{name}_path": str(data_dir / f"{name}.tsv")
+                       for name in ("train", "val", "test")},
+                )
+
+            first = run_one(file_config(tmp_path / "first-files"))
+            second = run_one(file_config(tmp_path / "second-files"))
+            assert first.status == "ok" and second.status == "ok"
+            assert (Path(first.run_dir) / "model.ckpt.vocab.json").exists()
+            assert differing_files(tmp_path / "first-files", tmp_path / "second-files") == []

@@ -279,6 +279,18 @@ class TestTrainAndEvaluate:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    def test_evaluate_names_the_line_of_an_unknown_id(self, trained, synth_dir,
+                                                      tmp_path, capsys):
+        ckpt, _, _ = trained
+        lines = (synth_dir / "test.tsv").read_text().splitlines()
+        test = tmp_path / "unknown.tsv"
+        test.write_text("\n".join(lines[:3] + ["999\t0\t1"] + lines[3:]) + "\n")
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--schema", "label", "--metrics", "auc"]) == 1
+        captured = capsys.readouterr()
+        assert "error: line 4: unknown user id 999" in captured.err
+        assert captured.out == ""
+
 
 def train_and_run(synth_dir, tmp_path, capsys, settings):
     """``sste train`` and ``exp run`` on the same settings.

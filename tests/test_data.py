@@ -22,7 +22,7 @@ from sste.data import (
 )
 from sste.errors import DivisionGuardError, ParseError, ValidationError
 
-from reference import make_dataset
+from reference import make_dataset, save_tsv_per_row
 
 
 def write_lines(path, lines):
@@ -63,8 +63,8 @@ class TestLoadTsv:
     def test_ids_are_densified_in_sorted_order(self, tmp_path):
         path = write_lines(tmp_path / "a.tsv", ["10\t30\t4", "3\t20\t2"])
         ds = load_tsv(path, Schema.USER_ITEM_RATING)
-        assert ds.user_id_map == {3: 0, 10: 1}
-        assert ds.item_id_map == {20: 0, 30: 1}
+        assert ds.user_id_map.tolist() == [3, 10]
+        assert ds.item_id_map.tolist() == [20, 30]
         assert ds.users.tolist() == [1, 0]
         assert ds.items.tolist() == [1, 0]
 
@@ -88,13 +88,43 @@ class TestLoadTsv:
         train = write_lines(tmp_path / "tr.tsv", ["5\t9\t4"])
         test = write_lines(tmp_path / "te.tsv", ["77\t9\t5"])
         tr = load_tsv(train, Schema.USER_ITEM_RATING)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError, match="line 1"):
             load_tsv(
                 test,
                 Schema.USER_ITEM_RATING,
                 user_map=tr.user_id_map,
                 item_map=tr.item_id_map,
             )
+
+    def test_the_earliest_unknown_id_is_reported_with_its_line(self, tmp_path):
+        train = write_lines(tmp_path / "tr.tsv", ["5\t9\t4", "6\t8\t1"])
+        # Blank lines count for the line number but not as rows.
+        test = write_lines(tmp_path / "te.tsv",
+                           ["6\t9\t5", "", "5\t7\t5", "", "77\t8\t2", "78\t7\t1"])
+        tr = load_tsv(train, Schema.USER_ITEM_RATING)
+        with pytest.raises(ParseError, match="^line 3: unknown item id 7$"):
+            load_tsv(test, Schema.USER_ITEM_RATING,
+                     user_map=tr.user_id_map, item_map=tr.item_id_map)
+
+    def test_an_unknown_user_is_named_before_an_unknown_item_of_its_line(self, tmp_path):
+        test = write_lines(tmp_path / "te.tsv", ["5\t9\t4", "-3\t7\t1"])
+        with pytest.raises(ParseError, match="^line 2: unknown user id -3$"):
+            load_tsv(test, Schema.USER_ITEM_RATING,
+                     user_map=np.array([5]), item_map=np.array([9]))
+
+    @pytest.mark.parametrize("bad_map, message", [
+        (np.array([9, 5]), "strictly increasing"),
+        (np.array([5, 5, 9]), "strictly increasing"),
+        (np.array([], dtype=np.int64), "strictly increasing"),
+        (np.array([5.0, 9.0]), "int64 vector"),
+        (np.array([[5, 9]]), "int64 vector"),
+    ])
+    def test_a_given_map_that_is_not_a_sorted_id_vector_is_rejected(
+        self, tmp_path, bad_map, message
+    ):
+        test = write_lines(tmp_path / "te.tsv", ["9\t9\t4"])
+        with pytest.raises(ValidationError, match=f"user_map must be .*{message}"):
+            load_tsv(test, Schema.USER_ITEM_RATING, user_map=bad_map)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_lines(tmp_path / "a.tsv", ["1\t1\t4", "", "2\t2\t1"])
@@ -147,8 +177,55 @@ class TestSaveTsv:
         assert np.array_equal(back.items, ds.items)
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_the_int64_extremes_are_written_exactly(self, tmp_path):
+        ids = [-2**63, -1, 0, 2**53 + 1, 2**63 - 1]
+        ds = make_dataset(range(5), [0, 1, 2, 3, 4], [1, 0, 1, 0, 1], n_users=5, n_items=5,
+                          user_id_map=ids, item_id_map=ids)
+        save_tsv(ds, tmp_path / "d.tsv")
+        assert (tmp_path / "d.tsv").read_text() == save_tsv_per_row(ds)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n_rows=st.integers(0, 12), mapped=st.booleans())
+    def test_matches_the_per_row_writer(self, tmp_path_factory, data, n_rows, mapped):
+        id_maps = st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=6, unique=True)
+        user_ids = np.sort(np.array(data.draw(id_maps), dtype=np.int64))
+        item_ids = np.sort(np.array(data.draw(id_maps), dtype=np.int64))
+        rows = st.lists(st.integers(0, 10**6), min_size=n_rows, max_size=n_rows)
+        ds = make_dataset(
+            np.array(data.draw(rows), dtype=np.int64) % len(user_ids),
+            np.array(data.draw(rows), dtype=np.int64) % len(item_ids),
+            np.array(data.draw(rows), dtype=np.int64) % 2,
+            n_users=len(user_ids), n_items=len(item_ids),
+            user_id_map=user_ids if mapped else None,
+            item_id_map=item_ids if mapped else None,
+        )
+        out = tmp_path_factory.mktemp("save") / "d.tsv"
+        save_tsv(ds, out)
+        assert out.read_bytes() == save_tsv_per_row(ds).encode("utf-8")
+
 
 class TestDatasetValidation:
+    def test_an_unsorted_id_map_is_rejected(self):
+        with pytest.raises(ValidationError, match="user_id_map must be .*strictly increasing"):
+            make_dataset([0, 1], [0, 0], [1, 0], n_users=2, n_items=1,
+                         user_id_map=[10, 3], item_id_map=[7])
+
+    def test_an_id_map_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValidationError, match="item_id_map holds 3 ids, expected 1"):
+            make_dataset([0], [0], [1], n_users=1, n_items=1,
+                         user_id_map=[3], item_id_map=[7, 8, 9])
+
+    def test_id_maps_are_read_only_copies(self):
+        given = np.array([3, 10])
+        ds = make_dataset([0, 1], [0, 0], [1, 0], n_users=2, n_items=1,
+                          user_id_map=given, item_id_map=[7])
+        given[0] = 99
+        assert ds.user_id_map.tolist() == [3, 10]
+        assert ds.user_id_map.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            ds.user_id_map[0] = 4
+        assert ds.take(np.array([1])).user_id_map.tolist() == [3, 10]
+
     def test_user_id_out_of_range(self):
         with pytest.raises(ValidationError):
             make_dataset([0, 5], [0, 0], [1, 0], n_users=2, n_items=1)

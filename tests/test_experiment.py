@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sste import experiment
 from sste.cli import build_parser, main as cli_main
-from sste.data import generate_synthetic, save_tsv
+from sste.data import Schema, generate_synthetic, load_tsv, save_tsv
 from sste.errors import ParseError, SsteError, ValidationError
 from sste.experiment import (
     GridSpec,
@@ -20,11 +20,14 @@ from sste.experiment import (
     build_datasets,
     load_config,
     load_grid,
+    load_model,
     make_table,
     run_grid,
     run_one,
     save_config,
+    save_model,
 )
+from sste.model import init
 from sste.propensity import estimate_popularity_propensity
 from sste.seeding import derive_seed
 from sste.selfsample import train_family, val_family
@@ -709,3 +712,69 @@ class TestSyntheticWorldCache:
         run_grid(grid, replace(base, out_dir=str(tmp_path / "fresh")))
         assert len(builds) == 1 + 4
         assert differing_files(tmp_path / "shared", tmp_path / "fresh") == []
+
+
+class TestModelFiles:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        """A checkpoint saved for the dataset of users 3, 10 and items 20, 30."""
+        src = tmp_path / "a.tsv"
+        src.write_text("10\t30\t4\n3\t20\t2\n")
+        train = load_tsv(src, Schema.USER_ITEM_RATING)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(init(2, 2, k=3, scale=0.1, seed=1), train, ckpt)
+        return ckpt
+
+    def write_vocab(self, ckpt, users, items):
+        Path(str(ckpt) + ".vocab.json").write_text(json.dumps({"users": users, "items": items}))
+
+    def test_the_sidecar_bytes_are_fixed(self, saved):
+        assert Path(str(saved) + ".vocab.json").read_bytes() == (
+            b'{"items": {"20": 0, "30": 1}, "users": {"10": 1, "3": 0}}'
+        )
+
+    def test_load_model_reads_back_the_ids_of_each_row(self, saved):
+        model, user_ids, item_ids = load_model(saved)
+        assert model.n_users == 2
+        assert user_ids.tolist() == [3, 10]
+        assert item_ids.tolist() == [20, 30]
+
+    def test_without_a_sidecar_the_ids_are_the_rows(self, saved):
+        Path(str(saved) + ".vocab.json").unlink()
+        _, user_ids, item_ids = load_model(saved)
+        assert user_ids.tolist() == [0, 1]
+        assert item_ids.tolist() == [0, 1]
+
+    def test_two_ids_on_one_row_are_refused(self, saved):
+        self.write_vocab(saved, {"3": 0, "10": 0}, {"20": 0, "30": 1})
+        with pytest.raises(ParseError, match="malformed vocab sidecar"):
+            load_model(saved)
+
+    def test_one_id_written_twice_is_refused(self, saved):
+        self.write_vocab(saved, {"3": 0, "03": 1}, {"20": 0, "30": 1})
+        with pytest.raises(ParseError, match="malformed vocab sidecar"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("kind", ["users", "items"])
+    def test_an_empty_map_is_refused(self, saved, kind):
+        vocab = {"users": {"3": 0, "10": 1}, "items": {"20": 0, "30": 1}}
+        vocab[kind] = {}
+        self.write_vocab(saved, vocab["users"], vocab["items"])
+        with pytest.raises(ParseError, match="malformed vocab sidecar"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("users", [
+        {"3": 1, "10": 0},  # rows out of original-id order
+        {"3": 1},  # rows that do not start at 0
+        {"3": True, "10": 1},  # a row that is not an int
+        {"3": 0, str(2**63): 1},  # an id beyond int64
+    ])
+    def test_rows_other_than_0_to_n_in_id_order_are_refused(self, saved, users):
+        self.write_vocab(saved, users, {"20": 0, "30": 1})
+        with pytest.raises(ParseError, match="malformed vocab sidecar"):
+            load_model(saved)
+
+    def test_a_row_beyond_the_checkpoint_is_named(self, saved):
+        self.write_vocab(saved, {"3": 0, "10": 1}, {"20": 0, "30": 2})
+        with pytest.raises(ParseError, match="maps item ids outside the checkpoint's 2 rows"):
+            load_model(saved)

@@ -219,5 +219,7 @@ class TestSaveTable:
         lines = out.read_text().splitlines()
         assert lines[0].split("\t") == ["0", "1.0"]
         assert float(lines[1].split("\t")[1]) == 0.25
-        save_table(table, str(out), item_id_map={205: 1, 100: 0})
+        save_table(table, str(out), np.array([100, 205]))
         assert out.read_text().splitlines() == ["100\t1.0", "205\t0.25"]
+        with pytest.raises(ValueError):
+            save_table(table, str(out), np.array([100]))
