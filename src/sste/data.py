@@ -24,6 +24,8 @@ _POSITIVE_RATING_CUTOFF = 3  # rating > 3 is a positive
 _RELEVANCE_SLOPE = 2.0  # logit scale of synthetic relevance
 _USER_FACTOR_SHIFT = 0.75  # nonzero user-factor mean gives items real main effects
 _SYNTH_VAL_RATIO = 0.8  # biased pool -> train:val split
+_ID_MIN, _ID_MAX = -2**63, 2**63 - 1  # the int64 range
+_PLAIN_DIGITS = 18  # the longest field the vectorized parse takes: every such id fits int64
 
 
 class Provenance(Enum):
@@ -36,6 +38,13 @@ class Provenance(Enum):
 class Schema(Enum):
     USER_ITEM_RATING = "rating"
     USER_ITEM_LABEL = "label"
+
+
+# Accepted values of the third column, and the message for any other.
+_VALUES = {
+    Schema.USER_ITEM_RATING: (1, 5, "rating {} outside 1..5"),
+    Schema.USER_ITEM_LABEL: (0, 1, "label {} must be 0 or 1"),
+}
 
 
 class SplitMode(Enum):
@@ -133,13 +142,69 @@ class DatasetStats:
     n_items: int
 
 
-def _nonblank_lines(path):
-    """(1-based line number, text) of every non-blank line of a TSV file."""
-    with open(path, "r", encoding="utf-8", newline=None) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip("\n").strip("\r")
-            if line:
-                yield line_no, line
+def _nonblank_lines(data: bytes):
+    """(1-based line number, text) of every non-blank line of a TSV file's
+    bytes. Lines end at ``\n``, ``\r\n`` or ``\r``, as in Python's universal
+    newlines; a line that is not UTF-8 is a ParseError."""
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        if line:
+            try:
+                yield line_no, line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("invalid UTF-8", line_no) from None
+
+
+def _parse_lines(data: bytes, schema: Schema) -> np.ndarray:
+    """The (rows, 3) user/item/value table by one ``int()`` per field: the
+    definition of the accepted grammar. The first malformed line raises
+    ParseError with its number."""
+    low, high, message = _VALUES[schema]
+    table: list[int] = []
+    for line_no, line in _nonblank_lines(data):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 3 tab-separated fields, got {len(parts)}", line_no
+            )
+        try:
+            u, v, x = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"non-integer field in {parts!r}", line_no) from None
+        for kind, original in (("user", u), ("item", v)):
+            if not _ID_MIN <= original <= _ID_MAX:
+                raise ParseError(f"{kind} id {original} outside int64", line_no)
+        if not low <= x <= high:
+            raise ParseError(message.format(x), line_no)
+        table += (u, v, x)
+    return np.array(table, dtype=np.int64).reshape(-1, 3)
+
+
+def _plain_table(data: bytes, schema: Schema) -> np.ndarray | None:
+    """The (rows, 3) table of a file whose every byte is an ASCII digit, tab
+    or newline, whose every non-blank line is three fields of 1 to 18 digits
+    (so each fits int64) and whose values are in range; else None. Such a
+    file is one ``_parse_lines`` accepts, with the same table."""
+    if data.translate(None, b"0123456789\t\n"):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf < ord("0"))  # every tab and newline
+    is_tab = buf[ends] == ord("\t")
+    widths = np.diff(ends, prepend=-1) - 1
+    # Drop the newline of each blank line: empty, and not after a tab.
+    keep = is_tab | (widths > 0) | np.concatenate(([False], is_tab[:-1]))
+    is_tab, widths = is_tab[keep], widths[keep]
+    if (len(is_tab) % 3 or not np.all(is_tab.reshape(-1, 3) == (True, True, False))
+            or not np.all((widths >= 1) & (widths <= _PLAIN_DIGITS))):
+        return None
+    if not len(widths):  # only blank lines, where fromstring would read one 0
+        return np.empty((0, 3), dtype=np.int64)
+    # With the structure checked, the whitespace-separated parse reads each
+    # field as int() does.
+    table = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 3)
+    low, high, _ = _VALUES[schema]
+    return table if np.all((table[:, 2] >= low) & (table[:, 2] <= high)) else None
 
 
 def load_tsv(
@@ -151,42 +216,29 @@ def load_tsv(
 ) -> Dataset:
     """Parse a user/item/rating-or-label TSV into a Dataset.
 
+    Each field is what ``int()`` accepts. A file of plain digit/tab/newline
+    lines is parsed in one vectorized pass; any other file, or one whose
+    value column is out of range, is read line by line.
+
     Ids are re-mapped to dense indices in sorted original-id order. Pass
     ``user_map``/``item_map`` from a previously loaded dataset to align a
     second file to the same vocabulary.
 
     Raises:
         ParseError: malformed line (wrong field count, non-integer field,
-            out-of-range rating or label, an id a given map lacks), with its
-            1-based line number.
+            an id outside int64, out-of-range rating or label, invalid
+            UTF-8, an id a given map lacks), with its 1-based line number.
         ValidationError: empty file or a malformed given map.
     """
     schema = Schema(schema)
-    raw_users: list[int] = []
-    raw_items: list[int] = []
-    raw_values: list[int] = []
-    for line_no, line in _nonblank_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 3 tab-separated fields, got {len(parts)}", line_no
-            )
-        try:
-            u, v, x = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer field in {parts!r}", line_no) from None
-        if schema is Schema.USER_ITEM_RATING and not 1 <= x <= 5:
-            raise ParseError(f"rating {x} outside 1..5", line_no)
-        if schema is Schema.USER_ITEM_LABEL and x not in (0, 1):
-            raise ParseError(f"label {x} must be 0 or 1", line_no)
-        raw_users.append(u)
-        raw_items.append(v)
-        raw_values.append(x)
-    if not raw_users:
+    data = Path(path).read_bytes()
+    table = _plain_table(data, schema)
+    if table is None:
+        table = _parse_lines(data, schema)
+    if not len(table):
         raise ValidationError(f"no interactions found in {path}")
 
-    users_arr = np.asarray(raw_users, dtype=np.int64)
-    items_arr = np.asarray(raw_items, dtype=np.int64)
+    users_arr, items_arr, values_arr = table.T
     user_ids = np.unique(users_arr) if user_map is None else _frozen_id_map(user_map, "user_map")
     item_ids = np.unique(items_arr) if item_map is None else _frozen_id_map(item_map, "item_map")
     users = np.minimum(np.searchsorted(user_ids, users_arr), len(user_ids) - 1)
@@ -196,10 +248,9 @@ def load_tsv(
     if unknown.any():
         row = int(np.argmax(unknown))
         kind, original = ("user", users_arr) if unknown_user[row] else ("item", items_arr)
-        line_no = next(islice(_nonblank_lines(path), row, None))[0]
+        line_no = next(islice(_nonblank_lines(data), row, None))[0]
         raise ParseError(f"unknown {kind} id {original[row]}", line_no)
 
-    values_arr = np.asarray(raw_values, dtype=np.int64)
     if schema is Schema.USER_ITEM_RATING:
         labels = (values_arr > _POSITIVE_RATING_CUTOFF).astype(np.int8)
     else:

@@ -2,16 +2,17 @@
 
 Everything here is written the slow, obvious way (pair enumeration,
 pooled ranges, one user at a time, explicit finite differences, masked
-sigmoid, ``np.add.at`` scatters, Adam state read row by row twice) and
-stays free of the package's own metric, gradient or optimizer code paths.
+sigmoid, ``np.add.at`` scatters, Adam state read row by row twice, one
+``int()`` per TSV field) and stays free of the package's own metric,
+gradient, optimizer or parsing code paths.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from sste.data import Dataset, Provenance
-from sste.errors import ValidationError
+from sste.data import Dataset, Provenance, Schema
+from sste.errors import ParseError, ValidationError
 from sste.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sste.seeding import rng_for
 
@@ -290,3 +291,63 @@ def separable_4x4() -> Dataset:
             items.append(v)
             labels.append(1 if v < 2 else 0)
     return make_dataset(users, items, labels, 4, 4)
+
+
+def load_tsv_per_line(path, schema, user_map=None, item_map=None) -> dict:
+    """The columns and id maps ``load_tsv`` gives a file, read line by line.
+
+    A text-mode read with universal newlines, one ``int()`` per field and
+    the ids densified through dicts, checked in this order per line: field
+    count, integers, ids within int64, the value's range. A byte that is not
+    UTF-8 is escaped by the reader and reported for its line. An unknown id
+    under a given map is looked for after the whole file has parsed, row by
+    row, a user before an item. Errors are ParseError with the line number.
+    """
+    schema = Schema(schema)
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=None) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip("\n").strip("\r")
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("invalid UTF-8", line_no) from None
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line_no)
+            try:
+                u, v, x = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"non-integer field in {parts!r}", line_no) from None
+            for kind, original in (("user", u), ("item", v)):
+                if not -2**63 <= original < 2**63:
+                    raise ParseError(f"{kind} id {original} outside int64", line_no)
+            if schema is Schema.USER_ITEM_RATING and not 1 <= x <= 5:
+                raise ParseError(f"rating {x} outside 1..5", line_no)
+            if schema is Schema.USER_ITEM_LABEL and x not in (0, 1):
+                raise ParseError(f"label {x} must be 0 or 1", line_no)
+            rows.append((line_no, u, v, x))
+    if not rows:
+        raise ValidationError(f"no interactions found in {path}")
+
+    user_ids = sorted({u for _, u, _, _ in rows}) if user_map is None else [int(u) for u in user_map]
+    item_ids = sorted({v for _, _, v, _ in rows}) if item_map is None else [int(v) for v in item_map]
+    user_index = {u: i for i, u in enumerate(user_ids)}
+    item_index = {v: i for i, v in enumerate(item_ids)}
+    for line_no, u, v, _ in rows:
+        for kind, original, index in (("user", u, user_index), ("item", v, item_index)):
+            if original not in index:
+                raise ParseError(f"unknown {kind} id {original}", line_no)
+    if schema is Schema.USER_ITEM_RATING:
+        labels = [int(x > 3) for _, _, _, x in rows]
+    else:
+        labels = [x for _, _, _, x in rows]
+    return {
+        "users": np.array([user_index[u] for _, u, _, _ in rows], dtype=np.int64),
+        "items": np.array([item_index[v] for _, _, v, _ in rows], dtype=np.int64),
+        "labels": np.array(labels, dtype=np.int8),
+        "user_id_map": np.array(user_ids, dtype=np.int64),
+        "item_id_map": np.array(item_ids, dtype=np.int64),
+    }

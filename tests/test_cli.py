@@ -66,6 +66,18 @@ class TestDataCommands:
                      str(tmp_path / "nope.tsv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"99999999999999999999\t1\t4\n",
+         "error: line 1: user id 99999999999999999999 outside int64"),
+        (b"1\t2\t4\n\xff\t2\t4\n", "error: line 2: invalid UTF-8"),
+    ])
+    def test_stats_on_a_malformed_file_names_its_line(self, tmp_path, capsys,
+                                                      content, message):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(content)
+        assert main(["data", "stats", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_bad_spec_key_exits_nonzero(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_users=10\nwhat=3\n")

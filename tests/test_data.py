@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sste import data as datamod
 from sste.data import (
     DatasetStats,
     Provenance,
@@ -22,7 +23,7 @@ from sste.data import (
 )
 from sste.errors import DivisionGuardError, ParseError, ValidationError
 
-from reference import make_dataset, save_tsv_per_row
+from reference import load_tsv_per_line, make_dataset, save_tsv_per_row
 
 
 def write_lines(path, lines):
@@ -155,6 +156,112 @@ class TestLoadTsv:
         path = write_lines(tmp_path / "a.tsv", [])
         with pytest.raises(ValidationError):
             load_tsv(path, Schema.USER_ITEM_RATING)
+
+
+def load_outcome(load, path, schema, **maps):
+    """What ``load`` makes of a file: its columns and id maps, or the class,
+    message and line of the error it raises."""
+    try:
+        result = load(path, schema, **maps)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_number", None)
+    if not isinstance(result, dict):
+        result = {name: getattr(result, name)
+                  for name in ("users", "items", "labels", "user_id_map", "item_id_map")}
+    return {name: (a.dtype.str, a.tolist()) for name, a in result.items()}
+
+
+# Inputs at the edges of the grammar: the value column holds 1 where the
+# case is about something else, so both schemas read it.
+ODD_INPUTS = {
+    "blank lines": b"\n1\t2\t1\n\n\n3\t4\t1\n\n",
+    "crlf endings": b"1\t2\t1\r\n\r\n3\t4\t1\r\n",
+    "cr endings": b"1\t2\t1\r3\t4\t1\r",
+    "no final newline": b"1\t2\t1\n3\t4\t1",
+    "plus sign": b"+3\t2\t1\n",
+    "leading space": b" 3\t2\t1\n",
+    "trailing space": b"3\t2\t1 \n",
+    "underscore": b"1_0\t2\t1\n",
+    "leading zeros": b"007\t0002\t01\n",
+    "negative id": b"-3\t2\t1\n",
+    "empty field": b"1\t\t1\n",
+    "trailing tab": b"1\t2\t1\t\n",
+    "a line's fields split by a newline": b"1\t\n2\t1\n",
+    "two fields": b"1\t2\n",
+    "four fields": b"1\t2\t1\t1\n",
+    "two fields, then four": b"1\t2\n3\t4\t1\t1\n",
+    "spaces-only line": b"1\t2\t1\n \n",
+    "18-digit ids": b"999999999999999999\t100000000000000000\t1\n",
+    "19-digit ids within int64": b"9223372036854775807\t-9223372036854775808\t1\n",
+    "19-digit id beyond int64": b"1\t2\t1\n9223372036854775808\t1\t1\n",
+    "20-digit id": b"99999999999999999999\t1\t4\n",
+    "item id below int64": b"1\t-9223372036854775809\t1\n",
+    "non-ASCII digit": "\u0661\t2\t1\n".encode(),
+    "byte order mark": b"\xef\xbb\xbf1\t2\t1\n",
+    "non-UTF-8 byte": b"1\t2\t4\n\xff\t2\t4\n",
+    "malformed line before a non-UTF-8 byte": b"1\tx\t1\n\xff\n",
+    "value 0": b"1\t2\t0\n",
+    "value 6": b"1\t2\t6\n",
+    "value 2": b"1\t2\t2\n",
+    "bad value after plain lines": b"1\t2\t1\n" * 3 + b"5\t5\t9\n",
+    "empty file": b"",
+    "only newlines": b"\n\n\n",
+}
+# The inputs the vectorized parse takes whole.
+PLAIN_INPUTS = ("blank lines", "no final newline", "leading zeros", "18-digit ids",
+                "value 0", "empty file", "only newlines")
+GIVEN_MAPS = {"user_map": np.array([1, 3, 7]), "item_map": np.array([2, 4])}
+
+
+def forbid_the_line_loop(monkeypatch):
+    """Make load_tsv fail the test if it reads any file line by line."""
+    def no_lines(data):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(datamod, "_nonblank_lines", no_lines)
+
+
+class TestLoadTsvMatchesTheLineReader:
+    """load_tsv against the line-by-line reader of reference.py: the same
+    arrays, or the same error class, message and line."""
+
+    @pytest.mark.parametrize("schema", list(Schema))
+    @pytest.mark.parametrize("given_maps", [False, True], ids=["own maps", "given maps"])
+    @pytest.mark.parametrize("name", ODD_INPUTS)
+    def test_odd_inputs(self, tmp_path, name, schema, given_maps):
+        path = tmp_path / "odd.tsv"
+        path.write_bytes(ODD_INPUTS[name])
+        maps = GIVEN_MAPS if given_maps else {}
+        assert (load_outcome(load_tsv, path, schema, **maps)
+                == load_outcome(load_tsv_per_line, path, schema, **maps))
+
+    @pytest.mark.parametrize("name", PLAIN_INPUTS)
+    def test_plain_inputs_never_reach_the_line_loop(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "plain.tsv"
+        path.write_bytes(ODD_INPUTS[name])
+        expected = load_outcome(load_tsv_per_line, path, Schema.USER_ITEM_LABEL)
+        forbid_the_line_loop(monkeypatch)
+        assert load_outcome(load_tsv, path, Schema.USER_ITEM_LABEL) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(
+            st.text("0123456789", min_size=1, max_size=20),
+            st.text("0123456789", min_size=1, max_size=20),
+            st.integers(0, 6),
+            st.sampled_from(["", "", "", "+", " ", "-"]),
+            st.sampled_from(["\n", "\n", "\n", "\n\n", "\r\n", "\t\n", "\t"]),
+        ), max_size=12),
+        final_newline=st.booleans(),
+        schema=st.sampled_from(list(Schema)),
+    )
+    def test_random_files(self, tmp_path_factory, rows, final_newline, schema):
+        text = "".join(f"{prefix}{u}\t{v}\t{x}{end}" for u, v, x, prefix, end in rows)
+        text = text.rstrip("\n") + ("\n" if final_newline else "")
+        path = tmp_path_factory.mktemp("random") / "r.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert (load_outcome(load_tsv, path, schema)
+                == load_outcome(load_tsv_per_line, path, schema))
 
 
 class TestSaveTsv:

@@ -1,7 +1,9 @@
 """Run configs, grid search, run directories, and the comparison table."""
 
+import importlib.util
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +37,8 @@ from sste.train import fit
 
 from compare_runs import differing_files
 from run_synthetic_study import study_config
-from test_data import small_spec
+from reference import load_tsv_per_line
+from test_data import forbid_the_line_loop, load_outcome, small_spec
 
 TESTS = Path(__file__).parent
 
@@ -417,6 +420,14 @@ class TestRunOne:
         assert status["status"] == "failed"
         assert status["stage"] == "data"
 
+    def test_a_non_utf8_input_fails_at_the_data_stage(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"1\t2\t4\n\xff\t2\t4\n")
+        result = run_one(quick_cfg(tmp_path, synthetic=False,
+                                   train_path=str(bad), test_path=str(bad)))
+        assert (result.status, result.stage) == ("failed", "data")
+        assert result.error == "ParseError: line 2: invalid UTF-8"
+
     def test_divergence_fails_at_the_train_stage(self, tmp_path):
         cfg = quick_cfg(tmp_path, learning_rate=1e3, max_epochs=10)
         result = run_one(cfg)
@@ -468,6 +479,55 @@ class TestRunOne:
             result.report["best_modified_score"], abs=1e-12
         )
         assert state.best_epoch == result.report["best_epoch"]
+
+
+def yahoo_gen():
+    """perfbench/yahoo_gen.py, loaded by path as perfbench loads the study script."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_yahoo_gen", TESTS.parent / "perfbench" / "yahoo_gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def yahoo_dir(tmp_path_factory):
+    """train.tsv and test.tsv of a small Yahoo! R3-shaped world."""
+    gen = yahoo_gen()
+    out = tmp_path_factory.mktemp("yahoo")
+    gen.build(out, 1, gen.Shape(n_users=300, n_items=100, train_rows=3300,
+                                test_users=50, test_items_per_user=5))
+    return out
+
+
+class TestYahooShapedFiles:
+    def test_the_files_take_the_vectorized_parse(self, yahoo_dir, monkeypatch):
+        rating = Schema.USER_ITEM_RATING
+        train_path, test_path = yahoo_dir / "train.tsv", yahoo_dir / "test.tsv"
+        expected_train = load_outcome(load_tsv_per_line, train_path, rating)
+        maps = {"user_map": np.array(expected_train["user_id_map"][1]),
+                "item_map": np.array(expected_train["item_id_map"][1])}
+        expected_test = load_outcome(load_tsv_per_line, test_path, rating, **maps)
+        forbid_the_line_loop(monkeypatch)
+        assert load_outcome(load_tsv, train_path, rating) == expected_train
+        assert load_outcome(load_tsv, test_path, rating, **maps) == expected_test
+
+    def test_a_file_mode_run_repeats_byte_for_byte(self, yahoo_dir, tmp_path):
+        def config(out_dir) -> RunConfig:
+            return RunConfig(
+                synthetic=False, schema="rating",
+                train_path=str(yahoo_dir / "train.tsv"), test_path=str(yahoo_dir / "test.tsv"),
+                split_ratio=0.8, split_mode="per_user", objective="sste",
+                epsilon_train=(0.5,), epsilon_val=(0.3,), resample_each_epoch=True,
+                embedding_dim=10, batch_size=512, max_epochs=2, patience=2,
+                data_seed=1, seed=1, out_dir=str(out_dir),
+            )
+
+        first = run_one(config(tmp_path / "first"))
+        second = run_one(config(tmp_path / "second"))
+        assert (first.status, second.status) == ("ok", "ok")
+        assert differing_files(tmp_path / "first", tmp_path / "second") == []
 
 
 class TestRunGrid:
