@@ -4,12 +4,14 @@ AUC is the main metric and is computed globally over scored pairs by
 rank-sum with tie-averaged ranks. Top-K precision/recall and nDCG are
 macro-averaged over users that have at least one relevant item among their
 candidates. Ranking is full (every item not excluded is a candidate, never
-a sample) and exact: users are scored in blocks of at most ``PAIR_BUDGET``
-pairs per call, and the metrics equal a per-user loop's bit for bit. Alpha
-is the largest absolute performance difference between any two of the
-evaluated sets (validation plus each auxiliary subset), and subtracting it
-from the validation score gives the selection score used for early
-stopping and grid search.
+a sample) and exact: a block of users is scored against every item in one
+call of at most ``PAIR_BUDGET`` scores, each row keeps its top ``depth``
+items by a partition with a stable-sort fallback for ties at the cut, and
+the metrics equal a per-user loop's bit for bit. Alpha is the largest
+absolute performance difference between any two of the evaluated sets
+(validation plus each auxiliary subset), and subtracting it from the
+validation score gives the selection score used for early stopping and
+grid search.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ def auc_scores(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-# Pairs scored per score_fn call: a block holds as many users as fit, at least
-# one. model.predict gathers 16 * k bytes of factors per pair: 6.5 MB at k = 50.
-PAIR_BUDGET = 1 << 13
+# Scores per score_rows call; a block holds as many users as fit, at least one.
+# Ranking a Yahoo-shaped world (1,000 items) took 0.33 s at 2^13, 0.20 s at 2^16
+# and 2^17, and 0.24 s at 2^18; 100 items took the same at every budget.
+PAIR_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,22 +117,45 @@ def _block_mask(keys: np.ndarray, offsets: np.ndarray, block: np.ndarray, n_item
     return mask
 
 
+def _top_depth(neg: np.ndarray, depth: int) -> np.ndarray:
+    """Column indices of the ``depth`` smallest entries of each row of
+    ``neg``: ``np.argsort(neg, axis=1, kind="stable")[:, :depth]``.
+
+    A partition finds each row's ``depth``-th smallest value. A row with
+    exactly ``depth`` entries at or below it sorts just those, taken in column
+    order, stably; a row with a tie at the cut sorts in full.
+    """
+    cut =np.partition(neg, depth - 1, axis=1)[:, depth - 1, None]
+    on_top = neg <= cut
+    clean = on_top.sum(axis=1) == depth
+    order = np.empty((len(neg), depth), dtype=np.intp)
+    cols = np.nonzero(on_top[clean])[1].reshape(-1, depth)
+    by_score = np.argsort(np.take_along_axis(neg[clean], cols, axis=1), axis=1, kind="stable")
+    order[clean] = np.take_along_axis(cols, by_score, axis=1)
+    if not clean.all():
+        order[~clean] = np.argsort(neg[~clean], axis=1, kind="stable")[:, :depth]
+    return order
+
+
 def build_ranked_lists(
-    score_fn, eval_set: Dataset, exclude: Dataset | None = None, *, depth: int
+    score_rows, eval_set: Dataset, exclude: Dataset | None = None, *, depth: int
 ) -> RankedUsers:
     """Full ranking of every item for each user with a usable relevant set.
 
     Candidates are the whole item vocabulary minus the user's positives in
     ``exclude`` (normally the training split). Relevant items are the user's
     positives in ``eval_set`` that survive the exclusion; users left with
-    none are skipped. ``score_fn(user_ids, item_ids)`` must return finite
-    scores; it is called once per block of users with every (user, item)
-    pair of the block, at most ``PAIR_BUDGET`` pairs unless one user's row
-    is longer. Each user keeps the hits of its top ``depth`` candidates.
+    none are skipped. ``score_rows(user_ids)`` must return the finite
+    ``(len(user_ids), n_items)`` scores of every item for each user; it is
+    called once per block of users, at most ``PAIR_BUDGET`` scores unless one
+    user's row is longer. Each user keeps the hits of its top ``depth``
+    candidates.
     """
     n_items = eval_set.n_items
     if exclude is not None and exclude.n_items != n_items:
         raise ValidationError("exclusion set must share the item vocabulary")
+    if depth < 1:
+        raise ValidationError("ranking depth must be >= 1")
     depth = min(depth, n_items)
     banned = _positive_keys(exclude) if exclude is not None else np.empty(0, np.int64)
     relevant = _positive_keys(eval_set)
@@ -140,21 +166,18 @@ def build_ranked_lists(
     users = np.flatnonzero(n_relevant)
     n_candidates = n_items - np.diff(ban_offsets)[users]
     hits = np.empty((len(users), depth), dtype=bool)
-    all_items = np.arange(n_items, dtype=np.int64)
     per_block = max(1, PAIR_BUDGET // n_items)
     for lo in range(0, len(users), per_block):
         block = users[lo:lo + per_block]
-        scores = np.asarray(
-            score_fn(np.repeat(block, n_items), np.tile(all_items, len(block))), dtype=np.float64
-        )
-        if not np.all(np.isfinite(scores)):
+        neg = -np.asarray(score_rows(block), dtype=np.float64)
+        if neg.shape != (len(block), n_items):
+            raise ValidationError(f"score_rows gave shape {neg.shape}, not {(len(block), n_items)}")
+        if not np.all(np.isfinite(neg)):
             raise ValidationError("scores must be finite")
-        neg = -scores.reshape(len(block), n_items)
         # Excluded items sort after every candidate.
         neg[_block_mask(banned, ban_offsets, block, n_items)] = np.inf
-        order = np.argsort(neg, axis=1, kind="stable")[:, :depth]
         hits[lo:lo + len(block)] = np.take_along_axis(
-            _block_mask(relevant, rel_offsets, block, n_items), order, axis=1
+            _block_mask(relevant, rel_offsets, block, n_items), _top_depth(neg, depth), axis=1
         )
     return RankedUsers(users, hits, n_relevant[users], n_candidates)
 

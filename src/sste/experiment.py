@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import time
+import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -380,7 +381,7 @@ def test_metrics_for(
         "auc": ev.auc_scores(model.predict(Branch.HAT, test.users, test.items), test.labels)
     }
     ranked = ev.build_ranked_lists(
-        lambda users, items: model.predict(Branch.HAT, users, items),
+        lambda block: model.predict_rows(Branch.HAT, block),
         test,
         exclude=exclude,
         depth=max((*ks, ndcg_k)),
@@ -440,22 +441,25 @@ def run_one(cfg: RunConfig) -> RunResult:
     """Execute one config end to end, persisting artifacts in its run dir.
 
     Writes config.txt/config.json, epochs.jsonl, model.ckpt (with its vocab
-    sidecar in file mode), report.json, and status.json. Any failure is
-    recorded in status.json with the stage that failed, and reported in the
-    returned RunResult.
+    sidecar in file mode), report.json, and status.json. A status.json left
+    by an earlier run in the same directory is removed first. Any Exception
+    is recorded in status.json with the stage that failed and its traceback,
+    and reported in the returned RunResult; KeyboardInterrupt and SystemExit
+    propagate.
     """
     run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, run_dir / "config.txt")
-    _write_json(run_dir / "config.json", cfg.identity_dict())
+    (run_dir / "status.json").unlink(missing_ok=True)
     started = time.monotonic()
-    stage = "data"
+    stage = "config"
 
     def finish(error: str | None, report: dict | None = None) -> RunResult:
-        """Write status.json: ok if ``error`` is None, else failed at ``stage``."""
+        """Write status.json: ok if ``error`` is None, else failed at ``stage``
+        with the traceback of the exception being handled."""
         status, at = ("ok", "done") if error is None else ("failed", stage)
         _write_json(run_dir / "status.json", {
             "status": status, "stage": at, "error": error,
+            "traceback": None if error is None else traceback.format_exc(),
             "elapsed_seconds": time.monotonic() - started,
         })
         return RunResult(
@@ -468,6 +472,9 @@ def run_one(cfg: RunConfig) -> RunResult:
         stage = name
 
     try:
+        save_config(cfg, run_dir / "config.txt")
+        _write_json(run_dir / "config.json", cfg.identity_dict())
+        stage = "data"
         if not (cfg.synthetic or cfg.test_path):
             raise ValidationError("file mode needs test_path")
         train, val, test = build_datasets(cfg)
@@ -495,7 +502,7 @@ def run_one(cfg: RunConfig) -> RunResult:
         }
         _write_json(run_dir / "report.json", report)
         return finish(None, report)
-    except (SsteError, OSError) as exc:
+    except Exception as exc:
         return finish(f"{type(exc).__name__}: {exc}")
 
 

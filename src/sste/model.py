@@ -96,7 +96,20 @@ class MfModel:
 
     def predict(self, branch: Branch, users, items) -> np.ndarray:
         """Probability of a positive label per pair, strictly inside (0,1)."""
-        return np.clip(sigmoid(self.logits(branch, users, items)), _PROB_EPS, 1.0 - _PROB_EPS)
+        return _probability(self.logits(branch, users, items))
+
+    def predict_rows(self, branch: Branch, users) -> np.ndarray:
+        """(len(users), n_items) probabilities of every item for each user:
+        bit for bit ``predict`` of each (user, item) pair. The factor product
+        goes through einsum's own sum-of-products loop, as in
+        ``_logits_with_rows``; a BLAS matmul sums in another order."""
+        users = _checked_ids(users, self.n_users, "user")
+        head = self.head(branch)
+        z = np.einsum("ij,kj->ik", self.user_factors[users], self.item_factors)
+        z += head.user_bias[users, None]
+        z += head.item_bias
+        z += float(head.global_bias)
+        return _probability(z)
 
     def copy(self) -> "MfModel":
         return MfModel(
@@ -123,20 +136,29 @@ class MfModel:
         return all(np.all(np.isfinite(p)) for p in self.parameters().values())
 
 
+def _probability(z: np.ndarray) -> np.ndarray:
+    return np.clip(sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)
+
+
+def _checked_ids(ids, n: int, kind: str) -> np.ndarray:
+    """``ids`` as an int64 vector, each in [0, n): a raw gather would wrap a
+    negative id."""
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        raise ValidationError(f"{kind} id out of range")
+    return ids
+
+
 def _logits_with_rows(m: MfModel, branch: Branch, users, items):
     """(logits, user factor rows, item factor rows) of the pairs (users, items).
 
-    The one scoring formula: the factor row dot product, then the branch's
-    user bias, item bias and global bias, in that order. Ids are checked
-    first, since a raw gather would wrap a negative id. The gathered rows are
-    fresh arrays that the caller may overwrite.
+    The scoring formula, which ``MfModel.predict_rows`` repeats for whole
+    rows: the factor row dot product, then the branch's user bias, item bias
+    and global bias, in that order. Ids are checked first. The gathered rows
+    are fresh arrays that the caller may overwrite.
     """
-    users = np.atleast_1d(np.asarray(users, dtype=np.int64))
-    items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-    if len(users) and (users.min() < 0 or users.max() >= m.n_users):
-        raise ValidationError("user id out of range")
-    if len(items) and (items.min() < 0 or items.max() >= m.n_items):
-        raise ValidationError("item id out of range")
+    users = _checked_ids(users, m.n_users, "user")
+    items = _checked_ids(items, m.n_items, "item")
     head = m.head(branch)
     user_rows = m.user_factors[users]
     item_rows = m.item_factors[items]

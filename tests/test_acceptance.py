@@ -132,7 +132,9 @@ class TestMetricOracles:
             def ndcg_at_50(relevant):
                 # Every item of 60 is a candidate, ranked in ascending id order.
                 test = make_dataset([0] * len(relevant), relevant, [1] * len(relevant), 1, 60)
-                ranked = build_ranked_lists(lambda u, i: -i.astype(float), test, depth=50)
+                ranked = build_ranked_lists(
+                    lambda block: np.tile(-np.arange(60.0), (len(block), 1)), test, depth=50
+                )
                 return topk_metrics(ranked, (), 50)["ndcg@50"]
 
             assert ndcg_at_50([0]) == pytest.approx(1.0, abs=1e-9)

@@ -110,18 +110,28 @@ class TestAuc:
         assert auc_scores(np.exp(preds), labels) == pytest.approx(base)
 
 
-def by_item_id(users, items):
-    """Ranks every user's items in ascending id order."""
-    return -items.astype(np.float64)
+def by_item_id(n_items, n_users=1):
+    """Score table that ranks every user's items in ascending id order."""
+    return np.tile(-np.arange(n_items, dtype=np.float64), (n_users, 1))
 
 
-def ranked_metrics(relevant_by_user, n_items, score_fn=by_item_id, ks=(5, 10), ndcg_k=50):
+def rows_of(table):
+    """The row scorer of a (users, items) score table."""
+    return lambda block: table[block]
+
+
+def ranked_metrics(relevant_by_user, n_items, item_scores=None, ks=(5, 10), ndcg_k=50):
     """Top-K metrics through the evaluator for a test set holding exactly
-    the given positives (user -> relevant item ids)."""
+    the given positives (user -> relevant item ids), every user ranking the
+    items by ``item_scores`` (by default in ascending id order)."""
     pairs = [(u, i) for u, items in relevant_by_user.items() for i in items]
+    n_users = max(relevant_by_user) + 1
     test = make_dataset([u for u, _ in pairs], [i for _, i in pairs], [1] * len(pairs),
-                        max(relevant_by_user) + 1, n_items)
-    ranked = build_ranked_lists(score_fn, test, depth=max((*ks, ndcg_k)))
+                        n_users, n_items)
+    if item_scores is None:
+        item_scores = by_item_id(n_items)[0]
+    table = np.tile(item_scores, (n_users, 1))
+    ranked = build_ranked_lists(rows_of(table), test, depth=max((*ks, ndcg_k)))
     return topk_metrics(ranked, ks, ndcg_k)
 
 
@@ -153,11 +163,11 @@ class TestTopkMetrics:
     def test_empty_user_set_is_undefined(self):
         test = make_dataset([0], [1], [0], 1, 6)
         with pytest.raises(MetricUndefinedError):
-            topk_metrics(build_ranked_lists(by_item_id, test, depth=50), (5, 10), 50)
+            topk_metrics(build_ranked_lists(rows_of(by_item_id(6)), test, depth=50), (5, 10), 50)
 
     def test_too_shallow_a_ranking_is_rejected(self):
         test = make_dataset([0], [1], [1], 1, 60)
-        ranked = build_ranked_lists(by_item_id, test, depth=10)
+        ranked = build_ranked_lists(rows_of(by_item_id(60)), test, depth=10)
         with pytest.raises(ValidationError):
             topk_metrics(ranked, (5, 10), 50)
 
@@ -170,11 +180,7 @@ class TestTopkMetrics:
             data.draw(st.integers(min_value=0, max_value=10**6))
         ).permutation(n)
         position = np.argsort(perm)  # rank perm[0] first
-
-        def score_fn(users, items):
-            return -position[items].astype(np.float64)
-
-        out = ranked_metrics({0: perm[:n_rel].tolist()}, n, score_fn)
+        out = ranked_metrics({0: perm[:n_rel].tolist()}, n, -position.astype(np.float64))
         for value in out.values():
             # One ulp of slack: the DCG and ideal-DCG sums group terms
             # differently under pairwise summation.
@@ -206,15 +212,16 @@ class TestRankedList:
 
 
 class TestBuildRankedLists:
-    def score_fn(self, users, items):
+    @staticmethod
+    def scores(n_items, n_users=1):
         # Higher score for lower item id, with an exact tie between 2 and 3.
-        scores = -items.astype(np.float64)
-        scores[items == 2] = -3.0
-        return scores
+        table = by_item_id(n_items, n_users)
+        table[:, 2] = -3.0
+        return rows_of(table)
 
     def test_candidates_are_the_full_vocabulary_without_exclusions(self):
         test = make_dataset([0, 0], [1, 4], [1, 0], 1, 6)
-        ranked = build_ranked_lists(self.score_fn, test, depth=10)
+        ranked = build_ranked_lists(self.scores(6), test, depth=10)
         assert len(ranked) == 1
         assert ranked.n_candidates.tolist() == [6]
         assert ranked.hits[0].tolist() == [False, True, False, False, False, False]
@@ -223,7 +230,7 @@ class TestBuildRankedLists:
     def test_training_positives_are_excluded(self):
         train = make_dataset([0, 0], [0, 1], [1, 1], 1, 6)
         test = make_dataset([0, 0], [1, 5], [1, 1], 1, 6)
-        ranked = build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+        ranked = build_ranked_lists(self.scores(6), test, exclude=train, depth=10)
         # Candidates 2, 3, 4, 5 in that order; relevant item 1 is excluded.
         assert ranked.n_candidates.tolist() == [4]
         assert ranked.hits[0].tolist() == [False, False, False, True, False, False]
@@ -232,37 +239,47 @@ class TestBuildRankedLists:
     def test_negative_training_rows_are_not_excluded(self):
         train = make_dataset([0], [0], [0], 1, 4)
         test = make_dataset([0], [2], [1], 1, 4)
-        ranked = build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+        ranked = build_ranked_lists(self.scores(4), test, exclude=train, depth=10)
         assert ranked.n_candidates.tolist() == [4]
         assert ranked.hits[0].tolist() == [False, False, True, False]
 
     def test_users_with_no_surviving_relevant_items_are_dropped(self):
         train = make_dataset([0], [1], [1], 1, 4)
         test = make_dataset([0, 1], [1, 2], [1, 1], 2, 4)
-        ranked = build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+        ranked = build_ranked_lists(self.scores(4, 2), test, exclude=train, depth=10)
         assert ranked.users.tolist() == [1]
 
     def test_ties_rank_the_smaller_item_first(self):
         # Items 2 and 3 tie; 3 is relevant and ranks right after 2.
         test = make_dataset([0], [3], [1], 1, 6)
-        ranked = build_ranked_lists(self.score_fn, test, depth=10)
+        ranked = build_ranked_lists(self.scores(6), test, depth=10)
         assert ranked.hits[0].tolist().index(True) == 3
 
     def test_only_the_top_depth_items_are_kept(self):
         test = make_dataset([0], [0], [1], 1, 6)
-        ranked = build_ranked_lists(self.score_fn, test, depth=3)
+        ranked = build_ranked_lists(self.scores(6), test, depth=3)
         assert ranked.hits.tolist() == [[True, False, False]]
 
     def test_mismatched_vocabulary_is_rejected(self):
         train = make_dataset([0], [0], [1], 1, 3)
         test = make_dataset([0], [0], [1], 1, 4)
         with pytest.raises(ValidationError):
-            build_ranked_lists(self.score_fn, test, exclude=train, depth=10)
+            build_ranked_lists(self.scores(4), test, exclude=train, depth=10)
 
     def test_nonfinite_scores_are_rejected(self):
         test = make_dataset([0], [0], [1], 1, 4)
         with pytest.raises(ValidationError):
-            build_ranked_lists(lambda u, i: np.full(len(i), np.nan), test, depth=10)
+            build_ranked_lists(lambda block: np.full((len(block), 4), np.nan), test, depth=10)
+
+    def test_scores_of_the_wrong_shape_are_rejected(self):
+        test = make_dataset([0], [0], [1], 1, 4)
+        with pytest.raises(ValidationError, match="shape"):
+            build_ranked_lists(lambda block: np.zeros(len(block) * 4), test, depth=10)
+
+    def test_a_depth_below_one_is_rejected(self):
+        test = make_dataset([0], [0], [1], 1, 4)
+        with pytest.raises(ValidationError, match="depth"):
+            build_ranked_lists(self.scores(4), test, depth=0)
 
 
 def random_world(rng, n_users, n_items, n_rows, exclude_share):
@@ -278,12 +295,15 @@ def random_world(rng, n_users, n_items, n_rows, exclude_share):
     return test, train
 
 
-def assert_exact(score_fn, test, train, ks, ndcg_k):
+def assert_exact(table, test, train, ks, ndcg_k, score_rows=None, score_pairs=None):
     """Ranked users, hits and metrics equal the per-user oracle's, the
-    metrics bit for bit."""
+    metrics bit for bit. The evaluator reads the rows of the score ``table``
+    and the oracle its (user, item) pairs, unless scorers are given."""
+    if table is not None:
+        score_rows, score_pairs = rows_of(table), lambda users, items: table[users, items]
     depth = max((*ks, ndcg_k))
-    ranked = build_ranked_lists(score_fn, test, exclude=train, depth=depth)
-    lists = ranked_lists_by_user(score_fn, test, exclude=train)
+    ranked = build_ranked_lists(score_rows, test, exclude=train, depth=depth)
+    lists = ranked_lists_by_user(score_pairs, test, exclude=train)
     assert ranked.users.tolist() == [rl.user for rl in lists]
     assert ranked.n_candidates.tolist() == [len(rl.ranked_items) for rl in lists]
     assert ranked.n_relevant.tolist() == [len(rl.relevant) for rl in lists]
@@ -301,7 +321,7 @@ class TestExactAgainstOracle:
         rng = np.random.default_rng(seed)
         table = rng.integers(0, 4, size=(40, 30)).astype(np.float64)
         test, train = random_world(rng, 40, 30, 600, exclude_share=0.3)
-        assert_exact(lambda u, i: table[u, i], test, train, ks=(1, 5, 10), ndcg_k=20)
+        assert_exact(table, test, train, ks=(1, 5, 10), ndcg_k=20)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_users_with_fewer_candidates_than_ndcg_k(self, seed):
@@ -310,27 +330,28 @@ class TestExactAgainstOracle:
         rng = np.random.default_rng(100 + seed)
         table = rng.normal(size=(30, 12))
         test, train = random_world(rng, 30, 12, 300, exclude_share=0.8)
-        assert_exact(lambda u, i: table[u, i], test, train, ks=(5, 10, 20), ndcg_k=50)
+        assert_exact(table, test, train, ks=(5, 10, 20), ndcg_k=50)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_without_an_exclusion_set(self, seed):
         rng = np.random.default_rng(200 + seed)
         table = np.round(rng.normal(size=(25, 40)), 1)
         test, _ = random_world(rng, 25, 40, 400, exclude_share=0)
-        assert_exact(lambda u, i: table[u, i], test, None, ks=(5, 10), ndcg_k=50)
+        assert_exact(table, test, None, ks=(5, 10), ndcg_k=50)
 
     def test_users_whose_relevant_items_are_all_excluded(self):
         train = make_dataset([0, 0, 2], [1, 3, 0], [1, 1, 1], 3, 8)
         test = make_dataset([0, 0, 1, 2], [1, 3, 4, 0], [1, 1, 1, 1], 3, 8)
-        assert_exact(by_item_id, test, train, ks=(2,), ndcg_k=5)
-        assert build_ranked_lists(by_item_id, test, exclude=train, depth=5).users.tolist() == [1]
+        assert_exact(by_item_id(8, 3), test, train, ks=(2,), ndcg_k=5)
+        ranked = build_ranked_lists(rows_of(by_item_id(8, 3)), test, exclude=train, depth=5)
+        assert ranked.users.tolist() == [1]
 
     def test_dcg_sums_only_the_users_candidates(self):
         # 6 candidates with hits at ranks 2..6: summing 10 positions, the
         # zero gains past the candidates included, changes the last bit.
         train = make_dataset([0] * 4, [6, 7, 8, 9], [1] * 4, 1, 10)
         test = make_dataset([0] * 5, [1, 2, 3, 4, 5], [1] * 5, 1, 10)
-        assert_exact(by_item_id, test, train, ks=(), ndcg_k=10)
+        assert_exact(by_item_id(10), test, train, ks=(), ndcg_k=10)
 
     def test_model_scores_over_several_blocks(self):
         # The real score function, over blocks of several users each.
@@ -339,8 +360,9 @@ class TestExactAgainstOracle:
         model = init(n_users, n_items, 4, 0.1, seed=3)
         test, train = random_world(rng, n_users, n_items, 4000, exclude_share=0.05)
         assert 1 < PAIR_BUDGET // n_items < n_users // 2
-        assert_exact(lambda u, i: model.predict(Branch.HAT, u, i), test, train,
-                     ks=(5, 10), ndcg_k=50)
+        assert_exact(None, test, train, ks=(5, 10), ndcg_k=50,
+                     score_rows=lambda block: model.predict_rows(Branch.HAT, block),
+                     score_pairs=lambda u, i: model.predict(Branch.HAT, u, i))
 
     @pytest.mark.parametrize("budget", [1, 17, 100])
     def test_block_size_does_not_change_any_bit(self, monkeypatch, budget):
@@ -348,7 +370,44 @@ class TestExactAgainstOracle:
         table = rng.integers(0, 6, size=(60, 20)).astype(np.float64)
         test, train = random_world(rng, 60, 20, 700, exclude_share=0.4)
         monkeypatch.setattr(evaluate, "PAIR_BUDGET", budget)
-        assert_exact(lambda u, i: table[u, i], test, train, ks=(3, 10), ndcg_k=15)
+        assert_exact(table, test, train, ks=(3, 10), ndcg_k=15)
+
+
+class TestTopDepth:
+    """The partition selection equals the full stable sort's head."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_equals_the_stable_argsort_on_tie_heavy_rows(self, data):
+        n_rows = data.draw(st.integers(min_value=1, max_value=8))
+        n_items = data.draw(st.integers(min_value=1, max_value=40))
+        depth = data.draw(st.integers(min_value=1, max_value=n_items))
+        # Few distinct integers, +inf for excluded items; some rows fully
+        # tied, some with fewer finite entries than depth.
+        values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
+        neg = np.array(data.draw(st.lists(
+            st.lists(values, min_size=n_items, max_size=n_items), min_size=n_rows, max_size=n_rows,
+        )))
+        for r in data.draw(st.lists(st.integers(0, n_rows - 1), max_size=2)):
+            neg[r] = data.draw(values)
+        expected = np.argsort(neg, axis=1, kind="stable")[:, :depth]
+        assert np.array_equal(evaluate._top_depth(neg, depth), expected)
+
+    @pytest.mark.parametrize("depth", [1, 7, 39, 40])
+    def test_distinct_scores_sort_only_the_top(self, monkeypatch, depth):
+        neg = np.random.default_rng(depth).normal(size=(30, 50))
+        neg[:, ::5] = np.inf  # 40 candidates per row
+        expected = np.argsort(neg, axis=1, kind="stable")[:, :depth]
+        widths = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        assert np.array_equal(evaluate._top_depth(neg, depth), expected)
+        assert set(widths) == {depth}
 
 
 class TestBlocking:
@@ -357,16 +416,16 @@ class TestBlocking:
         n_users, n_items = 400, 300
         test, train = random_world(rng, n_users, n_items, 3000, exclude_share=0.02)
         table = rng.normal(size=(n_users, n_items))
-        calls = []
+        blocks = []
 
-        def recording(users, items):
-            calls.append(len(users))
-            return table[users, items]
+        def recording(block):
+            blocks.append(block.copy())
+            return table[block]
 
         ranked = build_ranked_lists(recording, test, exclude=train, depth=50)
-        assert len(calls) > 1
-        assert max(calls) <= PAIR_BUDGET
-        assert sum(calls) == len(ranked) * n_items
+        assert len(blocks) > 1
+        assert max(len(block) * n_items for block in blocks) <= PAIR_BUDGET
+        assert np.concatenate(blocks).tolist() == ranked.users.tolist()
         relevant = positives_by_user(test)
         excluded = positives_by_user(train)
         surviving = [

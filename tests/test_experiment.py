@@ -621,6 +621,71 @@ class TestRunGrid:
         ]
 
 
+def fit_raising(monkeypatch, exc, in_cell=lambda cfg: True):
+    """Make training raise ``exc`` in the runs whose config ``in_cell`` picks."""
+    def fit_or_raise(train, val, aux, cfg, **kwargs):
+        if in_cell(cfg):
+            raise exc
+        return fit(train, val, aux, cfg, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit", fit_or_raise)
+
+
+def read_status(run_dir) -> dict:
+    return json.loads((Path(run_dir) / "status.json").read_text())
+
+
+class TestFaultContainment:
+    """Any Exception stays inside its run; interrupts still stop everything."""
+
+    @pytest.mark.parametrize("exc", [MemoryError("no room"), RuntimeError("boom")])
+    def test_a_non_package_error_fails_only_its_cell(self, tmp_path, monkeypatch, exc):
+        fit_raising(monkeypatch, exc, lambda cfg: cfg.embedding_dim == 8)
+        base = quick_cfg(tmp_path, max_epochs=2, patience=2)
+        result = run_grid(GridSpec(values={"embedding_dim": (4, 8)}), base)
+        assert [row["status"] for row in result.rows] == ["ok", "failed"]
+        failed = result.rows[1]
+        assert failed["overrides"] == {"embedding_dim": 8}
+        assert failed["error"] == f"{type(exc).__name__}: {exc}"
+        lines = Path(result.leaderboard_path).read_text().splitlines()
+        assert [line.split("\t")[2] for line in lines[1:]] == ["ok", "failed"]
+        status = read_status(tmp_path / "runs" / f"run-{failed['run_id']}")
+        assert (status["status"], status["stage"]) == ("failed", "train")
+        assert status["error"] == f"{type(exc).__name__}: {exc}"
+        assert "in fit_or_raise" in status["traceback"]
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_propagate(self, tmp_path, monkeypatch, exc):
+        fit_raising(monkeypatch, exc())
+        with pytest.raises(exc):
+            run_one(quick_cfg(tmp_path))
+
+    def test_an_interrupted_rerun_leaves_no_old_ok_behind(self, tmp_path, monkeypatch):
+        cfg = quick_cfg(tmp_path, max_epochs=2, patience=2)
+        run_dir = run_one(cfg).run_dir
+        assert read_status(run_dir)["status"] == "ok"
+        fit_raising(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_one(cfg)
+        assert not (Path(run_dir) / "status.json").exists()
+
+    def test_a_failed_rerun_reports_failed(self, tmp_path, monkeypatch):
+        cfg = quick_cfg(tmp_path, max_epochs=2, patience=2)
+        assert run_one(cfg).status == "ok"
+        fit_raising(monkeypatch, MemoryError("no room"))
+        result = run_one(cfg)
+        assert (result.status, result.stage) == ("failed", "train")
+        assert read_status(result.run_dir)["status"] == "failed"
+
+    def test_an_unwritable_run_directory_fails_at_the_config_stage(self, tmp_path):
+        cfg = quick_cfg(tmp_path)
+        run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
+        (run_dir / "config.txt").mkdir(parents=True)  # a directory where the file goes
+        result = run_one(cfg)
+        assert (result.status, result.stage) == ("failed", "config")
+        assert result.error.startswith("IsADirectoryError: ")
+
+
 class TestMakeTable:
     def write_report(self, tmp_path, name, objective, metrics, ndcg_k=50):
         run_dir = tmp_path / name

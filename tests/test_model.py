@@ -131,6 +131,37 @@ class TestPrediction:
         assert single[0] == batch[1]
 
 
+class TestPredictRows:
+    """Scoring a block of users against every item equals ``predict`` of
+    each (user, item) pair, compared on the raw bits."""
+
+    @given(st.data())
+    def test_equals_predict_of_every_pair_bit_for_bit(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=64))
+        n_users = data.draw(st.integers(min_value=1, max_value=30))
+        n_items = data.draw(st.integers(min_value=1, max_value=301))
+        scale = data.draw(st.sampled_from([0.01, 0.5, 4.0]))
+        m = init(n_users, n_items, k, scale, seed=data.draw(st.integers(0, 2**16)))
+        rng = np.random.default_rng(k)
+        for head in (m.branch_tilde, m.branch_hat):
+            head.user_bias[...] = rng.normal(size=n_users)
+            head.item_bias[...] = rng.normal(size=n_items)
+            head.global_bias[...] = rng.normal()
+        block = np.array(data.draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=20)))
+        branch = data.draw(st.sampled_from(list(Branch)))
+        rows = m.predict_rows(branch, block)
+        items = np.tile(np.arange(n_items), len(block))
+        pairs = m.predict(branch, np.repeat(block, n_items), items)
+        assert rows.shape == (len(block), n_items)
+        assert np.array_equal(rows.view(np.uint64), pairs.reshape(rows.shape).view(np.uint64))
+
+    def test_out_of_range_users_are_rejected(self):
+        m = tiny_model()
+        for block in ([-1], [0, 3]):
+            with pytest.raises(ValidationError):
+                m.predict_rows(Branch.HAT, block)
+
+
 class TestInit:
     def test_same_spec_is_bitwise_identical(self):
         a = tiny_model(seed=4)
