@@ -304,20 +304,24 @@ def split_ratio(
     else:
         rng = rng_for(seed, "per-user-split")
         order = np.argsort(d.users, kind="stable")
-        boundaries = np.flatnonzero(np.diff(d.users[order])) + 1
-        first_parts = []
-        second_parts = []
-        for group in np.split(order, boundaries):
-            n = len(group)
-            if n < 2:
-                first_parts.append(group)
-                continue
-            perm = rng.permutation(n)
-            n_first = math.floor(ratio * n)
-            first_parts.append(group[perm[:n_first]])
-            second_parts.append(group[perm[n_first:]])
-        first_idx = np.sort(np.concatenate(first_parts)) if first_parts else np.asarray([], dtype=np.int64)
-        second_idx = np.sort(np.concatenate(second_parts)) if second_parts else np.asarray([], dtype=np.int64)
+        grouped = d.users[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        sizes = np.diff(starts, append=len(d))
+        # An in-place shuffle of a user's slice of ``order`` draws what
+        # ``rng.permutation`` of its size does; its first ``n_first`` rows go
+        # first: +1 marks at starts, -1 at stops (none for n_first = 0, so
+        # only a stop on the next start shares an index), then a cumsum.
+        for lo, n in zip(starts.tolist(), sizes.tolist()):
+            if n >= 2:
+                rng.shuffle(order[lo:lo + n])
+        n_first = np.where(sizes < 2, sizes, np.floor(ratio * sizes).astype(np.int64))
+        marked = n_first > 0
+        marks = np.zeros(len(d) + 1, dtype=np.int8)
+        marks[starts[marked]] = 1
+        marks[(starts + n_first)[marked]] -= 1
+        in_first = np.cumsum(marks[:-1], dtype=np.int8).view(bool)
+        first_idx = np.sort(order[in_first])
+        second_idx = np.sort(order[~in_first])
 
     first = d.take(first_idx, provenance=Provenance.BIASED_TRAIN)
     second = d.take(second_idx, provenance=Provenance.BIASED_VALIDATION)

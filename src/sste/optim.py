@@ -20,8 +20,8 @@ class SparseAdam:
     """Per-row adaptive moment optimizer over a named parameter dict.
 
     Each parameter is a live numpy array updated in place. ``update`` takes
-    the unique rows touched by a batch and their summed gradients; pass
-    ``rows=None`` for scalar (0-d) parameters.
+    the rows touched by a batch, unique but in any order, and their summed
+    gradients; pass ``rows=None`` for scalar (0-d) parameters.
     """
 
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
@@ -35,26 +35,51 @@ class SparseAdam:
             name: np.zeros(p.shape[0] if p.ndim else (), dtype=np.int64)
             for name, p in self.params.items()
         }
+        self._calls = 0  # bounds every row's step count
+        self._c1, self._c2 = self._corrections(64)
+
+    @staticmethod
+    def _corrections(size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``1 - beta ** t`` for t < size by the ufunc on an array, which gives
+        any array of steps the same bits; ``**`` on a numpy scalar does not."""
+        steps = np.arange(size, dtype=np.float64)
+        return 1.0 - ADAM_BETA1 ** steps, 1.0 - ADAM_BETA2 ** steps
 
     def update(self, name: str, rows: np.ndarray | None, grad: np.ndarray) -> None:
+        """One step of ``rows``: each row's state is gathered once, advanced
+        in place in the textbook update's operand order and written back once.
+        The index () reads a 0-d parameter's state as numpy scalars."""
+        self._calls += 1
+        if self._calls >= len(self._c1):
+            self._c1, self._c2 = self._corrections(2 * self._calls)
         param = self.params[name]
         m, v, t = self._m[name], self._v[name], self._t[name]
-        # Each row's state is gathered once and written back once; rows are
-        # unique, and the index () reads and writes a 0-d parameter whole.
-        if rows is None:
-            rows = ()
+        rows = () if rows is None else rows
         t_rows = t[rows] + 1
-        m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grad
-        v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grad * grad
+        m_rows, v_rows = _gather(m, rows), _gather(v, rows)
+        m_rows *= ADAM_BETA1
+        m_rows += (1.0 - ADAM_BETA1) * grad
+        v_rows *= ADAM_BETA2
+        v_rows += (1.0 - ADAM_BETA2) * grad * grad
         t[rows] = t_rows
         m[rows] = m_rows
         v[rows] = v_rows
-        # An array even for a 0-d parameter: ``**`` on a numpy scalar rounds
-        # differently from the ufunc in the last bit.
-        steps = np.asarray(t_rows, dtype=np.float64)
-        c1 = 1.0 - ADAM_BETA1 ** steps
-        c2 = 1.0 - ADAM_BETA2 ** steps
+        c1, c2 = self._c1[t_rows], self._c2[t_rows]
         if param.ndim == 2:
-            c1 = c1[:, None]
-            c2 = c2[:, None]
-        param[rows] -= self.lr * (m_rows / c1) / (np.sqrt(v_rows / c2) + ADAM_EPS)
+            c1, c2 = c1[:, None], c2[:, None]
+        # lr * (m / c1) / (sqrt(v / c2) + eps), in the moment buffers.
+        m_rows /= c1
+        m_rows *= self.lr
+        v_rows /= c2
+        denominator = np.sqrt(v_rows)
+        denominator += ADAM_EPS
+        m_rows /= denominator
+        param_rows = _gather(param, rows)
+        param_rows -= m_rows
+        param[rows] = param_rows
+
+
+def _gather(table: np.ndarray, rows) -> np.ndarray:
+    """A copy of ``table[rows]``; ``take`` copies a 2-d table's rows whole,
+    1.7-4 times faster than fancy indexing at the benchmark's shapes."""
+    return table.take(rows, axis=0) if table.ndim == 2 else table[rows]

@@ -116,6 +116,15 @@ def _sum_rows_by(inverse: np.ndarray, rows: np.ndarray, n_groups: int) -> np.nda
     return np.bincount(flat, weights=rows.ravel(), minlength=n_groups * k).reshape(n_groups, k)
 
 
+def _group(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for ids in [0, n); when n is
+    small against the batch, from a ``bincount`` and a ``cumsum`` with no sort."""
+    if n > 4 * len(ids):
+        return np.unique(ids, return_inverse=True)
+    present = np.bincount(ids, minlength=n) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
+
+
 def batch_gradients(
     m: MfModel,
     branch: Branch,
@@ -130,8 +139,8 @@ def batch_gradients(
     """
     z, user_rows, item_rows = _logits_with_rows(m, branch, users, items)
     residual = coeffs * (sigmoid(z) - labels)
-    uniq_users, u_inv = np.unique(users, return_inverse=True)
-    uniq_items, i_inv = np.unique(items, return_inverse=True)
+    uniq_users, u_inv = _group(users, m.n_users)
+    uniq_items, i_inv = _group(items, m.n_items)
     # The gathered rows are scaled in place: at k=50, B=4096 each table is
     # 1.6 MB, and every further large temporary costs page faults.
     item_rows *= residual[:, None]

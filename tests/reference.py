@@ -7,6 +7,7 @@ sigmoid, ``np.add.at`` scatters, Adam state read row by row twice, one
 gradient, optimizer or parsing code paths.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,3 +352,30 @@ def load_tsv_per_line(path, schema, user_map=None, item_map=None) -> dict:
         "user_id_map": np.array(user_ids, dtype=np.int64),
         "item_id_map": np.array(item_ids, dtype=np.int64),
     }
+
+
+def split_per_user_loop(d: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of a PER_USER_RANDOM split, one user at a time.
+
+    Users are taken in ascending id order (rows in file order within each),
+    each one drawing ``rng.permutation`` of its size from the one generator;
+    floor(ratio * n) of a user's permuted rows go first, and a user with
+    fewer than 2 rows goes wholly first. Returns (first, second), sorted.
+    """
+    rng = rng_for(seed, "per-user-split")
+    order = np.argsort(d.users, kind="stable")
+    boundaries = np.flatnonzero(np.diff(d.users[order])) + 1
+    first_parts, second_parts = [], []
+    for group in np.split(order, boundaries):
+        n = len(group)
+        if n < 2:
+            first_parts.append(group)
+            continue
+        perm = rng.permutation(n)
+        n_first = math.floor(ratio * n)
+        first_parts.append(group[perm[:n_first]])
+        second_parts.append(group[perm[n_first:]])
+    empty = np.asarray([], dtype=np.int64)
+    first = np.sort(np.concatenate(first_parts)) if first_parts else empty
+    second = np.sort(np.concatenate(second_parts)) if second_parts else empty
+    return first, second

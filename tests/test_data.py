@@ -23,7 +23,7 @@ from sste.data import (
 )
 from sste.errors import DivisionGuardError, ParseError, ValidationError
 
-from reference import load_tsv_per_line, make_dataset, save_tsv_per_row
+from reference import load_tsv_per_line, make_dataset, save_tsv_per_row, split_per_user_loop
 
 
 def write_lines(path, lines):
@@ -441,6 +441,44 @@ class TestSplit:
             (int(u), int(i), int(y)) for u, i, y in zip(users, items, labels)
         )
         assert combined == original
+
+
+def assert_split_matches_the_loop(ds, ratio, seed):
+    """split_ratio's per-user split has the oracle's rows, byte for byte."""
+    first, second = split_ratio(ds, ratio, SplitMode.PER_USER_RANDOM, seed=seed)
+    for part, idx in zip((first, second), split_per_user_loop(ds, ratio, seed)):
+        want = ds.take(idx)
+        for column in ("users", "items", "labels"):
+            got_col, want_col = getattr(part, column), getattr(want, column)
+            assert got_col.dtype == want_col.dtype
+            assert got_col.tobytes() == want_col.tobytes(), column
+
+
+class TestSplitAgainstLoop:
+    """The per-user split equals the old loop over users, which draws one
+    ``rng.permutation`` per user with at least 2 rows."""
+
+    @given(
+        counts=st.lists(st.sampled_from([1, 1, 2, 2, 3, 5, 17]), min_size=1, max_size=30),
+        ratio=st.sampled_from([1e-9, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-9])
+        | st.floats(1e-6, 1 - 1e-6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_on_drawn_datasets(self, counts, ratio, seed):
+        # Users with 1, 2 and many rows, in shuffled file order, with gaps
+        # in the user ids.
+        rng = np.random.default_rng(seed)
+        users = rng.permutation(np.repeat(2 * np.arange(len(counts)), counts))
+        n = len(users)
+        ds = make_dataset(users, rng.integers(0, 50, n), rng.integers(0, 2, n),
+                          2 * len(counts), 50)
+        assert_split_matches_the_loop(ds, ratio, seed)
+
+    def test_a_one_row_user_beside_a_user_with_no_first_row(self):
+        # User 0 goes wholly first; user 1's floor(0.3 * 2) = 0 rows go
+        # first, so its stop mark falls where user 0's stop does.
+        ds = make_dataset([1, 0, 1, 2, 2, 2, 2], range(7), [1, 0] * 3 + [1], 3, 7)
+        assert_split_matches_the_loop(ds, 0.3, seed=4)
 
 
 class TestStats:

@@ -38,7 +38,12 @@ from sste.train import fit
 from compare_runs import differing_files
 from run_synthetic_study import study_config
 from reference import load_tsv_per_line
-from test_data import forbid_the_line_loop, load_outcome, small_spec
+from test_data import (
+    assert_split_matches_the_loop,
+    forbid_the_line_loop,
+    load_outcome,
+    small_spec,
+)
 
 TESTS = Path(__file__).parent
 
@@ -512,6 +517,11 @@ class TestYahooShapedFiles:
         forbid_the_line_loop(monkeypatch)
         assert load_outcome(load_tsv, train_path, rating) == expected_train
         assert load_outcome(load_tsv, test_path, rating, **maps) == expected_test
+
+    @pytest.mark.parametrize("ratio, seed", [(0.8, 1), (0.5, 7), (0.1, 23)])
+    def test_the_per_user_split_matches_the_loop(self, yahoo_dir, ratio, seed):
+        train = load_tsv(yahoo_dir / "train.tsv", Schema.USER_ITEM_RATING)
+        assert_split_matches_the_loop(train, ratio, seed)
 
     def test_a_file_mode_run_repeats_byte_for_byte(self, yahoo_dir, tmp_path):
         def config(out_dir) -> RunConfig:

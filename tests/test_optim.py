@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sste.errors import ValidationError
-from sste.optim import SparseAdam
+from sste.optim import ADAM_BETA1, ADAM_BETA2, SparseAdam
 
 from reference import adam_update_double_gather, adam_update_scalar
 
@@ -89,13 +89,8 @@ class TestSparseAdam:
 class TestExactAgainstOracle:
     """update equals the oracle that reads each row's state twice, to the bit."""
 
-    @given(
-        k=st.sampled_from([1, 10, 50]),
-        n_rows=st.integers(1, 12),
-        n_steps=st.integers(1, 8),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_consecutive_steps_match_byte_for_byte(self, k, n_rows, n_steps, seed):
+    @staticmethod
+    def run_against_oracle(k, n_rows, n_steps, seed):
         rng = np.random.default_rng(seed)
         params = {
             "table": rng.normal(size=(n_rows, k)),
@@ -126,6 +121,21 @@ class TestExactAgainstOracle:
             assert opt._m[name].tobytes() == m.tobytes(), name
             assert opt._v[name].tobytes() == v.tobytes(), name
             assert opt._t[name].tobytes() == t.tobytes(), name
+        return opt
+
+    @given(
+        k=st.sampled_from([1, 10, 50]),
+        n_rows=st.integers(1, 12),
+        n_steps=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_consecutive_steps_match_byte_for_byte(self, k, n_rows, n_steps, seed):
+        self.run_against_oracle(k, n_rows, n_steps, seed)
+
+    def test_steps_past_table_growths_match_byte_for_byte(self):
+        first_size = len(SparseAdam({}, learning_rate=0.1)._c1)
+        opt = self.run_against_oracle(k=5, n_rows=3, n_steps=first_size, seed=12)
+        assert len(opt._c1) > 2 * first_size
 
     @given(
         lr=st.floats(1e-4, 1e-1),
@@ -149,3 +159,45 @@ class TestExactAgainstOracle:
         assert opt._m["scalar"].tobytes() == old[1].tobytes()
         assert opt._v["scalar"].tobytes() == old[2].tobytes()
         assert opt._t["scalar"].tobytes() == old[3].tobytes()
+
+
+class TestCorrectionTable:
+    """The step-indexed tables of ``1 - beta ** t`` that ``update`` reads."""
+
+    SIZE = 2**16
+
+    def test_every_step_below_2_16_matches_the_power_bit_for_bit(self):
+        c1, c2 = SparseAdam._corrections(self.SIZE)
+        shuffled = np.random.default_rng(0).permutation(self.SIZE)
+        for table, beta in ((c1, ADAM_BETA1), (c2, ADAM_BETA2)):
+            steps = shuffled.astype(np.float64)
+            assert table[shuffled].tobytes() == (1.0 - beta ** steps).tobytes()
+            # Lengths and offsets of the row sets update passes, and 0-d.
+            for lo, hi in ((0, 1), (3, 10), (100, 437), (50_000, 65_535)):
+                chunk = steps[lo:hi]
+                assert table[shuffled[lo:hi]].tobytes() == (1.0 - beta ** chunk).tobytes()
+            zero_d = [1.0 - beta ** np.asarray(t, dtype=np.float64) for t in range(self.SIZE)]
+            assert np.array(zero_d).tobytes() == table.tobytes()
+
+    def test_the_table_grows_on_demand_and_stays_exact(self):
+        params = make_params()
+        opt = SparseAdam(params, learning_rate=0.1)
+        first_size = len(opt._c1)
+        for _ in range(3 * first_size):
+            opt.update("scalar", None, 1.0)
+        assert int(opt._t["scalar"]) == 3 * first_size
+        assert len(opt._c1) > 3 * first_size
+        c1, c2 = SparseAdam._corrections(len(opt._c1))
+        assert opt._c1.tobytes() == c1.tobytes()
+        assert opt._c2.tobytes() == c2.tobytes()
+        assert opt._c1[:first_size].tobytes() == SparseAdam._corrections(first_size)[0].tobytes()
+
+    def test_update_leaves_the_gradient_as_it_was(self):
+        # The moments are advanced in place on gathered copies, never on
+        # the caller's gradient.
+        params = make_params()
+        opt = SparseAdam(params, learning_rate=0.1)
+        grad = np.arange(6.0).reshape(2, 3)
+        for _ in range(3):
+            opt.update("table", np.array([3, 1]), grad)
+        assert grad.tobytes() == np.arange(6.0).reshape(2, 3).tobytes()

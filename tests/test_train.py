@@ -1,5 +1,6 @@
 """Training loops: loss coefficients, joint objective, selection, stopping."""
 
+import inspect
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from sste.train import (
     LossBreakdown,
     Objective,
     _apply_batch,
+    _group,
     baseline_epoch,
     batch_coefficients,
     batch_gradients,
@@ -203,6 +205,60 @@ class TestExactAgainstOracle:
         # The gathered rows are scaled in place; the model's tables are not.
         for name, p in m.parameters().items():
             assert p.tobytes() == before[name].tobytes(), name
+
+
+class TestGroup:
+    """_group equals np.unique(ids, return_inverse=True) on both sides of its
+    rule, which counts ids into a table only when n <= 4 * len(ids)."""
+
+    @staticmethod
+    def assert_unique_equal(ids, n):
+        got = _group(ids, n)
+        want = np.unique(ids, return_inverse=True)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    @given(
+        present=st.lists(st.integers(0, 199), min_size=1, max_size=40, unique=True),
+        size=st.integers(1, 120),
+        spare=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(present=[0], size=1, spare=0, seed=0)
+    @example(present=[3], size=1, spare=0, seed=0)
+    def test_values_and_dtypes_match_np_unique(self, present, size, spare, seed):
+        # Ids drawn from a set with gaps; n from just above the largest id
+        # to well past 4 * size, so both sides of the rule are drawn.
+        ids = np.random.default_rng(seed).choice(present, size)
+        self.assert_unique_equal(ids, max(present) + 1 + spare)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 512])
+    def test_both_sides_of_the_boundary(self, size, monkeypatch):
+        ids = np.random.default_rng(size).integers(0, 4 * size, size)
+        ids[0] = 4 * size - 1
+        self.assert_unique_equal(ids, 4 * size + 1)  # np.unique
+        want = np.unique(ids, return_inverse=True)
+        monkeypatch.setattr(np, "unique", None)  # the counting side sorts nothing
+        got = _group(ids, 4 * size)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
+
+
+class TestCounterArguments:
+    """perfbench/spans.py counts ``optim.rows_updated`` from argument 2 of
+    ``SparseAdam.update`` and ``train.batch_rows`` from argument 2 of
+    ``batch_gradients``, by position or by name; a moved or renamed
+    parameter would zero those counters without failing a run."""
+
+    @pytest.mark.parametrize("fn, name", [
+        (SparseAdam.update, "rows"),
+        (batch_gradients, "users"),
+    ])
+    def test_argument_two_keeps_its_position_and_name(self, fn, name):
+        parameters = list(inspect.signature(fn).parameters.values())
+        assert parameters[2].name == name
+        assert parameters[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 class TestRegularization:
