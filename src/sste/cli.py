@@ -80,7 +80,7 @@ def _cmd_selfsample(args) -> int:
             "out": args.out,
             "source_size": len(d),
             "subset_size": len(subset),
-            "expected_size": float(probs.per_instance_prob.sum()),
+            "expected_size": float(probs.sum()),
         }
     )
     return 0

@@ -74,9 +74,8 @@ def _frozen_id_map(ids, name: str, n: int | None = None) -> np.ndarray:
 class Dataset:
     """Immutable table of interactions with vocabulary sizes and provenance.
 
-    ``epsilon`` records the threshold a sampled subset was drawn under and is
-    mandatory for AUXILIARY_SUBSET provenance. A dataset loaded from a file
-    keeps its original ids as ``user_id_map``/``item_id_map``; else None.
+    A dataset loaded from a file keeps its original ids as
+    ``user_id_map``/``item_id_map``; else None.
     """
 
     users: np.ndarray
@@ -85,7 +84,6 @@ class Dataset:
     n_users: int
     n_items: int
     provenance: Provenance
-    epsilon: float | None = None
     user_id_map: np.ndarray | None = field(default=None, repr=False)
     item_id_map: np.ndarray | None = field(default=None, repr=False)
 
@@ -110,8 +108,6 @@ class Dataset:
                 raise ValidationError("item_id out of range [0, n_items)")
             if not np.all((labels == 0) | (labels == 1)):
                 raise ValidationError("labels must be 0 or 1")
-        if self.provenance is Provenance.AUXILIARY_SUBSET and self.epsilon is None:
-            raise ValidationError("auxiliary subsets must record epsilon")
 
     def __len__(self) -> int:
         return len(self.users)
@@ -124,13 +120,11 @@ class Dataset:
     def negative_count(self) -> int:
         return len(self) - self.positive_count
 
-    def take(self, indices: np.ndarray, provenance: Provenance | None = None,
-             epsilon: float | None = None) -> "Dataset":
+    def take(self, indices: np.ndarray, provenance: Provenance | None = None) -> "Dataset":
         """New dataset from a subset of rows, preserving vocabularies."""
         return replace(
             self, users=self.users[indices], items=self.items[indices],
             labels=self.labels[indices], provenance=provenance or self.provenance,
-            epsilon=epsilon if epsilon is not None else self.epsilon,
         )
 
 

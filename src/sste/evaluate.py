@@ -125,7 +125,7 @@ def _top_depth(neg: np.ndarray, depth: int) -> np.ndarray:
     exactly ``depth`` entries at or below it sorts just those, taken in column
     order, stably; a row with a tie at the cut sorts in full.
     """
-    cut =np.partition(neg, depth - 1, axis=1)[:, depth - 1, None]
+    cut = np.partition(neg, depth - 1, axis=1)[:, depth - 1, None]
     on_top = neg <= cut
     clean = on_top.sum(axis=1) == depth
     order = np.empty((len(neg), depth), dtype=np.intp)

@@ -5,6 +5,8 @@ item, raised to a power and clipped below at a floor. Instance sampling
 probability is the max-normalized inverse propensity of its item, so the
 rarest instance always gets probability 1. Probabilities at or above a
 threshold epsilon are forced to 1 ("truncated"); the rest are kept as-is.
+Probabilities are plain float64 arrays: with p in (0,1] and epsilon in [0,1],
+a truncated array is 1 exactly where p >= epsilon, so no flags are kept.
 """
 
 from __future__ import annotations
@@ -34,46 +36,25 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
         raise ValidationError(f"{name} must lie in [0,1], got {epsilon}")
 
 
+def check_probabilities(p: np.ndarray) -> None:
+    """Raise ValidationError unless every entry of ``p`` lies in (0,1]; NaN fails."""
+    if len(p) and not (p.min() > 0.0 and p.max() <= 1.0):
+        raise ValidationError("probabilities must lie in (0,1]")
+
+
 @dataclass(frozen=True)
 class PropensityTable:
-    """Per-item propensities in (0,1] together with the estimator settings."""
+    """Per-item propensities in (0,1], the most frequent item's exactly 1."""
 
     per_item_propensity: np.ndarray
-    gamma: float
-    floor: float
 
     def __post_init__(self):
         values = np.asarray(self.per_item_propensity, dtype=np.float64)
         object.__setattr__(self, "per_item_propensity", values)
         if values.ndim != 1 or len(values) == 0:
             raise ValidationError("propensity table must be a nonempty vector")
-        check_settings(self.gamma, self.floor)
-        if values.min() < self.floor or values.max() > 1.0:
-            raise ValidationError("propensities must lie in [floor, 1]")
-        if values.max() != 1.0:
-            raise ValidationError("the most frequent item must have propensity 1")
-
-
-@dataclass(frozen=True)
-class SampleProbTable:
-    """Per-instance sampling probabilities after truncation at epsilon."""
-
-    per_instance_prob: np.ndarray
-    epsilon: float
-    truncated: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.per_instance_prob, dtype=np.float64)
-        flags = np.asarray(self.truncated, dtype=bool)
-        object.__setattr__(self, "per_instance_prob", probs)
-        object.__setattr__(self, "truncated", flags)
-        if probs.shape != flags.shape:
-            raise ValidationError("probabilities and flags must align")
-        if len(probs) and (probs.min() <= 0.0 or probs.max() > 1.0):
-            raise ValidationError("probabilities must lie in (0,1]")
-        check_epsilon(self.epsilon)
-        if len(probs) and not np.all(probs[flags] == 1.0):
-            raise ValidationError("truncated entries must equal 1")
+        if not (values.min() > 0.0 and values.max() == 1.0):
+            raise ValidationError("propensities must lie in (0,1] with max exactly 1")
 
 
 def estimate_popularity_propensity(
@@ -90,7 +71,7 @@ def estimate_popularity_propensity(
     values = np.power(counts / counts.max(), gamma)
     values[counts == 0] = floor
     np.clip(values, floor, 1.0, out=values)
-    return PropensityTable(per_item_propensity=values, gamma=gamma, floor=floor)
+    return PropensityTable(values)
 
 
 def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
@@ -108,17 +89,15 @@ def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
     return inverse / inverse.max() if len(inverse) else inverse
 
 
-def truncate(p: np.ndarray, epsilon: float) -> SampleProbTable:
-    """Force probabilities >= epsilon to 1, keep the rest unchanged; the table checks epsilon."""
+def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:
+    """Force probabilities >= epsilon to 1, keep the rest unchanged.
+
+    ``p`` must lie in (0,1] and ``epsilon`` in [0,1].
+    """
     p = np.asarray(p, dtype=np.float64)
-    if len(p) and (p.min() <= 0.0 or p.max() > 1.0):
-        raise ValidationError("probabilities must lie in (0,1]")
-    truncated = p >= epsilon
-    return SampleProbTable(
-        per_instance_prob=np.where(truncated, 1.0, p),
-        epsilon=epsilon,
-        truncated=truncated,
-    )
+    check_probabilities(p)
+    check_epsilon(epsilon)
+    return np.where(p >= epsilon, 1.0, p)
 
 
 def save_table(t: PropensityTable, path, item_ids: np.ndarray | None = None) -> None:

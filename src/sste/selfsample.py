@@ -13,28 +13,25 @@ import numpy as np
 
 from .data import Dataset, Provenance
 from .errors import ValidationError
-from .propensity import PropensityTable, SampleProbTable, sampling_probabilities, truncate
+from .propensity import PropensityTable, check_probabilities, sampling_probabilities, truncate
 from .seeding import derive_seed
 
 
-def draw_auxiliary(d: Dataset, probs: SampleProbTable, seed: int) -> Dataset:
-    """Keep each interaction independently with its sampling probability.
+def draw_auxiliary(d: Dataset, probs: np.ndarray, seed: int) -> Dataset:
+    """Keep each interaction independently with its probability in ``probs``.
 
-    The result records the threshold that produced it. Expected size is the
-    sum of the probabilities.
+    ``probs`` holds one value in (0,1] per row of ``d``, as ``truncate``
+    returns it. Expected size is the sum of the probabilities.
     """
-    if len(probs.per_instance_prob) != len(d):
+    probs = np.asarray(probs, dtype=np.float64)
+    if len(probs) != len(d):
         raise ValidationError(
-            f"probabilities cover {len(probs.per_instance_prob)} instances, "
-            f"dataset has {len(d)}"
+            f"probabilities cover {len(probs)} instances, dataset has {len(d)}"
         )
+    check_probabilities(probs)
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(d)) < probs.per_instance_prob
-    return d.take(
-        np.flatnonzero(keep),
-        provenance=Provenance.AUXILIARY_SUBSET,
-        epsilon=probs.epsilon,
-    )
+    keep = rng.random(len(d)) < probs
+    return d.take(np.flatnonzero(keep), provenance=Provenance.AUXILIARY_SUBSET)
 
 
 def train_family(

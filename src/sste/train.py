@@ -168,8 +168,8 @@ def _apply_batch(
     """One optimizer step; L2 is folded into each touched row's gradient."""
     head = m.head(branch)
     prefix = branch.value
-    opt.update("user_factors", bg.users, bg.user_factors + l2 * m.user_factors[bg.users])
-    opt.update("item_factors", bg.items, bg.item_factors + l2 * m.item_factors[bg.items])
+    opt.update("user_factors", bg.users, bg.user_factors + l2 * m.user_factors.take(bg.users, axis=0))
+    opt.update("item_factors", bg.items, bg.item_factors + l2 * m.item_factors.take(bg.items, axis=0))
     opt.update(
         f"{prefix}_user_bias", bg.users, bg.user_bias + l2 * head.user_bias[bg.users]
     )
@@ -243,7 +243,7 @@ def sste_epoch(
     d_tr: Dataset,
     a_tr: list[Dataset],
     cfg: RunConfig,
-    epoch: int = 1,
+    epoch: int,
 ) -> LossBreakdown:
     """One interleaved pass over the biased set (Tilde) and each auxiliary
     subset (Hat), batches shuffled together proportionally to source sizes."""
@@ -266,7 +266,7 @@ def baseline_epoch(
     d_tr: Dataset,
     pt: PropensityTable | None,
     cfg: RunConfig,
-    epoch: int = 1,
+    epoch: int,
 ) -> LossBreakdown:
     """One pass of naive/ips/snips training through the Hat branch only.
 
@@ -315,7 +315,7 @@ def self_evaluate(m: MfModel, val: Dataset, a_val: list[Dataset]) -> ev.EvalRepo
 def fit(
     train: Dataset,
     val: Dataset,
-    aux: tuple[list[Dataset], list[Dataset]] | None,
+    aux: tuple[list[Dataset], list[Dataset]],
     cfg: RunConfig,
     *,
     propensity: PropensityTable | None = None,
@@ -331,11 +331,11 @@ def fit(
     score has not strictly improved for ``cfg.patience`` epochs. The
     initialization and the epoch shuffles use seeds derived from ``cfg.seed``.
     With ``resample_seed`` set, the joint objective redraws its auxiliary
-    train subsets before every epoch after the first, at the thresholds
-    they record, from ``train_family`` with that master seed.
+    train subsets before every epoch after the first, at ``cfg.epsilon_train``,
+    from ``train_family`` with that master seed.
     ``on_epoch(epoch, breakdown, report)`` is called after each epoch.
     """
-    a_tr, a_val = aux if aux is not None else ([], [])
+    a_tr, a_val = aux
     for d in [train, val, *a_tr, *a_val]:
         if d.n_users != train.n_users or d.n_items != train.n_items:
             raise ValidationError("all datasets must share the vocabularies")
@@ -345,7 +345,6 @@ def fit(
     resample = objective is Objective.SSTE and resample_seed is not None
     if resample and propensity is None:
         raise ValidationError("resampling needs the propensity table")
-    epsilons = tuple(a.epsilon for a in a_tr)
 
     seed = derive_seed(cfg.seed, "init")
     model = init(train.n_users, train.n_items, cfg.embedding_dim, cfg.init_scale, seed)
@@ -358,7 +357,7 @@ def fit(
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         if resample and epoch > 1:
-            a_tr = train_family(train, propensity, epsilons, resample_seed, epoch=epoch)
+            a_tr = train_family(train, propensity, cfg.epsilon_train, resample_seed, epoch=epoch)
         if objective is Objective.SSTE:
             breakdown = sste_epoch(model, opt, train, a_tr, cfg, epoch=epoch)
         else:

@@ -237,10 +237,10 @@ class TestSamplingContracts:
         with criterion(5, "sampling contracts"):
             probs = np.round(np.arange(0.01, 1.005, 0.01), 2)
             for eps in np.round(np.arange(0.0, 1.005, 0.01), 2):
-                table = truncate(probs, float(eps))
+                out = truncate(probs, float(eps))
                 expected = np.where(probs >= eps, 1.0, probs)
-                assert np.array_equal(table.per_instance_prob, expected)
-                assert np.array_equal(table.truncated, probs >= eps)
+                assert np.array_equal(out, expected)
+                assert np.array_equal(out == 1.0, probs >= eps)
 
             ds = make_dataset([0, 1, 2], [2, 0, 1], [1, 0, 1], 3, 3)
             kept = draw_auxiliary(ds, truncate(np.ones(3), 0.5), seed=9)

@@ -345,11 +345,6 @@ class TestDatasetValidation:
         with pytest.raises(ValidationError):
             make_dataset([0], [0], [2], n_users=1, n_items=1)
 
-    def test_auxiliary_requires_draw_parameters(self):
-        with pytest.raises(ValidationError):
-            make_dataset([0], [0], [1], 1, 1,
-                         provenance=Provenance.AUXILIARY_SUBSET)
-
     def test_columns_are_read_only(self):
         ds = make_dataset([0], [0], [1], 1, 1)
         with pytest.raises((ValueError, RuntimeError)):
@@ -364,13 +359,11 @@ class TestDatasetValidation:
 
     def test_take_preserves_row_content(self):
         ds = make_dataset([0, 1, 2], [2, 1, 0], [1, 0, 1], 3, 3)
-        sub = ds.take(np.array([2, 0]), Provenance.AUXILIARY_SUBSET,
-                      epsilon=0.5)
+        sub = ds.take(np.array([2, 0]), Provenance.AUXILIARY_SUBSET)
         assert sub.users.tolist() == [2, 0]
         assert sub.items.tolist() == [0, 2]
         assert sub.labels.tolist() == [1, 1]
         assert sub.provenance is Provenance.AUXILIARY_SUBSET
-        assert sub.epsilon == 0.5
         assert (sub.n_users, sub.n_items) == (3, 3)
 
 

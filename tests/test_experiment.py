@@ -1,5 +1,6 @@
 """Run configs, grid search, run directories, and the comparison table."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -402,6 +403,23 @@ class TestRunOne:
             assert (Path(ra.run_dir) / name).read_bytes() == (
                 Path(rb.run_dir) / name
             ).read_bytes(), name
+
+    def test_resampled_joint_run_files_are_unchanged(self, tmp_path):
+        # Digests of the files this config has always produced: two train
+        # thresholds redrawn before every epoch, one validation threshold.
+        cfg = quick_cfg(tmp_path, objective="sste", epsilon_train=(0.3, 0.7),
+                        epsilon_val=(0.5,), resample_each_epoch=True,
+                        max_epochs=4, patience=4)
+        result = run_one(cfg)
+        assert result.status == "ok"
+        expected = {
+            "epochs.jsonl": "e1b4b70d3581859e799c5142ca1fc867d783f7ef8d5d64344194fe68ff146835",
+            "model.ckpt": "007eaf82cf35729b0126a95af1c2c1828c3c55b49b31126673c253af407acfda",
+            "report.json": "dac0304243c0518ad75adcac39c37929216ce677075b4da3a3bb4acf6ccf07d1",
+        }
+        for name, digest in expected.items():
+            data = (Path(result.run_dir) / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_joint_objective_runs_and_logs_aux_scores(self, tmp_path):
         cfg = quick_cfg(tmp_path, objective="sste", epsilon_train=(0.5,),

@@ -88,37 +88,34 @@ class TestEstimate:
 class TestTableValidation:
     def test_max_below_one_is_rejected(self):
         with pytest.raises(ValidationError):
-            PropensityTable(np.array([0.9, 0.5]), gamma=1.0, floor=0.01)
+            PropensityTable(np.array([0.9, 0.5]))
 
-    def test_value_below_floor_is_rejected(self):
-        with pytest.raises(ValidationError):
-            PropensityTable(np.array([1.0, 0.001]), gamma=1.0, floor=0.01)
-
-    def test_nan_gamma_is_rejected(self):
-        with pytest.raises(ValidationError, match="gamma"):
-            PropensityTable(np.array([1.0, 0.5]), gamma=math.nan, floor=0.01)
+    def test_value_outside_zero_one_is_rejected(self):
+        for values in ([1.0, 0.0], [1.0, -0.5], [1.5, 1.0], [1.0, math.nan]):
+            with pytest.raises(ValidationError, match=r"\(0,1\]"):
+                PropensityTable(np.array(values))
 
     def test_empty_vector_is_rejected(self):
         with pytest.raises(ValidationError):
-            PropensityTable(np.array([]), gamma=1.0, floor=0.01)
+            PropensityTable(np.array([]))
 
 
 class TestSamplingProbabilities:
     def test_inverse_is_max_normalized(self):
         ds = make_dataset([0, 0], [0, 1], [1, 1], 1, 2)
-        table = PropensityTable(np.array([1.0, 0.5]), gamma=0.5, floor=0.01)
+        table = PropensityTable(np.array([1.0, 0.5]))
         probs = sampling_probabilities(ds, table)
         assert probs.tolist() == [0.5, 1.0]
 
     def test_equal_propensities_give_all_ones(self):
         ds = make_dataset([0, 0, 0], [0, 1, 2], [1, 1, 1], 1, 3)
-        table = PropensityTable(np.array([1.0, 1.0, 1.0]), gamma=0.0, floor=0.01)
+        table = PropensityTable(np.array([1.0, 1.0, 1.0]))
         probs = sampling_probabilities(ds, table)
         assert probs.tolist() == [1.0, 1.0, 1.0]
 
     def test_three_level_example(self):
         ds = make_dataset([0] * 3, [0, 1, 2], [1] * 3, 1, 3)
-        table = PropensityTable(np.array([0.1, 0.2, 1.0]), gamma=1.0, floor=0.1)
+        table = PropensityTable(np.array([0.1, 0.2, 1.0]))
         probs = sampling_probabilities(ds, table)
         assert probs == pytest.approx([1.0, 0.5, 0.1])
 
@@ -130,7 +127,7 @@ class TestSamplingProbabilities:
 
     def test_uncovered_item_is_rejected(self):
         ds = make_dataset([0], [5], [1], 1, 6)
-        table = PropensityTable(np.array([1.0, 0.5]), gamma=0.5, floor=0.01)
+        table = PropensityTable(np.array([1.0, 0.5]))
         with pytest.raises(ValidationError):
             sampling_probabilities(ds, table)
 
@@ -154,23 +151,19 @@ class TestSamplingProbabilities:
 class TestTruncate:
     def test_below_epsilon_is_kept(self):
         out = truncate(np.array([0.3]), epsilon=0.5)
-        assert out.per_instance_prob.tolist() == [0.3]
-        assert out.truncated.tolist() == [False]
+        assert out.tolist() == [0.3]
 
     def test_at_or_above_epsilon_becomes_one(self):
         out = truncate(np.array([0.7, 0.5]), epsilon=0.5)
-        assert out.per_instance_prob.tolist() == [1.0, 1.0]
-        assert out.truncated.tolist() == [True, True]
+        assert out.tolist() == [1.0, 1.0]
 
     def test_epsilon_zero_forces_everything(self):
         out = truncate(np.array([0.01, 0.4, 1.0]), epsilon=0.0)
-        assert out.per_instance_prob.tolist() == [1.0, 1.0, 1.0]
-        assert all(out.truncated)
+        assert out.tolist() == [1.0, 1.0, 1.0]
 
     def test_epsilon_one_only_touches_exact_ones(self):
         out = truncate(np.array([0.999, 1.0]), epsilon=1.0)
-        assert out.per_instance_prob.tolist() == [0.999, 1.0]
-        assert out.truncated.tolist() == [False, True]
+        assert out.tolist() == [0.999, 1.0]
 
     def test_out_of_range_epsilon_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -192,12 +185,12 @@ class TestTruncate:
     @settings(max_examples=80)
     def test_rule_holds_elementwise(self, probs, epsilon):
         out = truncate(probs, epsilon)
-        for before, after, flag in zip(probs, out.per_instance_prob,
-                                       out.truncated):
+        assert out.dtype == np.float64 and out.shape == probs.shape
+        for before, after in zip(probs, out):
             if before >= epsilon:
-                assert after == 1.0 and flag
+                assert after == 1.0
             else:
-                assert after == before and not flag
+                assert after == before < 1.0
 
     @given(
         hnp.arrays(np.float64, st.integers(min_value=1, max_value=40),
@@ -207,13 +200,12 @@ class TestTruncate:
     @settings(max_examples=40)
     def test_truncation_is_idempotent(self, probs, epsilon):
         once = truncate(probs, epsilon)
-        twice = truncate(once.per_instance_prob, epsilon)
-        assert np.array_equal(once.per_instance_prob, twice.per_instance_prob)
+        assert np.array_equal(once, truncate(once, epsilon))
 
 
 class TestSaveTable:
     def test_writes_item_value_lines(self, tmp_path):
-        table = PropensityTable(np.array([1.0, 0.25]), gamma=1.0, floor=0.01)
+        table = PropensityTable(np.array([1.0, 0.25]))
         out = tmp_path / "prop.tsv"
         save_table(table, str(out))
         lines = out.read_text().splitlines()

@@ -11,11 +11,11 @@ from sste.data import Provenance, generate_synthetic
 from sste.errors import ValidationError
 from sste.experiment import RunConfig
 from sste.propensity import (
-    SampleProbTable,
     estimate_popularity_propensity,
     sampling_probabilities,
     truncate,
 )
+from sste.seeding import derive_seed
 from sste.selfsample import (
     draw_auxiliary,
     train_family,
@@ -24,14 +24,6 @@ from sste.selfsample import (
 
 from reference import make_dataset
 from test_data import small_spec
-
-
-def uniform_probs(n, value, epsilon=0.5):
-    probs = np.full(n, value)
-    return truncate(probs, epsilon) if value < epsilon else SampleProbTable(
-        per_instance_prob=np.ones(n), epsilon=epsilon,
-        truncated=np.ones(n, dtype=bool)
-    )
 
 
 def biased_dataset(n_items=12, rows=3000, seed=3):
@@ -47,16 +39,15 @@ def biased_dataset(n_items=12, rows=3000, seed=3):
 class TestDrawAuxiliary:
     def test_all_ones_returns_the_input_verbatim(self):
         ds = make_dataset([0, 1, 2], [2, 0, 1], [1, 0, 1], 3, 3)
-        out = draw_auxiliary(ds, uniform_probs(3, 1.0), seed=7)
+        out = draw_auxiliary(ds, np.ones(3), seed=7)
         assert np.array_equal(out.users, ds.users)
         assert np.array_equal(out.items, ds.items)
         assert np.array_equal(out.labels, ds.labels)
 
-    def test_result_records_provenance_seed_and_epsilon(self):
+    def test_result_records_provenance(self):
         ds = make_dataset([0, 1], [0, 1], [1, 1], 2, 2)
         out = draw_auxiliary(ds, truncate(np.array([0.4, 0.9]), 0.5), seed=11)
         assert out.provenance is Provenance.AUXILIARY_SUBSET
-        assert out.epsilon == 0.5
 
     def test_same_seed_reproduces_the_draw(self):
         ds = biased_dataset()
@@ -77,6 +68,12 @@ class TestDrawAuxiliary:
         ds = make_dataset([0, 1], [0, 1], [1, 1], 2, 2)
         with pytest.raises(ValidationError):
             draw_auxiliary(ds, truncate(np.array([0.4]), 0.5), seed=1)
+
+    def test_probabilities_outside_zero_one_are_rejected(self):
+        ds = make_dataset([0, 1], [0, 1], [1, 1], 2, 2)
+        for probs in ([0.0, 0.5], [1.0, 1.5], [np.nan, 1.0]):
+            with pytest.raises(ValidationError, match=r"\(0,1\]"):
+                draw_auxiliary(ds, np.array(probs), seed=1)
 
     def test_half_probability_size_is_binomial(self):
         ds = biased_dataset(rows=10000)
@@ -106,8 +103,11 @@ class TestFamilies:
         pt = estimate_popularity_propensity(ds, gamma=1.0, floor=0.01)
         subsets = train_family(ds, pt, (0.3, 0.7), master_seed=9)
         assert len(subsets) == 2
-        assert subsets[0].epsilon == 0.3
-        assert subsets[1].epsilon == 0.7
+        base = sampling_probabilities(ds, pt)
+        for i, (eps, subset) in enumerate(zip((0.3, 0.7), subsets)):
+            alone = draw_auxiliary(ds, truncate(base, eps), derive_seed(9, "aux-train", i, 0))
+            assert np.array_equal(subset.users, alone.users)
+            assert np.array_equal(subset.items, alone.items)
 
     def test_zero_threshold_keeps_the_whole_source(self):
         ds = biased_dataset(rows=500)
@@ -142,7 +142,7 @@ class TestFamilies:
         ds = biased_dataset(rows=6000)
         pt = estimate_popularity_propensity(ds, gamma=1.0, floor=0.01)
         probs = truncate(sampling_probabilities(ds, pt), 0.5)
-        expected = probs.per_instance_prob.sum()
+        expected = probs.sum()
         sizes = [
             len(draw_auxiliary(ds, probs, seed=s)) for s in range(40, 60)
         ]

@@ -15,7 +15,7 @@ from sste.errors import (
     ValidationError,
 )
 from sste.experiment import RunConfig, load_config
-from sste.model import Branch, bce_from_logits, init, sigmoid
+from sste.model import Branch, bce_from_logits, init, save_checkpoint, sigmoid
 from sste.optim import SparseAdam
 from sste.propensity import PropensityTable, estimate_popularity_propensity
 from sste.seeding import derive_seed
@@ -246,19 +246,27 @@ class TestGroup:
 
 
 class TestCounterArguments:
-    """perfbench/spans.py counts ``optim.rows_updated`` from argument 2 of
-    ``SparseAdam.update`` and ``train.batch_rows`` from argument 2 of
-    ``batch_gradients``, by position or by name; a moved or renamed
-    parameter would zero those counters without failing a run."""
+    """perfbench/spans.py reads each counter's input from one argument of a
+    traced function, by position or by name: ``optim.rows_updated`` from
+    ``rows`` of ``SparseAdam.update``, ``train.batch_rows`` from ``users`` of
+    ``batch_gradients``, ``selfsample.offered`` from ``train`` and
+    ``epsilons`` of ``train_family``, the synthetic repeat count from
+    ``spec`` of ``generate_synthetic`` and ``model.ckpt_bytes`` from ``path``
+    of ``save_checkpoint``. A moved or renamed parameter would zero those
+    counters without failing a run."""
 
-    @pytest.mark.parametrize("fn, name", [
-        (SparseAdam.update, "rows"),
-        (batch_gradients, "users"),
+    @pytest.mark.parametrize("fn, index, name", [
+        (SparseAdam.update, 2, "rows"),
+        (batch_gradients, 2, "users"),
+        (train_family, 0, "train"),
+        (train_family, 2, "epsilons"),
+        (generate_synthetic, 0, "spec"),
+        (save_checkpoint, 1, "path"),
     ])
-    def test_argument_two_keeps_its_position_and_name(self, fn, name):
+    def test_counted_argument_keeps_its_position_and_name(self, fn, index, name):
         parameters = list(inspect.signature(fn).parameters.values())
-        assert parameters[2].name == name
-        assert parameters[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert parameters[index].name == name
+        assert parameters[index].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 class TestRegularization:
@@ -323,7 +331,7 @@ class TestEpochs:
         def hat_bce(a_tr):
             m = batch_model(scale=0.4)
             opt = SparseAdam(m.parameters(), cfg.learning_rate)
-            return sste_epoch(m, opt, train, a_tr, cfg).hat_bce
+            return sste_epoch(m, opt, train, a_tr, cfg, epoch=1).hat_bce
 
         split = [train.take(np.arange(6)), train.take(np.arange(6, 16))]
         assert hat_bce(split) == pytest.approx(hat_bce([train]), abs=1e-9)
@@ -333,7 +341,7 @@ class TestEpochs:
         m = batch_model()
         opt = SparseAdam(m.parameters(), 0.01)
         with pytest.raises(ValidationError):
-            sste_epoch(m, opt, train, [], run_cfg(objective="sste"))
+            sste_epoch(m, opt, train, [], run_cfg(objective="sste"), epoch=1)
 
     def test_baseline_epoch_rejects_the_joint_objective(self):
         train = separable_4x4()
@@ -341,18 +349,18 @@ class TestEpochs:
         opt = SparseAdam(m.parameters(), 0.01)
         with pytest.raises(ValidationError):
             baseline_epoch(m, opt, train, None,
-                           run_cfg(objective="sste"))
+                           run_cfg(objective="sste"), epoch=1)
 
     def test_weighted_baseline_needs_a_propensity_table(self):
         train = separable_4x4()
         m = batch_model()
         opt = SparseAdam(m.parameters(), 0.01)
         with pytest.raises(ValidationError):
-            baseline_epoch(m, opt, train, None, run_cfg(objective="ips"))
+            baseline_epoch(m, opt, train, None, run_cfg(objective="ips"), epoch=1)
 
     def test_all_one_propensities_make_ips_equal_naive(self):
         train = separable_4x4()
-        table = PropensityTable(np.ones(4), gamma=0.0, floor=0.5)
+        table = PropensityTable(np.ones(4))
         runs = {}
         for objective in ("naive", "ips"):
             m = init(4, 4, 2, 0.2, 7)
@@ -587,7 +595,7 @@ class TestFit:
         cfg = run_cfg(objective="naive", batch_size=4, seed=0,
                       learning_rate=0.01, max_epochs=50, patience=5,
                       embedding_dim=2, init_scale=0.1)
-        _, state = fit(train, val, None, cfg)
+        _, state = fit(train, val, ([], []), cfg)
         assert state.best_epoch == 1
         assert state.epoch == 1 + cfg.patience
         assert len(state.history) == cfg.patience + 1
@@ -599,7 +607,7 @@ class TestFit:
         cfg = run_cfg(objective="naive", batch_size=512, seed=2,
                       learning_rate=0.01, max_epochs=4, patience=4,
                       embedding_dim=4)
-        _, state = fit(train, val, None, cfg)
+        _, state = fit(train, val, ([], []), cfg)
         for report in state.history:
             assert report.alpha == 0.0
             assert report.modified_score == report.score_on_val
@@ -610,7 +618,7 @@ class TestFit:
                       learning_rate=1e3, max_epochs=10, patience=10,
                       embedding_dim=4)
         with pytest.raises(TrainingDivergedError):
-            fit(train, val, None, cfg)
+            fit(train, val, ([], []), cfg)
 
     def test_joint_objective_requires_auxiliary_subsets(self):
         train, val, _, _, _ = fit_world()
@@ -622,7 +630,7 @@ class TestFit:
         train, val, _, _, _ = fit_world()
         other_val = make_dataset([0], [0], [1], 99, 99)
         with pytest.raises(ValidationError):
-            fit(train, other_val, None, run_cfg(objective="naive"))
+            fit(train, other_val, ([], []), run_cfg(objective="naive"))
 
     def test_resampling_changes_the_training_stream(self):
         train, val, _, pt, aux = fit_world()
@@ -642,6 +650,6 @@ class TestFit:
                       learning_rate=0.01, max_epochs=3, patience=3,
                       embedding_dim=4)
         seen = []
-        fit(train, val, None, cfg,
+        fit(train, val, ([], []), cfg,
             on_epoch=lambda epoch, breakdown, report: seen.append(epoch))
         assert seen == [1, 2, 3]
