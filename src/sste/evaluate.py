@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _sorted_unique
 from .errors import MetricUndefinedError, ValidationError
 
 
@@ -91,10 +91,10 @@ def topk_metrics(result: RankedUsers, ks, ndcg_k: int) -> dict[str, float]:
     lengths = np.minimum(result.n_candidates, ndcg_k)
     n_ideal = np.minimum(result.n_relevant, ndcg_k)
     dcg, idcg = np.empty(len(result)), np.empty(len(result))
-    for n in np.unique(lengths).tolist():
+    for n in _sorted_unique(lengths).tolist():
         gains = result.hits[lengths == n, :n].astype(np.float64)
         dcg[lengths == n] = (gains / np.log2(np.arange(1, n + 1) + 1)).sum(axis=1)
-    for n in np.unique(n_ideal).tolist():
+    for n in _sorted_unique(n_ideal).tolist():
         idcg[n_ideal == n] = (1.0 / np.log2(np.arange(1, n + 1) + 1)).sum()
     terms[f"ndcg@{ndcg_k}"] = dcg / idcg
     return {name: float(np.cumsum(values)[-1]) / len(result) for name, values in terms.items()}
@@ -103,7 +103,7 @@ def topk_metrics(result: RankedUsers, ks, ndcg_k: int) -> dict[str, float]:
 def _positive_keys(d: Dataset) -> np.ndarray:
     """Sorted distinct ``user * n_items + item`` keys of the positives of ``d``."""
     pos = d.labels == 1
-    return np.unique(d.users[pos] * d.n_items + d.items[pos])
+    return _sorted_unique(d.users[pos] * d.n_items + d.items[pos])
 
 
 def _block_mask(keys: np.ndarray, offsets: np.ndarray, block: np.ndarray, n_items: int):

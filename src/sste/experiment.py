@@ -16,7 +16,6 @@ import json
 import time
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -532,6 +531,10 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
             cell = replace(cell, seed=derive_seed(base.seed, "grid", order))
         configs.append(cell)
     if workers > 1:
+        # Imported here: the process-pool modules cost every other command
+        # about 20 ms at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, configs))
     else:

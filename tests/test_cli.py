@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sste
 from sste.cli import main
 from sste.data import Schema, load_tsv
 from sste.model import Branch, load_checkpoint
@@ -483,3 +487,14 @@ class TestExperimentCommands:
         text = capsys.readouterr().out
         assert "AUC" in text and "nDCG@50" in text
         assert table_out.read_text().splitlines()[0].startswith("label\t")
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """Only ``run_grid`` with workers > 1 imports the process-pool modules."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sste.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sste.cli; print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["False"]

@@ -4,7 +4,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sste import data as datamod
@@ -262,6 +262,114 @@ class TestLoadTsvMatchesTheLineReader:
         path.write_text(text, encoding="utf-8", newline="")
         assert (load_outcome(load_tsv, path, schema)
                 == load_outcome(load_tsv_per_line, path, schema))
+
+
+INT64_EDGES = (-2**63, -2**63 + 1, -2, -1, 0, 1, 2**63 - 2, 2**63 - 1)
+any_id = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(INT64_EDGES),
+                   st.integers(-20, 20))
+
+
+def is_dense(id_map) -> bool:
+    """Whether ``_id_codes`` takes its lookup-table branch for this map."""
+    return int(id_map[-1]) - int(id_map[0]) + 1 <= 2 * len(id_map)
+
+
+class TestSortedUnique:
+    """``_sorted_unique`` against ``np.unique``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(any_id, max_size=30), strided=st.booleans())
+    def test_matches_np_unique(self, values, strided):
+        x = np.array(values, dtype=np.int64)
+        if strided:  # a column of a row-major table, as load_tsv passes it
+            x = np.column_stack([x, x, x])[:, 0]
+        out = datamod._sorted_unique(x)
+        assert out.dtype == np.int64
+        assert out.tolist() == np.unique(x).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("values", [[], [7], [3, 1, 3, 2, 1]])
+    def test_keeps_the_dtype_and_takes_empty_input(self, dtype, values):
+        x = np.array(values, dtype=dtype)
+        out = datamod._sorted_unique(x)
+        assert out.dtype == x.dtype
+        assert out.tolist() == np.unique(x).tolist() == sorted(set(values))
+
+
+class TestIdCodes:
+    """``_id_codes`` against ``searchsorted``: a known id gets its index in
+    the map, an unknown one an index whose map entry differs."""
+
+    @staticmethod
+    def check(id_map, queries):
+        id_map = np.array(sorted(id_map), dtype=np.int64)
+        q = np.array(queries, dtype=np.int64)
+        codes = datamod._id_codes(q, id_map)
+        assert codes.shape == q.shape
+        assert np.all((codes >= 0) & (codes < len(id_map)))
+        known = np.isin(q, id_map)
+        assert codes[known].tolist() == np.searchsorted(id_map, q[known]).tolist()
+        assert np.all(id_map[codes[~known]] != q[~known])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_dense_maps_take_the_table(self, data, n):
+        lo = data.draw(st.one_of(st.sampled_from([-2**63, -5, 0, 2**63 - 2 * n]),
+                                 st.integers(-2**63, 2**63 - 2 * n)))
+        offsets = data.draw(st.lists(st.integers(0, 2 * n - 1), min_size=n, max_size=n,
+                                     unique=True))
+        id_map = [lo + o for o in offsets]
+        assert is_dense(sorted(id_map))
+        near = st.integers(max(lo - 3, -2**63), min(lo + 2 * n + 3, 2**63 - 1))
+        queries = data.draw(st.lists(st.one_of(st.sampled_from(id_map), near, any_id),
+                                     max_size=30))
+        self.check(id_map, queries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sparse_maps_take_searchsorted(self, data):
+        id_map = data.draw(st.lists(any_id, min_size=2, max_size=12, unique=True))
+        assume(not is_dense(sorted(id_map)))
+        queries = data.draw(st.lists(st.one_of(st.sampled_from(id_map), any_id), max_size=30))
+        self.check(id_map, queries)
+
+    @pytest.mark.parametrize("id_map", [[0, 1, 3], [-2**63, -2**63 + 2], [2**63 - 3, 2**63 - 1],
+                                        [-2**63, 2**63 - 1], [-7, 2**62]])
+    def test_ids_at_the_ends_of_int64_are_unknown_not_out_of_bounds(self, id_map):
+        self.check(id_map, [*INT64_EDGES, *id_map, 2])
+
+
+class TestUnknownIdsUnderBothBranches:
+    """The line of the first unknown id, whichever way the codes are found."""
+
+    @pytest.mark.parametrize("lines, message", [
+        (["1\t10\t4", "", "3\t11\t1"], "^line 3: unknown user id 3$"),  # in a hole
+        (["2\t12\t1", "-1\t10\t4"], "^line 2: unknown user id -1$"),  # below the range
+        (["4\t10\t1", "2\t99\t5"], "^line 2: unknown item id 99$"),  # above the range
+    ])
+    def test_dense_maps(self, tmp_path, lines, message):
+        train = load_tsv(write_lines(tmp_path / "tr.tsv", ["1\t10\t4", "2\t11\t1", "4\t12\t5"]),
+                         Schema.USER_ITEM_RATING)
+        assert is_dense(train.user_id_map) and is_dense(train.item_id_map)
+        with pytest.raises(ParseError, match=message):
+            load_tsv(write_lines(tmp_path / "te.tsv", lines), Schema.USER_ITEM_RATING,
+                     user_map=train.user_id_map, item_map=train.item_id_map)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["100000000000000000\t7\t4", "100000000000000001\t7\t1"],
+         "^line 2: unknown user id 100000000000000001$"),
+        (["999999999999999999\t7\t4", "", "100000000000000000\t123456789012345678\t1"],
+         "^line 3: unknown item id 123456789012345678$"),
+    ])
+    def test_sparse_maps_of_18_digit_ids(self, tmp_path, lines, message):
+        train = load_tsv(write_lines(tmp_path / "tr.tsv", [
+            "100000000000000000\t7\t4", "555555555555555555\t900000000000000000\t1",
+            "999999999999999999\t7\t5",
+        ]), Schema.USER_ITEM_RATING)
+        assert not is_dense(train.user_id_map) and not is_dense(train.item_id_map)
+        with pytest.raises(ParseError, match=message):
+            load_tsv(write_lines(tmp_path / "te.tsv", lines), Schema.USER_ITEM_RATING,
+                     user_map=train.user_id_map, item_map=train.item_id_map)
 
 
 class TestSaveTsv:

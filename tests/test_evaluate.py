@@ -165,6 +165,10 @@ class TestTopkMetrics:
         with pytest.raises(MetricUndefinedError):
             topk_metrics(build_ranked_lists(rows_of(by_item_id(6)), test, depth=50), (5, 10), 50)
 
+    def test_a_dataset_without_positives_has_no_positive_keys(self):
+        keys = evaluate._positive_keys(make_dataset([0, 1], [2, 0], [0, 0], 2, 3))
+        assert keys.dtype == np.int64 and keys.shape == (0,)
+
     def test_too_shallow_a_ranking_is_rejected(self):
         test = make_dataset([0], [1], [1], 1, 60)
         ranked = build_ranked_lists(rows_of(by_item_id(60)), test, depth=10)
