@@ -73,7 +73,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 def _id_codes(ids: np.ndarray, id_map: np.ndarray) -> np.ndarray:
     """The index of each of ``ids`` in the sorted, distinct int64 ``id_map``,
     where the map holds it; elsewhere some index whose map entry differs, so
-    ``id_map[codes] != ids`` marks the unknown ids.
+    ``id_map[codes] != ids`` flags the unknown ids.
 
     A dense map, whose span of ids is at most twice its length, looks each id
     up in a table indexed by ``id - id_map[0]``: its memory grows with the
@@ -314,10 +314,10 @@ def split_ratio(
 ) -> tuple[Dataset, Dataset]:
     """Partition a dataset into two disjoint datasets.
 
-    PER_USER_RANDOM sends floor(ratio * n_u) of each user's interactions to
-    the first split, every user drawn independently from ``seed``; users with
-    fewer than 2 interactions go entirely to the first split. CHRONOLOGICAL
-    takes the first ceil(ratio * len) rows in file order.
+    PER_USER_RANDOM shuffles each user's rows (users drawn independently
+    from ``seed``) and sends the first floor(ratio * n_u) to the first split;
+    users with fewer than 2 interactions go entirely to the first split.
+    CHRONOLOGICAL takes the first ceil(ratio * len) rows in file order.
     """
     mode = SplitMode(mode)
     if not 0.0 < ratio < 1.0:
@@ -336,18 +336,14 @@ def split_ratio(
         starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
         sizes = np.diff(starts, append=len(d))
         # An in-place shuffle of a user's slice of ``order`` draws what
-        # ``rng.permutation`` of its size does; its first ``n_first`` rows go
-        # first: +1 marks at starts, -1 at stops (none for n_first = 0, so
-        # only a stop on the next start shares an index), then a cumsum.
+        # ``rng.permutation`` of its size does; the slice's first ``n_first``
+        # rows, by rank within the slice, go first.
         for lo, n in zip(starts.tolist(), sizes.tolist()):
             if n >= 2:
                 rng.shuffle(order[lo:lo + n])
         n_first = np.where(sizes < 2, sizes, np.floor(ratio * sizes).astype(np.int64))
-        marked = n_first > 0
-        marks = np.zeros(len(d) + 1, dtype=np.int8)
-        marks[starts[marked]] = 1
-        marks[(starts + n_first)[marked]] -= 1
-        in_first = np.cumsum(marks[:-1], dtype=np.int8).view(bool)
+        rank = np.arange(len(d)) - np.repeat(starts, sizes)
+        in_first = rank < np.repeat(n_first, sizes)
         first_idx = np.sort(order[in_first])
         second_idx = np.sort(order[~in_first])
 

@@ -327,36 +327,27 @@ def train_model(
 ) -> tuple[MfModel, TrainState]:
     """Propensity, self-sampling and training of one config on its datasets.
 
-    The one training pipeline behind ``run_one`` and ``sste train``: every
-    random stream is seeded from ``cfg.seed`` by a derived seed, and each
+    The one training pipeline behind ``run_one`` and ``sste train``; every
+    objective runs every stage, and an empty threshold list draws no subset.
+    Random streams are seeded from ``cfg.seed`` by derived seeds, and each
     epoch writes one JSON line to the text handle ``log``. ``on_stage(name)``
     is called as the propensity, selfsample and train stages begin.
     """
     on_stage = on_stage or (lambda name: None)
     on_stage("propensity")
-    objective = Objective(cfg.objective)
-    needs_propensity = objective is not Objective.NAIVE or cfg.epsilon_val
-    pt = (
-        estimate_popularity_propensity(train, gamma=cfg.gamma, floor=cfg.floor)
-        if needs_propensity
-        else None
-    )
+    pt = estimate_popularity_propensity(train, gamma=cfg.gamma, floor=cfg.floor)
 
     on_stage("selfsample")
     aux_seed = derive_seed(cfg.seed, "selfsample")
-    a_tr = (
-        train_family(train, pt, cfg.epsilon_train, aux_seed, epoch=0)
-        if objective is Objective.SSTE
-        else []
-    )
-    a_val = val_family(val, pt, cfg.epsilon_val, aux_seed) if cfg.epsilon_val else []
+    a_tr = train_family(train, pt, cfg.epsilon_train, aux_seed, epoch=0)
+    a_val = val_family(val, pt, cfg.epsilon_val, aux_seed)
 
     on_stage("train")
 
     def on_epoch(epoch, breakdown, report):
         line = {
             "epoch": epoch,
-            "loss": breakdown.to_dict(),
+            "loss": asdict(breakdown),
             "val_score": report.score_on_val,
             "aux_scores": list(report.scores_on_aux),
             "alpha": report.alpha,
@@ -408,8 +399,8 @@ def save_model(model: MfModel, train: Dataset, path) -> None:
 def load_model(path) -> tuple[MfModel, np.ndarray, np.ndarray]:
     """(model, user ids, item ids) of a ``save_model`` checkpoint; row ``i`` is
     original id ``ids[i]``, and the ids are the rows when there is no sidecar.
-    A sidecar must map nonempty, distinct int64 ids of each kind onto the rows
-    ``0..n-1`` in original-id order, else ParseError."""
+    A sidecar must map distinct int64 ids of each kind onto every checkpoint
+    row ``0..n-1``, one id a row in original-id order, else ParseError."""
     model = load_checkpoint(path)
     sidecar = Path(str(path) + ".vocab.json")
     if not sidecar.exists():
@@ -425,10 +416,10 @@ def load_model(path) -> tuple[MfModel, np.ndarray, np.ndarray]:
         rows = [row for _, row in pairs]
         if any(type(row) is int and not 0 <= row < n_rows for row in rows):
             raise ParseError(f"{sidecar} maps {kind} ids outside the checkpoint's {n_rows} rows")
-        if (not rows or any(type(row) is not int for row in rows)
-                or rows != list(range(len(rows))) or len(dict(pairs)) < len(pairs)):
+        if (any(type(row) is not int for row in rows)
+                or rows != list(range(n_rows)) or len(dict(pairs)) < len(pairs)):
             raise ParseError(f"malformed vocab sidecar {sidecar}: the {kind} ids must be "
-                             f"distinct and take rows 0..n-1 in original-id order")
+                             f"distinct and take rows 0..{n_rows - 1} in original-id order")
     return model, *ids
 
 
@@ -625,14 +616,14 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
             }
         )
 
-    marks: dict[tuple[int, str], str] = {}
+    emphasis: dict[tuple[int, str], str] = {}
     for column in columns:
         ranked = sorted(
             range(len(rows)), key=lambda i: -rows[i]["metrics"][column]
         )
-        marks[(ranked[0], column)] = "**"
+        emphasis[(ranked[0], column)] = "**"
         if len(ranked) > 1:
-            marks[(ranked[1], column)] = "_"
+            emphasis[(ranked[1], column)] = "_"
 
     label_width = max(len("method"), max(len(r["label"]) for r in rows))
     cells_width = 12
@@ -644,7 +635,7 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
         cells = []
         for column in columns:
             text = f"{row['metrics'][column]:.4f}"
-            mark = marks.get((i, column))
+            mark = emphasis.get((i, column))
             if mark:
                 text = f"{mark}{text}{mark}"
             cells.append(text.rjust(cells_width))

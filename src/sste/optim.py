@@ -25,7 +25,7 @@ class SparseAdam:
     """
 
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
-        if learning_rate <= 0:
+        if not learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
         self.params = dict(params)
         self.lr = learning_rate

@@ -14,7 +14,7 @@ patience-based early stopping.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -52,7 +52,7 @@ class TrainState:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term epoch losses; None marks a term the objective does not train."""
+    """Per-term epoch losses; None stands for a term the objective does not train."""
 
     tilde_bce: float | None
     hat_bce: float
@@ -65,9 +65,6 @@ class LossBreakdown:
         object.__setattr__(
             self, "total", float(sum(p for p in parts if p is not None))
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def batch_coefficients(
@@ -324,12 +321,12 @@ def fit(
 ) -> tuple[MfModel, TrainState]:
     """Train, self-evaluate each epoch, and return the best checkpoint.
 
-    ``aux`` is the (auxiliary train list, auxiliary val list) pair; both
-    lists may be empty for baselines, in which case the selection score
-    degrades to plain validation AUC. The model with the highest modified
-    score is returned, first-best winning ties; training stops when the
-    score has not strictly improved for ``cfg.patience`` epochs. The
-    initialization and the epoch shuffles use seeds derived from ``cfg.seed``.
+    ``aux`` is the (auxiliary train list, auxiliary val list) pair; a
+    baseline ignores the train list, ``sste_epoch`` refuses an empty one, and
+    with no val subsets selection is by plain validation AUC. The model with
+    the highest modified score is returned, first-best winning ties; training
+    stops when the score has not strictly improved for ``cfg.patience``
+    epochs. Initialization and epoch shuffles use seeds derived from ``cfg.seed``.
     With ``resample_seed`` set, the joint objective redraws its auxiliary
     train subsets before every epoch after the first, at ``cfg.epsilon_train``,
     from ``train_family`` with that master seed.
@@ -340,8 +337,6 @@ def fit(
         if d.n_users != train.n_users or d.n_items != train.n_items:
             raise ValidationError("all datasets must share the vocabularies")
     objective = Objective(cfg.objective)
-    if objective is Objective.SSTE and not a_tr:
-        raise ValidationError("sste needs auxiliary train subsets")
     resample = objective is Objective.SSTE and resample_seed is not None
     if resample and propensity is None:
         raise ValidationError("resampling needs the propensity table")

@@ -421,6 +421,27 @@ class TestRunOne:
             data = (Path(result.run_dir) / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("overrides, expected", [
+        (dict(objective="naive"), {
+            "epochs.jsonl": "eb99f3ea368bb01fb4bafbe248970816d411f4e743428ecc63583051828dcebf",
+            "model.ckpt": "817bf776090cbf377576468b4fd4f45fcefbc3734837a4128d6da9e47d4ae444",
+            "report.json": "8d228228e9e7fab897cfffae5bbd5e0a1a058597abe30928affaea4750641481",
+        }),
+        (dict(objective="ips", epsilon_val=(0.5,)), {
+            "epochs.jsonl": "4d124c992deefac143dde06e4dddb2d31ba451f7de05dfc60ebdfdea5eecba8f",
+            "model.ckpt": "ed89cfdc0cc9a894f2b2f49cf8c3729f6d61009dd91b45d8146c0c2092de35fd",
+            "report.json": "a845f0d42f3d4be280e26b9ae9562578e81f328934794290a6c9b7bf08acedcf",
+        }),
+    ], ids=["naive", "ips"])
+    def test_baseline_run_files_are_unchanged(self, tmp_path, overrides, expected):
+        # Digests of the files these baselines have always produced: no
+        # train thresholds, and for ips one validation threshold.
+        result = run_one(quick_cfg(tmp_path, max_epochs=4, patience=4, **overrides))
+        assert result.status == "ok"
+        for name, digest in expected.items():
+            data = (Path(result.run_dir) / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_joint_objective_runs_and_logs_aux_scores(self, tmp_path):
         cfg = quick_cfg(tmp_path, objective="sste", epsilon_train=(0.5,),
                         epsilon_val=(0.5,))
@@ -541,11 +562,14 @@ class TestYahooShapedFiles:
         train = load_tsv(yahoo_dir / "train.tsv", Schema.USER_ITEM_RATING)
         assert_split_matches_the_loop(train, ratio, seed)
 
-    def test_a_file_mode_run_repeats_byte_for_byte(self, yahoo_dir, tmp_path):
+    def test_a_file_mode_run_repeats_byte_for_byte(self, yahoo_dir, tmp_path, monkeypatch):
+        # Relative input paths keep report.json's config free of tmp_path.
+        monkeypatch.chdir(yahoo_dir)
+
         def config(out_dir) -> RunConfig:
             return RunConfig(
                 synthetic=False, schema="rating",
-                train_path=str(yahoo_dir / "train.tsv"), test_path=str(yahoo_dir / "test.tsv"),
+                train_path="train.tsv", test_path="test.tsv",
                 split_ratio=0.8, split_mode="per_user", objective="sste",
                 epsilon_train=(0.5,), epsilon_val=(0.3,), resample_each_epoch=True,
                 embedding_dim=10, batch_size=512, max_epochs=2, patience=2,
@@ -556,6 +580,17 @@ class TestYahooShapedFiles:
         second = run_one(config(tmp_path / "second"))
         assert (first.status, second.status) == ("ok", "ok")
         assert differing_files(tmp_path / "first", tmp_path / "second") == []
+        # Digests of the files this config has always produced.
+        expected = {
+            "epochs.jsonl": "dc2946a7aec1d7edf819da08080d200399fb160c63b7c886d17f9afa57049ff5",
+            "model.ckpt": "98e05eea7b19cb4f620b0207da1329849e206c1d9e15450938bf5d200c69eeca",
+            "model.ckpt.vocab.json":
+                "69260fe380a5b5e371e1e7d13eb8fd9bdde40609604143a05590fbf5b41e4399",
+            "report.json": "b5ad6692e230a1fde76967ba860a38cd06dea5cb53e4d183c10216121ef150a0",
+        }
+        for name, digest in expected.items():
+            data = (Path(first.run_dir) / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 class TestRunGrid:
@@ -916,14 +951,16 @@ class TestModelFiles:
         with pytest.raises(ParseError, match="malformed vocab sidecar"):
             load_model(saved)
 
-    @pytest.mark.parametrize("users", [
-        {"3": 1, "10": 0},  # rows out of original-id order
-        {"3": 1},  # rows that do not start at 0
-        {"3": True, "10": 1},  # a row that is not an int
-        {"3": 0, str(2**63): 1},  # an id beyond int64
+    @pytest.mark.parametrize("users, items", [
+        ({"3": 1, "10": 0}, {"20": 0, "30": 1}),  # rows out of original-id order
+        ({"3": 1}, {"20": 0, "30": 1}),  # rows that do not start at 0
+        ({"3": True, "10": 1}, {"20": 0, "30": 1}),  # a row that is not an int
+        ({"3": 0, str(2**63): 1}, {"20": 0, "30": 1}),  # an id beyond int64
+        ({"3": 0}, {"20": 0, "30": 1}),  # fewer user ids than checkpoint rows
+        ({"3": 0, "10": 1}, {"20": 0}),  # fewer item ids than checkpoint rows
     ])
-    def test_rows_other_than_0_to_n_in_id_order_are_refused(self, saved, users):
-        self.write_vocab(saved, users, {"20": 0, "30": 1})
+    def test_rows_other_than_0_to_n_in_id_order_are_refused(self, saved, users, items):
+        self.write_vocab(saved, users, items)
         with pytest.raises(ParseError, match="malformed vocab sidecar"):
             load_model(saved)
 

@@ -20,9 +20,10 @@ def make_params():
 
 
 class TestSparseAdam:
-    def test_rejects_nonpositive_learning_rate(self):
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.1, float("nan")])
+    def test_rejects_nonpositive_learning_rate(self, learning_rate):
         with pytest.raises(ValidationError):
-            SparseAdam(make_params(), learning_rate=0.0)
+            SparseAdam(make_params(), learning_rate=learning_rate)
 
     def test_untouched_rows_never_move(self):
         params = make_params()

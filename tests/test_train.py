@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ class TestLossBreakdown:
         b = LossBreakdown(tilde_bce=None, hat_bce=0.5, reg_tilde=None,
                           reg_hat=0.25)
         assert b.total == pytest.approx(0.75)
-        assert b.to_dict()["tilde_bce"] is None
+        assert asdict(b)["tilde_bce"] is None
 
 
 class TestEpochs:
