@@ -271,13 +271,20 @@ def load_tsv(
     item_ids = _sorted_unique(items_arr) if item_map is None else _frozen_id_map(item_map, "item_map")
     users = _id_codes(users_arr, user_ids)
     items = _id_codes(items_arr, item_ids)
-    unknown_user = user_ids[users] != users_arr
-    unknown = unknown_user | (item_ids[items] != items_arr)
-    if unknown.any():
-        row = int(np.argmax(unknown))
-        kind, original = ("user", users_arr) if unknown_user[row] else ("item", items_arr)
+    # Only a given map can lack an id; a file's own map holds all of them.
+    unknown = []  # (first row, kind, id), users first
+    for kind, given, ids, codes, original in (("user", user_map, user_ids, users, users_arr),
+                                              ("item", item_map, item_ids, items, items_arr)):
+        if given is None:
+            continue
+        mask = ids[codes] != original
+        if mask.any():
+            row = int(np.argmax(mask))
+            unknown.append((row, kind, original[row]))
+    if unknown:
+        row, kind, original = min(unknown, key=lambda found: found[0])
         line_no = next(islice(_nonblank_lines(data), row, None))[0]
-        raise ParseError(f"unknown {kind} id {original[row]}", line_no)
+        raise ParseError(f"unknown {kind} id {original}", line_no)
 
     if schema is Schema.USER_ITEM_RATING:
         labels = (values_arr > _POSITIVE_RATING_CUTOFF).astype(np.int8)

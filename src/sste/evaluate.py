@@ -127,9 +127,9 @@ def _top_depth(neg: np.ndarray, depth: int) -> np.ndarray:
     """
     cut = np.partition(neg, depth - 1, axis=1)[:, depth - 1, None]
     on_top = neg <= cut
-    clean = on_top.sum(axis=1) == depth
+    clean = np.count_nonzero(on_top, axis=1) == depth
     order = np.empty((len(neg), depth), dtype=np.intp)
-    cols = np.nonzero(on_top[clean])[1].reshape(-1, depth)
+    cols = (np.flatnonzero(on_top[clean]) % neg.shape[1]).reshape(-1, depth)
     by_score = np.argsort(np.take_along_axis(neg[clean], cols, axis=1), axis=1, kind="stable")
     order[clean] = np.take_along_axis(cols, by_score, axis=1)
     if not clean.all():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -34,7 +33,9 @@ def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    # 1/d where z >= 0, else e/d; as 0 <= e <= 1, the larger of e and the
+    # mask is that numerator, with no data-dependent branch.
+    return np.maximum(e, z >= 0) / d
 
 
 def bce_from_logits(z, y):
@@ -48,18 +49,16 @@ def bce_from_logits(z, y):
     return np.logaddexp(0.0, z) - y * z
 
 
-@dataclass
 class BranchHead:
-    """Branch-private parameters: per-user bias, per-item bias, global bias."""
+    """Branch-private parameters in one table: the user biases, then the item
+    biases, then the global bias. ``user_bias``, ``item_bias`` and the 0-d
+    ``global_bias`` are views of it, so writes through them land in the table."""
 
-    user_bias: np.ndarray
-    item_bias: np.ndarray
-    global_bias: np.ndarray  # 0-d array so optimizers can update in place
-
-    def copy(self) -> "BranchHead":
-        return BranchHead(
-            self.user_bias.copy(), self.item_bias.copy(), self.global_bias.copy()
-        )
+    def __init__(self, bias: np.ndarray, n_users: int):
+        self.bias = bias
+        self.user_bias = bias[:n_users]
+        self.item_bias = bias[n_users:-1]
+        self.global_bias = bias[-1:].reshape(())
 
     def sum_squares(self) -> float:
         return float(
@@ -69,12 +68,19 @@ class BranchHead:
         )
 
 
-@dataclass
 class MfModel:
-    user_factors: np.ndarray
-    item_factors: np.ndarray
-    branch_tilde: BranchHead
-    branch_hat: BranchHead
+    """The shared factor table, user rows first, and one bias table per
+    branch; ``user_factors``/``item_factors`` are views of the factor table.
+    The three tables are the checkpoint's blocks and the optimizer's
+    parameters, so a batch steps each touched table once."""
+
+    def __init__(self, n_users: int, factors: np.ndarray,
+                 tilde_bias: np.ndarray, hat_bias: np.ndarray):
+        self.factors = factors
+        self.user_factors = factors[:n_users]
+        self.item_factors = factors[n_users:]
+        self.branch_tilde = BranchHead(tilde_bias, n_users)
+        self.branch_hat = BranchHead(hat_bias, n_users)
 
     @property
     def n_users(self) -> int:
@@ -113,23 +119,18 @@ class MfModel:
 
     def copy(self) -> "MfModel":
         return MfModel(
-            user_factors=self.user_factors.copy(),
-            item_factors=self.item_factors.copy(),
-            branch_tilde=self.branch_tilde.copy(),
-            branch_hat=self.branch_hat.copy(),
+            self.n_users,
+            self.factors.copy(),
+            self.branch_tilde.bias.copy(),
+            self.branch_hat.bias.copy(),
         )
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Named live views of every parameter array."""
+        """The three live parameter tables, in checkpoint block order."""
         return {
-            "user_factors": self.user_factors,
-            "item_factors": self.item_factors,
-            "tilde_user_bias": self.branch_tilde.user_bias,
-            "tilde_item_bias": self.branch_tilde.item_bias,
-            "tilde_global_bias": self.branch_tilde.global_bias,
-            "hat_user_bias": self.branch_hat.user_bias,
-            "hat_item_bias": self.branch_hat.item_bias,
-            "hat_global_bias": self.branch_hat.global_bias,
+            "factors": self.factors,
+            "tilde_bias": self.branch_tilde.bias,
+            "hat_bias": self.branch_hat.bias,
         }
 
     def all_finite(self) -> bool:
@@ -169,14 +170,6 @@ def _logits_with_rows(m: MfModel, branch: Branch, users, items):
     return z, user_rows, item_rows
 
 
-def _zero_head(n_users: int, n_items: int) -> BranchHead:
-    return BranchHead(
-        user_bias=np.zeros(n_users),
-        item_bias=np.zeros(n_items),
-        global_bias=np.zeros(()),
-    )
-
-
 def init(n_users: int, n_items: int, k: int, scale: float, seed: int) -> MfModel:
     """Factors ~ Uniform(-scale, +scale), all biases zero, seeded."""
     if n_users <= 0 or n_items <= 0 or k <= 0:
@@ -184,20 +177,21 @@ def init(n_users: int, n_items: int, k: int, scale: float, seed: int) -> MfModel
     if not math.isfinite(scale) or scale <= 0:
         raise ValidationError("init scale must be positive and finite")
     rng = rng_for(seed, "mf-init")
+    n_rows = n_users + n_items
     return MfModel(
-        user_factors=rng.uniform(-scale, scale, size=(n_users, k)),
-        item_factors=rng.uniform(-scale, scale, size=(n_items, k)),
-        branch_tilde=_zero_head(n_users, n_items),
-        branch_hat=_zero_head(n_users, n_items),
+        n_users,
+        rng.uniform(-scale, scale, size=(n_rows, k)),
+        np.zeros(n_rows + 1),
+        np.zeros(n_rows + 1),
     )
 
 
 def save_checkpoint(m: MfModel, path) -> None:
     """Binary checkpoint: magic line, JSON dims header, float64 blocks.
 
-    Blocks in ``MfModel.parameters()`` order: user_factors, item_factors,
-    tilde user/item/global bias, hat user/item/global bias; all
-    little-endian float64, row-major.
+    Blocks in ``MfModel.parameters()`` order: the factor table (user rows,
+    then item rows), then the tilde and the hat bias tables (user, item and
+    global biases); all little-endian float64, row-major.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -226,16 +220,12 @@ def load_checkpoint(path) -> MfModel:
         if not all(type(n) is int and n > 0 for n in (n_users, n_items, k)):
             raise ParseError(f"checkpoint dims must be positive ints: {dims}")
         payload = handle.read()
-    sizes = [n_users * k, n_items * k, n_users, n_items, 1, n_users, n_items, 1]
-    if len(payload) != 8 * sum(sizes):
+    n_rows = n_users + n_items
+    size = n_rows * k + 2 * (n_rows + 1)
+    if len(payload) != 8 * size:
         raise ParseError(
-            f"checkpoint payload has {len(payload)} bytes, expected {8 * sum(sizes)}"
+            f"checkpoint payload has {len(payload)} bytes, expected {8 * size}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return MfModel(
-        user_factors=parts[0].reshape(n_users, k),
-        item_factors=parts[1].reshape(n_items, k),
-        branch_tilde=BranchHead(parts[2], parts[3], parts[4].reshape(())),
-        branch_hat=BranchHead(parts[5], parts[6], parts[7].reshape(())),
-    )
+    factors, tilde_bias, hat_bias = np.split(flat, [n_rows * k, n_rows * k + n_rows + 1])
+    return MfModel(n_users, factors.reshape(n_rows, k), tilde_bias, hat_bias)

@@ -19,9 +19,9 @@ ADAM_EPS = 1e-8
 class SparseAdam:
     """Per-row adaptive moment optimizer over a named parameter dict.
 
-    Each parameter is a live numpy array updated in place. ``update`` takes
-    the rows touched by a batch, unique but in any order, and their summed
-    gradients; pass ``rows=None`` for scalar (0-d) parameters.
+    Each parameter is a live numpy table (a vector or a matrix) updated in
+    place, row by row. ``update`` takes the rows touched by a batch, unique
+    but in any order, and their summed gradients.
     """
 
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
@@ -31,10 +31,7 @@ class SparseAdam:
         self.lr = learning_rate
         self._m = {name: np.zeros_like(p) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p) for name, p in self.params.items()}
-        self._t = {
-            name: np.zeros(p.shape[0] if p.ndim else (), dtype=np.int64)
-            for name, p in self.params.items()
-        }
+        self._t = {name: np.zeros(len(p), dtype=np.int64) for name, p in self.params.items()}
         self._calls = 0  # bounds every row's step count
         self._c1, self._c2 = self._corrections(64)
 
@@ -45,18 +42,18 @@ class SparseAdam:
         steps = np.arange(size, dtype=np.float64)
         return 1.0 - ADAM_BETA1 ** steps, 1.0 - ADAM_BETA2 ** steps
 
-    def update(self, name: str, rows: np.ndarray | None, grad: np.ndarray) -> None:
+    def update(self, name: str, rows: np.ndarray, grad: np.ndarray) -> None:
         """One step of ``rows``: each row's state is gathered once, advanced
         in place in the textbook update's operand order and written back once.
-        The index () reads a 0-d parameter's state as numpy scalars."""
+        ``take`` copies a matrix's rows whole, 1.7-4 times faster than fancy
+        indexing at the benchmark's shapes."""
         self._calls += 1
         if self._calls >= len(self._c1):
             self._c1, self._c2 = self._corrections(2 * self._calls)
         param = self.params[name]
         m, v, t = self._m[name], self._v[name], self._t[name]
-        rows = () if rows is None else rows
         t_rows = t[rows] + 1
-        m_rows, v_rows = _gather(m, rows), _gather(v, rows)
+        m_rows, v_rows = m.take(rows, axis=0), v.take(rows, axis=0)
         m_rows *= ADAM_BETA1
         m_rows += (1.0 - ADAM_BETA1) * grad
         v_rows *= ADAM_BETA2
@@ -74,12 +71,7 @@ class SparseAdam:
         denominator = np.sqrt(v_rows)
         denominator += ADAM_EPS
         m_rows /= denominator
-        param_rows = _gather(param, rows)
+        param_rows = param.take(rows, axis=0)
         param_rows -= m_rows
         param[rows] = param_rows
 
-
-def _gather(table: np.ndarray, rows) -> np.ndarray:
-    """A copy of ``table[rows]``; ``take`` copies a 2-d table's rows whole,
-    1.7-4 times faster than fancy indexing at the benchmark's shapes."""
-    return table.take(rows, axis=0) if table.ndim == 2 else table[rows]

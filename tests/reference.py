@@ -54,18 +54,19 @@ def alpha_range(score_val, scores_aux) -> float:
     return max(pooled) - min(pooled)
 
 
-def lazy_l2_batch_objective(params, branch: str, users, items, labels, coeffs,
-                            l2: float) -> float:
+def lazy_l2_batch_objective(params, n_users: int, branch: str, users, items,
+                            labels, coeffs, l2: float) -> float:
     """sum_i coeffs_i * BCE_i through one branch, plus 0.5 * l2 * ||.||^2 over
     the rows the batch touches: its users' and items' factor and bias rows
     and the branch's global bias.
 
-    ``params`` is a name -> array dict as from MfModel.parameters(); logits
-    are summed term by term, one instance at a time.
+    ``params`` is a name -> table dict as from MfModel.parameters(), cut
+    here by ``n_users`` into user and item rows; logits are summed term by
+    term, one instance at a time.
     """
-    uf, itf = params["user_factors"], params["item_factors"]
-    ub, ib, gb = (params[f"{branch}_{name}"]
-                  for name in ("user_bias", "item_bias", "global_bias"))
+    factors, bias = params["factors"], params[f"{branch}_bias"]
+    uf, itf = factors[:n_users], factors[n_users:]
+    ub, ib, gb = bias[:n_users], bias[n_users:-1], bias[-1]
     data = 0.0
     for u, i, y, c in zip(users, items, labels, coeffs):
         z = float(np.dot(uf[u], itf[i])) + ub[u] + ib[i] + float(gb)
@@ -92,7 +93,8 @@ def batch_gradients_add_at(m, branch, users, items, labels, coeffs) -> dict:
     """The batch gradient with each factor row gathered twice, once for the
     logits and once for the scatter, and summed by ``np.add.at``.
 
-    Returns the fields of ``sste.train.BatchGradients`` as a dict.
+    Returns the fields of ``sste.train.BatchGradients`` as a dict: the
+    user rows stacked over the item rows, and the global bias last.
     """
     head = m.head(branch)
     z = (np.einsum("ij,ij->i", m.user_factors[users], m.item_factors[items])
@@ -106,13 +108,13 @@ def batch_gradients_add_at(m, branch, users, items, labels, coeffs) -> dict:
     np.add.at(g_item, i_inv, residual[:, None] * m.user_factors[users])
     loss = float((coeffs * (np.logaddexp(0.0, z) - labels * z)).sum())
     return {
-        "users": uniq_users,
-        "user_factors": g_user,
-        "items": uniq_items,
-        "item_factors": g_item,
-        "user_bias": np.bincount(u_inv, weights=residual, minlength=len(uniq_users)),
-        "item_bias": np.bincount(i_inv, weights=residual, minlength=len(uniq_items)),
-        "global_bias": float(residual.sum()),
+        "rows": np.concatenate([uniq_users, m.n_users + uniq_items]),
+        "factors": np.concatenate([g_user, g_item]),
+        "bias": np.concatenate([
+            np.bincount(u_inv, weights=residual, minlength=len(uniq_users)),
+            np.bincount(i_inv, weights=residual, minlength=len(uniq_items)),
+            [residual.sum()],
+        ]),
         "loss": loss,
     }
 
@@ -121,13 +123,10 @@ def adam_update_double_gather(state, name: str, rows, grad, lr: float) -> None:
     """One lazy per-row Adam step that reads each row's state twice.
 
     ``state`` maps ``name`` to its live (param, m, v, t) arrays; ``rows``
-    are unique, or None for a 0-d parameter.
+    are unique.
     """
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     param, m, v, t = state[name]
-    if rows is None:
-        adam_update_scalar(param, m, v, t, grad, lr)
-        return
     t[rows] += 1
     steps = t[rows].astype(np.float64)
     m[rows] = b1 * m[rows] + (1.0 - b1) * grad

@@ -175,26 +175,25 @@ class TestGradientMachinery:
                     recorder = RecordingOptimizer()
                     bg = batch_gradients(m, branch, users, items, labels, coeffs)
                     _apply_batch(m, recorder, branch, bg, l2)
-                    groups = ("user_factors", "item_factors",
-                              f"{branch.value}_user_bias",
-                              f"{branch.value}_item_bias",
-                              f"{branch.value}_global_bias")
-                    assert sorted(recorder.updates) == sorted(groups)
+                    # The factor table's user rows, then its item rows after
+                    # the 6 users; the bias table's same rows and its last,
+                    # the global bias.
+                    touched = np.concatenate([np.unique(users), 6 + np.unique(items)])
+                    expected_rows = {"factors": touched,
+                                     f"{branch.value}_bias": np.append(touched, 11)}
+                    assert sorted(recorder.updates) == sorted(expected_rows)
                     for name, (rows, grad) in recorder.updates.items():
-                        if name.endswith("global_bias"):
-                            assert rows is None
-                        else:
-                            source = users if "user" in name else items
-                            assert np.array_equal(rows, np.unique(source))
+                        assert np.array_equal(rows, expected_rows[name])
+                        assert len(grad) == len(rows)
 
                         for pos in np.ndindex(grad.shape):
-                            index = pos if rows is None else (rows[pos[0]], *pos[1:])
+                            index = (rows[pos[0]], *pos[1:])
 
                             def objective(delta: float) -> float:
                                 probe = m.copy()
                                 probe.parameters()[name][index] += delta
                                 return lazy_l2_batch_objective(
-                                    probe.parameters(), branch.value,
+                                    probe.parameters(), 6, branch.value,
                                     users, items, labels, coeffs, l2,
                                 )
 
@@ -224,10 +223,10 @@ class TestGradientMachinery:
                 for branch in (Branch.TILDE, Branch.HAT)
             )
             assert tilde.loss == pytest.approx(hat.loss, abs=1e-10)
-            for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
+            assert np.array_equal(tilde.rows, hat.rows)
+            for name in ("factors", "bias"):
                 assert np.allclose(getattr(tilde, name), getattr(hat, name),
                                    rtol=0, atol=1e-10)
-            assert tilde.global_bias == pytest.approx(hat.global_bias, abs=1e-10)
             reg_tilde, reg_hat = regularization_terms(m, 1e-4)
             assert reg_tilde == pytest.approx(reg_hat, abs=1e-10)
 
@@ -287,8 +286,8 @@ class TestBaselineEquivalences:
                     naive, ips, snips = (
                         by_objective[k] for k in ("naive", "ips", "snips")
                     )
-                    for field in ("user_factors", "item_factors",
-                                  "user_bias", "item_bias"):
+                    # Every factor row and every bias, the global one last.
+                    for field in ("factors", "bias"):
                         np.testing.assert_allclose(
                             getattr(ips, field), getattr(naive, field) / c,
                             rtol=0, atol=1e-10,
@@ -297,12 +296,6 @@ class TestBaselineEquivalences:
                             getattr(snips, field), getattr(naive, field),
                             rtol=0, atol=1e-10,
                         )
-                    assert ips.global_bias == pytest.approx(
-                        naive.global_bias / c, abs=1e-10
-                    )
-                    assert snips.global_bias == pytest.approx(
-                        naive.global_bias, abs=1e-10
-                    )
 
 
 class TestRepeatRuns:

@@ -113,6 +113,16 @@ class TestLoadTsv:
             load_tsv(test, Schema.USER_ITEM_RATING,
                      user_map=np.array([5]), item_map=np.array([9]))
 
+    @pytest.mark.parametrize("given, message", [
+        (dict(user_map=np.array([5, 6])), "^line 3: unknown user id 7$"),
+        (dict(item_map=np.array([8, 9])), "^line 2: unknown item id 4$"),
+    ])
+    def test_only_a_given_map_can_lack_an_id(self, tmp_path, given, message):
+        # The other map is the file's own, which holds every id of the file.
+        test = write_lines(tmp_path / "te.tsv", ["5\t9\t4", "6\t4\t1", "7\t8\t2"])
+        with pytest.raises(ParseError, match=message):
+            load_tsv(test, Schema.USER_ITEM_RATING, **given)
+
     @pytest.mark.parametrize("bad_map, message", [
         (np.array([9, 5]), "strictly increasing"),
         (np.array([5, 5, 9]), "strictly increasing"),

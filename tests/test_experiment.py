@@ -442,6 +442,30 @@ class TestRunOne:
             data = (Path(result.run_dir) / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("objective, overrides, expected", [
+        ("sste", dict(embedding_dim=50, batch_size=4096, l2_lambda=1e-3), {
+            "epochs.jsonl": "19b78b254191c2116c7cfdd53476f939e8f9d639af376eca3aae375c3e6850f7",
+            "model.ckpt": "7b9446a8c01cb03481914aa0e4d0330befe0f8322846fe8d339f84da3339efb4",
+            "report.json": "4778e6cfd11f0915ea39382067c3e7927ada5ade7bd5821c201a6583996b76d0",
+        }),
+        ("naive", dict(embedding_dim=10, batch_size=512, l2_lambda=1e-5), {
+            "epochs.jsonl": "a00790154d7b8d2ff3b9020a0320107f6e8cfa8b7c9735d427ee3a6fff6f8508",
+            "model.ckpt": "b94fc30e07115684d0ce4aebe1833f4100679d64fdb5be1380511ac19dc1d37e",
+            "report.json": "0d756490e759fbe0144df9c2f8759c9d4410fb72ef634d1a0919f07480dc9c0f",
+        }),
+    ], ids=["sste-k50-b4096", "naive-k10-b512"])
+    def test_study_world_cells_keep_their_files(self, tmp_path, objective, overrides, expected):
+        # Digests of the files two cells of the seed-1 study grid have always
+        # produced in 2 epochs: the study's world (500 users, 100 items) at
+        # the grid's table widths and batch sizes.
+        cfg = replace(study_config(1, objective, str(tmp_path)),
+                      max_epochs=2, patience=2, **overrides)
+        result = run_one(cfg)
+        assert result.status == "ok"
+        for name, digest in expected.items():
+            data = (Path(result.run_dir) / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_joint_objective_runs_and_logs_aux_scores(self, tmp_path):
         cfg = quick_cfg(tmp_path, objective="sste", epsilon_train=(0.5,),
                         epsilon_val=(0.5,))

@@ -18,13 +18,22 @@ from sste.model import (
     save_checkpoint,
     sigmoid,
 )
-from sste.train import batch_gradients
+from sste.optim import SparseAdam
+from sste.seeding import rng_for
+from sste.train import _apply_batch, batch_gradients
 
 from reference import central_difference, sigmoid_masked
 
 
 def tiny_model(seed=0, scale=0.1, n_users=3, n_items=4, k=2):
     return init(n_users, n_items, k, scale, seed)
+
+
+def views(m):
+    """Every named parameter array of ``m``: the tables and their views."""
+    heads = (m.branch_tilde, m.branch_hat)
+    return [m.factors, m.user_factors, m.item_factors,
+            *(a for h in heads for a in (h.bias, h.user_bias, h.item_bias, h.global_bias))]
 
 
 class TestActivations:
@@ -79,12 +88,7 @@ class TestActivations:
 
 class TestPrediction:
     def test_zero_parameters_predict_half_on_both_branches(self):
-        m = MfModel(
-            user_factors=np.zeros((2, 3)),
-            item_factors=np.zeros((2, 3)),
-            branch_tilde=tiny_model().branch_tilde,
-            branch_hat=tiny_model().branch_hat,
-        )
+        m = MfModel(2, np.zeros((4, 3)), np.zeros(5), np.zeros(5))
         assert m.predict(Branch.TILDE, [0], [1]).tolist() == [0.5]
         assert m.predict(Branch.HAT, [1], [0]).tolist() == [0.5]
 
@@ -199,11 +203,25 @@ class TestInit:
     def test_parameter_shapes(self):
         m = init(5, 7, 3, 0.1, 0)
         p = m.parameters()
-        assert p["user_factors"].shape == (5, 3)
-        assert p["item_factors"].shape == (7, 3)
-        assert p["hat_user_bias"].shape == (5,)
-        assert p["tilde_item_bias"].shape == (7,)
-        assert p["hat_global_bias"].shape == ()
+        assert list(p) == ["factors", "tilde_bias", "hat_bias"]
+        assert p["factors"].shape == (12, 3)
+        assert p["tilde_bias"].shape == p["hat_bias"].shape == (13,)
+        assert m.user_factors.shape == (5, 3)
+        assert m.item_factors.shape == (7, 3)
+        assert m.branch_hat.user_bias.shape == (5,)
+        assert m.branch_tilde.item_bias.shape == (7,)
+        assert m.branch_hat.global_bias.shape == ()
+
+    def test_factors_are_drawn_as_the_user_then_the_item_table(self):
+        # One draw of every row gives the values of a user draw followed by
+        # an item draw from the same generator.
+        for k in (3, 10, 50):
+            m = init(9, 4, k, 0.2, 6)
+            rng = rng_for(6, "mf-init")
+            users = rng.uniform(-0.2, 0.2, size=(9, k))
+            items = rng.uniform(-0.2, 0.2, size=(4, k))
+            assert m.user_factors.tobytes() == users.tobytes()
+            assert m.item_factors.tobytes() == items.tobytes()
 
 
 def one_row(m, branch, user, item, label, weight):
@@ -216,24 +234,26 @@ class TestGradients:
     def test_zero_weight_gives_zero_gradient(self):
         m = tiny_model(scale=0.4)
         g = one_row(m, Branch.HAT, 1, 2, 1, weight=0.0)
-        assert not g.user_factors.any()
-        assert g.global_bias == 0.0
+        assert not g.factors.any()
+        assert g.bias[-1] == 0.0
 
     def test_residual_sign_follows_the_label(self):
         m = tiny_model(scale=0.01)
         up = one_row(m, Branch.HAT, 0, 0, 0, weight=1.0)
         down = one_row(m, Branch.HAT, 0, 0, 1, weight=1.0)
-        assert up.global_bias > 0.0
-        assert down.global_bias < 0.0
+        assert up.bias[-1] > 0.0
+        assert down.bias[-1] < 0.0
 
     def test_factor_gradient_uses_the_partner_row(self):
         m = tiny_model(scale=0.3)
         g = one_row(m, Branch.TILDE, 2, 1, 1, weight=2.0)
         z = m.logits(Branch.TILDE, 2, 1)[0]
         residual = 2.0 * (float(sigmoid(z)) - 1.0)
-        assert g.user_factors[0] == pytest.approx(residual * m.item_factors[1])
-        assert g.item_factors[0] == pytest.approx(residual * m.user_factors[2])
-        assert g.user_bias[0] == g.item_bias[0] == g.global_bias == residual
+        # One user row, then one item row offset by n_users.
+        assert g.rows.tolist() == [2, m.n_users + 1]
+        assert g.factors[0] == pytest.approx(residual * m.item_factors[1])
+        assert g.factors[1] == pytest.approx(residual * m.user_factors[2])
+        assert g.bias.tolist() == [residual] * 3
 
     @pytest.mark.parametrize("branch", [Branch.TILDE, Branch.HAT])
     @pytest.mark.parametrize("label", [0, 1])
@@ -247,7 +267,7 @@ class TestGradients:
             return one_row(probe, branch, 1, 3, label, 1.7).loss
 
         numeric = central_difference(loss_with_global, 0.0)
-        assert g.global_bias == pytest.approx(numeric, rel=1e-6)
+        assert g.bias[-1] == pytest.approx(numeric, rel=1e-6)
 
     def test_factor_gradient_matches_finite_differences(self):
         m = tiny_model(scale=0.4, seed=8)
@@ -259,7 +279,7 @@ class TestGradients:
             return one_row(probe, Branch.HAT, 0, 2, 1, 1.0).loss
 
         numeric = central_difference(loss_with_coord, 0.0)
-        assert g.user_factors[0, 1] == pytest.approx(numeric, rel=1e-6)
+        assert g.factors[0, 1] == pytest.approx(numeric, rel=1e-6)
 
 
 class TestStateManagement:
@@ -270,6 +290,18 @@ class TestStateManagement:
         c.branch_hat.global_bias[...] = 5.0
         assert m.user_factors[0, 0] != 99.0
         assert float(m.branch_hat.global_bias) == 0.0
+
+    def test_copy_shares_no_memory(self):
+        m = tiny_model()
+        c = m.copy()
+        for a, b in zip(views(m), views(c)):
+            assert not np.shares_memory(a, b)
+
+    def test_the_named_arrays_are_views_of_the_tables(self):
+        m = tiny_model()
+        tables = list(m.parameters().values())
+        for view in views(m):
+            assert sum(np.shares_memory(view, table) for table in tables) == 1
 
     def test_all_finite_detects_nan(self):
         m = tiny_model()
@@ -288,6 +320,30 @@ class TestCheckpoint:
         back = load_checkpoint(str(path))
         for name, value in m.parameters().items():
             assert np.array_equal(back.parameters()[name], value), name
+
+    def test_a_loaded_checkpoint_saves_to_the_same_bytes(self, tmp_path):
+        m = tiny_model(seed=3, scale=0.7, n_users=5, n_items=6, k=3)
+        m.branch_hat.bias[...] = np.linspace(-1, 1, 12)
+        m.branch_tilde.global_bias[...] = 0.125
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(m, first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_a_step_on_a_loaded_model_moves_its_predictions(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=5, scale=0.4), path)
+        m = load_checkpoint(path)
+        users, items = np.array([0, 1, 2, 0]), np.array([3, 1, 0, 2])
+        labels = np.array([1.0, 0.0, 1.0, 1.0])
+        before = m.predict(Branch.HAT, users, items)
+        opt = SparseAdam(m.parameters(), learning_rate=0.1)
+        _apply_batch(m, opt, Branch.HAT,
+                     batch_gradients(m, Branch.HAT, users, items, labels, np.full(4, 0.25)), 0.0)
+        after = m.predict(Branch.HAT, users, items)
+        # Every pair's factor rows and biases took a step of about the
+        # learning rate each, towards its label.
+        assert np.all(np.sign(after - before) == np.where(labels == 1.0, 1.0, -1.0))
 
     def test_garbage_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

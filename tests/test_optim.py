@@ -15,7 +15,6 @@ def make_params():
     return {
         "table": np.zeros((4, 3)),
         "bias": np.zeros(4),
-        "scalar": np.zeros(()),
     }
 
 
@@ -56,12 +55,6 @@ class TestSparseAdam:
         fresh_opt.update("bias", np.array([3]), np.array([1.0]))
         assert params["bias"][3] == fresh["bias"][3]
 
-    def test_scalar_parameter_path(self):
-        params = make_params()
-        opt = SparseAdam(params, learning_rate=0.2)
-        opt.update("scalar", None, np.asarray(5.0))
-        assert float(params["scalar"]) == pytest.approx(-0.2, rel=1e-6)
-
     def test_updates_are_in_place_on_live_arrays(self):
         params = make_params()
         view = params["table"]
@@ -96,23 +89,19 @@ class TestExactAgainstOracle:
         params = {
             "table": rng.normal(size=(n_rows, k)),
             "bias": rng.normal(size=n_rows),
-            "scalar": np.asarray(rng.normal()),
         }
         lr = 0.05
         opt = SparseAdam(params, learning_rate=lr)
         state = {
             name: (p.copy(), np.zeros_like(p), np.zeros_like(p),
-                   np.zeros(p.shape[0] if p.ndim else (), dtype=np.int64))
+                   np.zeros(len(p), dtype=np.int64))
             for name, p in params.items()
         }
         for _ in range(n_steps):
-            for name in ("table", "bias", "scalar"):
-                if name == "scalar":
-                    rows, grad = None, np.asarray(rng.normal())
-                else:
-                    # Unique rows in any order, some untouched this step.
-                    rows = rng.permutation(n_rows)[:rng.integers(1, n_rows + 1)]
-                    grad = rng.normal(size=(len(rows), *params[name].shape[1:]))
+            for name in ("table", "bias"):
+                # Unique rows in any order, some untouched this step.
+                rows = rng.permutation(n_rows)[:rng.integers(1, n_rows + 1)]
+                grad = rng.normal(size=(len(rows), *params[name].shape[1:]))
                 opt.update(name, rows, grad)
                 adam_update_double_gather(state, name, rows, grad, lr)
             for name, p in params.items():
@@ -138,6 +127,40 @@ class TestExactAgainstOracle:
         opt = self.run_against_oracle(k=5, n_rows=3, n_steps=first_size, seed=12)
         assert len(opt._c1) > 2 * first_size
 
+
+class TestGlobalBiasRow:
+    """A branch's global bias is the last row of its bias table, stepped with
+    the batch's user and item rows; it must follow the 0-d Adam step that
+    updated it on its own before, to the bit."""
+
+    @staticmethod
+    def follow_the_scalar_oracle(lr, start, grads, seed):
+        # Each step updates the global bias row with a random subset of the
+        # other rows, as a batch of user and item biases does.
+        rng = np.random.default_rng(seed)
+        n_rows = 6
+        table = rng.normal(size=n_rows)
+        table[-1] = start
+        opt = SparseAdam({"bias": table}, learning_rate=lr)
+        old = [np.asarray(start), np.zeros(()), np.zeros(()), np.zeros((), dtype=np.int64)]
+        for grad in grads:
+            rows = np.append(rng.permutation(n_rows - 1)[:rng.integers(0, n_rows)], n_rows - 1)
+            row_grads = np.append(rng.normal(size=len(rows) - 1), grad)
+            opt.update("bias", rows, row_grads)
+            adam_update_scalar(*old, grad, lr)
+            assert table[-1:].tobytes() == old[0].tobytes()
+        assert opt._m["bias"][-1:].tobytes() == old[1].tobytes()
+        assert opt._v["bias"][-1:].tobytes() == old[2].tobytes()
+        assert opt._t["bias"][-1:].tobytes() == old[3].tobytes()
+        return opt
+
+    def test_300_steps_past_three_table_growths_match_byte_for_byte(self):
+        first_size = len(SparseAdam({}, learning_rate=0.1)._c1)
+        rng = np.random.default_rng(17)
+        grads = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-6.0, 2.0, 300)
+        opt = self.follow_the_scalar_oracle(0.01, 0.25, grads.tolist(), seed=4)
+        assert len(opt._c1) > 4 * first_size
+
     @given(
         lr=st.floats(1e-4, 1e-1),
         start=st.floats(-1.0, 1.0),
@@ -145,21 +168,12 @@ class TestExactAgainstOracle:
             st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 2.0)),
             min_size=1, max_size=60,
         ),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_scalar_trajectory_matches_the_old_branch(self, lr, start, grads):
-        # The global biases take the row path with the index (); the oracle
-        # is the scalar branch it replaced.
-        params = {"scalar": np.asarray(start)}
-        opt = SparseAdam(params, learning_rate=lr)
-        old = [np.asarray(start), np.zeros(()), np.zeros(()), np.zeros((), dtype=np.int64)]
-        for sign, exponent in grads:
-            grad = sign * 10.0 ** exponent
-            opt.update("scalar", None, grad)
-            adam_update_scalar(*old, grad, lr)
-            assert params["scalar"].tobytes() == old[0].tobytes()
-        assert opt._m["scalar"].tobytes() == old[1].tobytes()
-        assert opt._v["scalar"].tobytes() == old[2].tobytes()
-        assert opt._t["scalar"].tobytes() == old[3].tobytes()
+    def test_a_trajectory_matches_the_scalar_step(self, lr, start, grads, seed):
+        self.follow_the_scalar_oracle(
+            lr, start, [sign * 10.0 ** exponent for sign, exponent in grads], seed
+        )
 
 
 class TestCorrectionTable:
@@ -173,7 +187,8 @@ class TestCorrectionTable:
         for table, beta in ((c1, ADAM_BETA1), (c2, ADAM_BETA2)):
             steps = shuffled.astype(np.float64)
             assert table[shuffled].tobytes() == (1.0 - beta ** steps).tobytes()
-            # Lengths and offsets of the row sets update passes, and 0-d.
+            # Lengths and offsets of the row sets update passes, and the
+            # 0-d power of the scalar step a global bias row must match.
             for lo, hi in ((0, 1), (3, 10), (100, 437), (50_000, 65_535)):
                 chunk = steps[lo:hi]
                 assert table[shuffled[lo:hi]].tobytes() == (1.0 - beta ** chunk).tobytes()
@@ -185,8 +200,8 @@ class TestCorrectionTable:
         opt = SparseAdam(params, learning_rate=0.1)
         first_size = len(opt._c1)
         for _ in range(3 * first_size):
-            opt.update("scalar", None, 1.0)
-        assert int(opt._t["scalar"]) == 3 * first_size
+            opt.update("bias", np.array([2]), np.array([1.0]))
+        assert int(opt._t["bias"][2]) == 3 * first_size
         assert len(opt._c1) > 3 * first_size
         c1, c2 = SparseAdam._corrections(len(opt._c1))
         assert opt._c1.tobytes() == c1.tobytes()

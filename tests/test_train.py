@@ -111,8 +111,8 @@ class TestBatchGradients:
             z = m.logits(Branch.TILDE, u, i)[0]
             if u == 0:
                 expected_user0 += c * (sigmoid(z) - y) * m.item_factors[i]
-        row = bg.users.tolist().index(0)
-        assert bg.user_factors[row] == pytest.approx(expected_user0)
+        row = bg.rows.tolist().index(0)
+        assert bg.factors[row] == pytest.approx(expected_user0)
 
     def test_all_gradients_use_pre_update_parameters(self):
         m = batch_model(scale=0.5)
@@ -125,8 +125,9 @@ class TestBatchGradients:
                                  labels[:1], np.array([1.0]))
         # Two copies of the same instance at half weight must equal one
         # full-weight gradient; a sequential update would break this.
-        row = bg.users.tolist().index(0)
-        assert bg.user_factors[row] == pytest.approx(single.user_factors[0])
+        assert bg.rows.tolist() == single.rows.tolist() == [0, m.n_users + 1]
+        assert bg.factors == pytest.approx(single.factors)
+        assert bg.bias == pytest.approx(single.bias)
 
     def test_constant_weights_scale_naive_gradients(self):
         m = batch_model(scale=0.4)
@@ -141,13 +142,10 @@ class TestBatchGradients:
                               batch_coefficients(Objective.IPS, weights, 4))
         snips = batch_gradients(m, Branch.HAT, users, items, labels,
                                 batch_coefficients(Objective.SNIPS, weights, 4))
-        assert ips.user_factors == pytest.approx(naive.user_factors / c,
-                                                 abs=1e-10)
-        assert ips.global_bias == pytest.approx(naive.global_bias / c,
-                                                abs=1e-10)
-        assert snips.user_factors == pytest.approx(naive.user_factors,
-                                                   abs=1e-10)
-        assert snips.item_bias == pytest.approx(naive.item_bias, abs=1e-10)
+        assert ips.factors == pytest.approx(naive.factors / c, abs=1e-10)
+        assert ips.bias == pytest.approx(naive.bias / c, abs=1e-10)
+        assert snips.factors == pytest.approx(naive.factors, abs=1e-10)
+        assert snips.bias == pytest.approx(naive.bias, abs=1e-10)
 
     @pytest.mark.parametrize("branch", list(Branch))
     @pytest.mark.parametrize("bad_user, bad_item, which", [
@@ -210,7 +208,7 @@ class TestExactAgainstOracle:
 
 class TestGroup:
     """_group equals np.unique(ids, return_inverse=True) on both sides of its
-    rule, which counts ids into a table only when n <= 4 * len(ids)."""
+    rule, which marks ids in a table only when n <= 64 * len(ids)."""
 
     @staticmethod
     def assert_unique_equal(ids, n):
@@ -223,25 +221,28 @@ class TestGroup:
     @given(
         present=st.lists(st.integers(0, 199), min_size=1, max_size=40, unique=True),
         size=st.integers(1, 120),
-        spare=st.integers(0, 300),
+        spare=st.integers(0, 16_000),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(present=[0], size=1, spare=0, seed=0)
+    @example(present=[0], size=1, spare=0, seed=0)  # a single id
     @example(present=[3], size=1, spare=0, seed=0)
+    @example(present=[3], size=1, spare=100, seed=0)  # a single id, sorted
+    @example(present=[7], size=90, spare=0, seed=0)  # all ids equal
+    @example(present=[7], size=90, spare=9_000, seed=0)  # all equal, sorted
     def test_values_and_dtypes_match_np_unique(self, present, size, spare, seed):
         # Ids drawn from a set with gaps; n from just above the largest id
-        # to well past 4 * size, so both sides of the rule are drawn.
+        # to well past 64 * size, so both sides of the rule are drawn.
         ids = np.random.default_rng(seed).choice(present, size)
         self.assert_unique_equal(ids, max(present) + 1 + spare)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 512])
     def test_both_sides_of_the_boundary(self, size, monkeypatch):
-        ids = np.random.default_rng(size).integers(0, 4 * size, size)
-        ids[0] = 4 * size - 1
-        self.assert_unique_equal(ids, 4 * size + 1)  # np.unique
+        ids = np.random.default_rng(size).integers(0, 64 * size, size)
+        ids[0] = 64 * size - 1
+        self.assert_unique_equal(ids, 64 * size + 1)  # np.unique
         want = np.unique(ids, return_inverse=True)
-        monkeypatch.setattr(np, "unique", None)  # the counting side sorts nothing
-        got = _group(ids, 4 * size)
+        monkeypatch.setattr(np, "unique", None)  # the table side sorts nothing
+        got = _group(ids, 64 * size)
         for g, w in zip(got, want):
             assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
 
