@@ -150,8 +150,8 @@ def _cmd_evaluate(args) -> int:
     out = {name: metrics[name] for name in names}
     if args.val:
         val_set = load(args.val, args.schema, datamod.Provenance.BIASED_VALIDATION)
-        # Files no longer carry their draw seed, so a reloaded subset is
-        # treated as plain validation-side data.
+        # A TSV records no draw seed or threshold, so each auxiliary file
+        # loads as plain validation-side data.
         aux_sets = [
             load(path, "label", datamod.Provenance.BIASED_VALIDATION)
             for path in args.aux_val or []

@@ -416,15 +416,16 @@ def _latent_relevance(spec: SyntheticSpec) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-(_RELEVANCE_SLOPE * z + intercept)))
 
 
-def synthetic_exposure_weights(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(popularity, normalized train-exposure probabilities) for a spec.
+def synthetic_exposure_weights(spec: SyntheticSpec,
+                               relevance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(popularity, normalized train-exposure probabilities) for a spec and
+    its ``_latent_relevance(spec)`` matrix.
 
     The popularity values are a power-law draw assigned in order of item
     appeal: the heaviest draws go to the items users like most on average.
     Logged feedback therefore over-represents well-liked items, which is
     what makes its positive rate sit far above the uniform pool's.
     """
-    relevance = _latent_relevance(spec)
     draws = np.sort(1.0 + rng_for(spec.seed, "popularity").pareto(1.0, size=spec.n_items))
     appeal_rank = np.argsort(np.argsort(relevance.mean(axis=0)))
     popularity = draws[appeal_rank]
@@ -447,7 +448,7 @@ def generate_synthetic(
     validation.
     """
     relevance = _latent_relevance(spec)
-    _, exposure = synthetic_exposure_weights(spec)
+    _, exposure = synthetic_exposure_weights(spec, relevance)
 
     def _draw_pool(tag: str, n: int, item_probs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rng = rng_for(spec.seed, tag)

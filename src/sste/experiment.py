@@ -245,8 +245,8 @@ class GridSpec:
         object.__setattr__(self, "values", clean)
         if self.mode not in ("full", "random"):
             raise ValidationError(f"unknown grid mode {self.mode!r}")
-        if self.mode == "random" and self.samples < 1:
-            raise ValidationError("random mode needs samples >= 1")
+        if self.mode == "random" and not (self.samples >= 1 and self.grid_seed >= 0):
+            raise ValidationError("random mode needs samples >= 1 and grid_seed >= 0")
 
     def combinations(self) -> list[dict]:
         names = sorted(self.values)
@@ -355,12 +355,7 @@ def train_model(
         }
         log.write(json.dumps(line, sort_keys=True) + "\n")
 
-    return fit(
-        train, val, (a_tr, a_val), cfg,
-        propensity=pt,
-        resample_seed=aux_seed if cfg.resample_each_epoch else None,
-        on_epoch=on_epoch,
-    )
+    return fit(train, val, (a_tr, a_val), cfg, pt, on_epoch=on_epoch)
 
 
 def test_metrics_for(
@@ -592,27 +587,28 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
         raise ValidationError("no runs to tabulate")
     rows = []
     for run_dir in run_dirs:
-        report_path = Path(run_dir) / "report.json"
-        if not report_path.exists():
-            raise ValidationError(f"missing report.json under {run_dir}")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        run_columns = _table_columns(report["config"])
+        try:
+            report = json.loads((Path(run_dir) / "report.json").read_text(encoding="utf-8"))
+            run_columns = _table_columns(report["config"])
+            label = f"{report['objective']}/{report['run_id'][:8]}"
+            metrics = {name: float(v) for name, v in report.get("test_metrics", {}).items()}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"unreadable report.json under {run_dir}: {exc!r}") from None
         if rows and run_columns != columns:
             raise ValidationError(
                 f"{run_dir} reports {', '.join(run_columns)}, "
                 f"not {', '.join(columns)}"
             )
         columns = run_columns
-        metrics = report.get("test_metrics", {})
         missing = [c for c in columns if c not in metrics]
         if missing:
             raise ValidationError(f"{run_dir} lacks metrics: {', '.join(missing)}")
         rows.append(
             {
-                "label": f"{report['objective']}/{report['run_id'][:8]}",
+                "label": label,
                 "run_id": report["run_id"],
                 "objective": report["objective"],
-                "metrics": {c: float(metrics[c]) for c in columns},
+                "metrics": {c: metrics[c] for c in columns},
             }
         )
 

@@ -21,7 +21,8 @@ def draw_auxiliary(d: Dataset, probs: np.ndarray, seed: int) -> Dataset:
     """Keep each interaction independently with its probability in ``probs``.
 
     ``probs`` holds one value in (0,1] per row of ``d``, as ``truncate``
-    returns it. Expected size is the sum of the probabilities.
+    returns it; ``seed`` must be >= 0. Expected size is the sum of the
+    probabilities.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if len(probs) != len(d):
@@ -29,6 +30,8 @@ def draw_auxiliary(d: Dataset, probs: np.ndarray, seed: int) -> Dataset:
             f"probabilities cover {len(probs)} instances, dataset has {len(d)}"
         )
     check_probabilities(probs)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(d)) < probs
     return d.take(np.flatnonzero(keep), provenance=Provenance.AUXILIARY_SUBSET)

@@ -52,12 +52,12 @@ class TrainState:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term epoch losses; None stands for a term the objective does not train."""
+    """Per-term epoch losses; a baseline trains no Tilde term and leaves both None."""
 
-    tilde_bce: float | None
     hat_bce: float
-    reg_tilde: float | None
     reg_hat: float
+    tilde_bce: float | None = None
+    reg_tilde: float | None = None
     total: float = field(init=False)
 
     def __post_init__(self):
@@ -65,26 +65,6 @@ class LossBreakdown:
         object.__setattr__(
             self, "total", float(sum(p for p in parts if p is not None))
         )
-
-
-def batch_coefficients(
-    objective: Objective, weights: np.ndarray | None, batch_size: int
-) -> np.ndarray:
-    """Per-instance loss coefficients for one batch.
-
-    naive: 1/B each; ips: weight/B; snips: weight/sum(weights). ``weights``
-    are inverse propensities and must be given for ips and snips.
-    """
-    objective = Objective(objective)
-    if objective in (Objective.NAIVE, Objective.SSTE):
-        return np.full(batch_size, 1.0 / batch_size)
-    if weights is None:
-        raise ValidationError(f"{objective.value} needs inverse-propensity weights")
-    if len(weights) != batch_size:
-        raise ValidationError("weights must align with the batch")
-    if objective is Objective.IPS:
-        return weights / batch_size
-    return weights / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -188,7 +168,6 @@ def _run_epoch(
     m: MfModel,
     opt: SparseAdam,
     sources: list[tuple[Branch, Dataset, np.ndarray | None]],
-    objective: Objective,
     cfg: RunConfig,
     epoch: int,
 ) -> np.ndarray:
@@ -196,8 +175,9 @@ def _run_epoch(
 
     Each source is shuffled by the epoch's generator. A single source runs
     its batches in permutation order; several are interleaved by a shuffled
-    schedule, so every source is visited in proportion to its size. Returns
-    each source's sum of batch loss times batch size.
+    schedule, so every source is visited in proportion to its size. A batch
+    of B rows weighs each 1/B, or w/B (ips) or w/sum(w) (snips) by its weight
+    w. Returns each source's sum of batch loss times batch size.
     """
     for _, source, _ in sources:
         if len(source) == 0:
@@ -212,14 +192,18 @@ def _run_epoch(
     order = range(len(schedule))
     if len(sources) > 1:
         order = rng.permutation(len(schedule))
+    snips = Objective(cfg.objective) is Objective.SNIPS
 
     sums = np.zeros(len(sources))
     for b in order:
         si, lo = schedule[b]
         branch, source, weights = sources[si]
         idx = perms[si][lo:lo + cfg.batch_size]
-        w = None if weights is None else weights[idx]
-        coeffs = batch_coefficients(objective, w, len(idx))
+        if weights is None:
+            coeffs = np.full(len(idx), 1.0 / len(idx))
+        else:
+            w = weights[idx]
+            coeffs = w / (w.sum() if snips else len(idx))
         bg = batch_gradients(
             m, branch, source.users[idx], source.items[idx],
             source.labels[idx].astype(np.float64), coeffs,
@@ -242,7 +226,7 @@ def sste_epoch(
     if not a_tr:
         raise ValidationError("sste needs at least one auxiliary train subset")
     sources = [(Branch.TILDE, d_tr, None)] + [(Branch.HAT, a, None) for a in a_tr]
-    sums = _run_epoch(m, opt, sources, Objective.SSTE, cfg, epoch)
+    sums = _run_epoch(m, opt, sources, cfg, epoch)
     reg_tilde, reg_hat = regularization_terms(m, cfg.l2_lambda)
     return LossBreakdown(
         tilde_bce=float(sums[0] / len(d_tr)),
@@ -256,29 +240,20 @@ def baseline_epoch(
     m: MfModel,
     opt: SparseAdam,
     d_tr: Dataset,
-    pt: PropensityTable | None,
+    weights: np.ndarray | None,
     cfg: RunConfig,
     epoch: int,
 ) -> LossBreakdown:
     """One pass of naive/ips/snips training through the Hat branch only.
 
-    The reported loss is the size-weighted mean of per-batch objective
-    values, each evaluated before its update.
+    ``weights`` are the rows' inverse propensities, None for naive. The loss
+    is the size-weighted mean of per-batch objective values, each evaluated
+    before its update.
     """
-    objective = Objective(cfg.objective)
-    if objective is Objective.SSTE:
-        raise ValidationError("use sste_epoch for the joint objective")
-    weights = None
-    if objective in (Objective.IPS, Objective.SNIPS):
-        if pt is None:
-            raise ValidationError(f"{objective.value} needs a propensity table")
-        weights = 1.0 / pt.per_item_propensity[d_tr.items]
-    sums = _run_epoch(m, opt, [(Branch.HAT, d_tr, weights)], objective, cfg, epoch)
+    sums = _run_epoch(m, opt, [(Branch.HAT, d_tr, weights)], cfg, epoch)
     _, reg_hat = regularization_terms(m, cfg.l2_lambda)
     return LossBreakdown(
-        tilde_bce=None,
         hat_bce=float(sums[0] / len(d_tr)),
-        reg_tilde=None,
         reg_hat=reg_hat,
     )
 
@@ -309,9 +284,7 @@ def fit(
     val: Dataset,
     aux: tuple[list[Dataset], list[Dataset]],
     cfg: RunConfig,
-    *,
-    propensity: PropensityTable | None = None,
-    resample_seed: int | None = None,
+    propensity: PropensityTable,
     on_epoch=None,
 ) -> tuple[MfModel, TrainState]:
     """Train, self-evaluate each epoch, and return the best checkpoint.
@@ -321,10 +294,11 @@ def fit(
     with no val subsets selection is by plain validation AUC. The model with
     the highest modified score is returned, first-best winning ties; training
     stops when the score has not strictly improved for ``cfg.patience``
-    epochs. Initialization and epoch shuffles use seeds derived from ``cfg.seed``.
-    With ``resample_seed`` set, the joint objective redraws its auxiliary
-    train subsets before every epoch after the first, at ``cfg.epsilon_train``,
-    from ``train_family`` with that master seed.
+    epochs. ips and snips weigh each row by its inverse ``propensity``. With
+    ``cfg.resample_each_epoch``, the joint objective redraws its auxiliary
+    train subsets at ``cfg.epsilon_train`` before every epoch after the first.
+    Initialization, epoch shuffles and redraws use the seeds
+    ``derive_seed(cfg.seed, "init" | "train" | "selfsample")``.
     ``on_epoch(epoch, breakdown, report)`` is called after each epoch.
     """
     a_tr, a_val = aux
@@ -332,9 +306,9 @@ def fit(
         if d.n_users != train.n_users or d.n_items != train.n_items:
             raise ValidationError("all datasets must share the vocabularies")
     objective = Objective(cfg.objective)
-    resample = objective is Objective.SSTE and resample_seed is not None
-    if resample and propensity is None:
-        raise ValidationError("resampling needs the propensity table")
+    weights = None
+    if objective in (Objective.IPS, Objective.SNIPS):
+        weights = 1.0 / propensity.per_item_propensity[train.items]
 
     seed = derive_seed(cfg.seed, "init")
     model = init(train.n_users, train.n_items, cfg.embedding_dim, cfg.init_scale, seed)
@@ -344,14 +318,14 @@ def fit(
     best_score = -np.inf
     best_epoch = 0
     history: list[ev.EvalReport] = []
-    epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        if resample and epoch > 1:
-            a_tr = train_family(train, propensity, cfg.epsilon_train, resample_seed, epoch=epoch)
+        if cfg.resample_each_epoch and epoch > 1:
+            aux_seed = derive_seed(cfg.seed, "selfsample")
+            a_tr = train_family(train, propensity, cfg.epsilon_train, aux_seed, epoch=epoch)
         if objective is Objective.SSTE:
             breakdown = sste_epoch(model, opt, train, a_tr, cfg, epoch=epoch)
         else:
-            breakdown = baseline_epoch(model, opt, train, propensity, cfg, epoch=epoch)
+            breakdown = baseline_epoch(model, opt, train, weights, cfg, epoch=epoch)
         if not np.isfinite(breakdown.total) or breakdown.total > LOSS_DIVERGENCE_LIMIT:
             raise TrainingDivergedError(
                 f"epoch {epoch} loss {breakdown.total} out of bounds"

@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way (pair enumeration,
 pooled ranges, one user at a time, explicit finite differences, masked
 sigmoid, ``np.add.at`` scatters, Adam state read row by row twice, one
-``int()`` per TSV field) and stays free of the package's own metric,
-gradient, optimizer or parsing code paths.
+``int()`` per TSV field, one objective switch per batch's loss
+coefficients) and stays free of the package's own metric, gradient,
+optimizer or parsing code paths.
 """
 
 import math
@@ -16,6 +17,7 @@ from sste.data import Dataset, Provenance, Schema
 from sste.errors import ParseError, ValidationError
 from sste.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sste.seeding import rng_for
+from sste.train import Objective
 
 
 def auc_bruteforce(predictions, labels) -> float:
@@ -87,6 +89,26 @@ def sigmoid_masked(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def batch_coefficients(
+    objective: Objective, weights: np.ndarray | None, batch_size: int
+) -> np.ndarray:
+    """Per-instance loss coefficients for one batch.
+
+    naive: 1/B each; ips: weight/B; snips: weight/sum(weights). ``weights``
+    are inverse propensities and must be given for ips and snips.
+    """
+    objective = Objective(objective)
+    if objective in (Objective.NAIVE, Objective.SSTE):
+        return np.full(batch_size, 1.0 / batch_size)
+    if weights is None:
+        raise ValidationError(f"{objective.value} needs inverse-propensity weights")
+    if len(weights) != batch_size:
+        raise ValidationError("weights must align with the batch")
+    if objective is Objective.IPS:
+        return weights / batch_size
+    return weights / weights.sum()
 
 
 def batch_gradients_add_at(m, branch, users, items, labels, coeffs) -> dict:

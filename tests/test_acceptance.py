@@ -34,13 +34,13 @@ from sste.propensity import truncate
 from sste.selfsample import draw_auxiliary
 from sste.train import (
     _apply_batch,
-    batch_coefficients,
     batch_gradients,
     regularization_terms,
 )
 
 from reference import (
     alpha_range,
+    batch_coefficients,
     auc_pair_matrix,
     central_difference,
     dcg_binary,

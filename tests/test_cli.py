@@ -177,6 +177,14 @@ class TestPropensityCommands:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_selfsample_rejects_a_negative_seed(self, synth_dir, capsys):
+        out = synth_dir / "aux.tsv"
+        assert main(["selfsample", "--input", str(synth_dir / "train.tsv"),
+                     "--schema", "label", "--epsilon", "0.5", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 @pytest.fixture()
 def trained(synth_dir, tmp_path, capsys):
@@ -467,6 +475,27 @@ class TestExperimentCommands:
         assert main(["exp", "run", "--config", str(cfg)]) == 1
         out = read_json_lines(capsys)[-1]
         assert out["status"] == "failed"
+
+    def test_exp_grid_rejects_a_negative_random_seed(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("embedding_dim=4,8\nmode=random\nsamples=1\ngrid_seed=-1\n")
+        assert main(["exp", "grid", "--config", str(cfg), "--grid", str(grid)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: random mode needs samples >= 1 and grid_seed >= 0\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"{not json", "JSONDecodeError"),
+        (b'{"run_id": "0123456789abcdef", "objective": "naive"}', "KeyError('config')"),
+    ], ids=["not-json", "no-config"])
+    def test_exp_table_names_a_malformed_report(self, tmp_path, capsys, data, reason):
+        run_dir = tmp_path / "runs" / "run-broken"
+        run_dir.mkdir(parents=True)
+        (run_dir / "report.json").write_bytes(data)
+        assert main(["exp", "table", "--runs", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unreadable report.json under {run_dir}: {reason}")
 
     def test_exp_grid_and_table_flow(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

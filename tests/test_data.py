@@ -674,10 +674,23 @@ class TestGenerateSynthetic:
         # 99.9th percentile of chi-square with 24 degrees of freedom.
         assert chi2 < 51.18
 
+    def test_the_world_computes_its_relevance_once(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return latent_relevance(spec)
+
+        latent_relevance = datamod._latent_relevance
+        monkeypatch.setattr(datamod, "_latent_relevance", counting)
+        spec = small_spec()
+        generate_synthetic(spec)
+        assert calls == [spec]
+
     def test_bias_concentrates_exposure_on_popular_items(self):
         spec = small_spec(train_impressions=20000)
-        _, weights = synthetic_exposure_weights(spec)
-        train, val, _, _ = generate_synthetic(spec)
+        train, val, _, relevance = generate_synthetic(spec)
+        _, weights = synthetic_exposure_weights(spec, relevance)
         counts = np.bincount(train.items, minlength=spec.n_items)
         counts = counts + np.bincount(val.items, minlength=spec.n_items)
         top = np.argsort(-weights)[:5]
@@ -693,8 +706,8 @@ class TestGenerateSynthetic:
             exposure_bias_strength=1.5, positive_threshold=0.25,
             train_impressions=200000, test_impressions=100, seed=7,
         )
-        popularity, _ = synthetic_exposure_weights(spec)
-        train, val, _, _ = generate_synthetic(spec)
+        train, val, _, relevance = generate_synthetic(spec)
+        popularity, _ = synthetic_exposure_weights(spec, relevance)
         counts = np.bincount(train.items, minlength=spec.n_items)
         counts = counts + np.bincount(val.items, minlength=spec.n_items)
         rho = scipy_stats.spearmanr(counts, popularity ** 1.5).statistic

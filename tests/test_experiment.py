@@ -334,6 +334,12 @@ class TestGridSpec:
                         samples=10, grid_seed=0)
         assert len(grid.combinations()) == 2
 
+    def test_random_mode_rejects_a_negative_seed(self):
+        # numpy's generators take only seeds >= 0.
+        with pytest.raises(ValidationError, match="grid_seed >= 0"):
+            GridSpec(values={"batch_size": (16, 32)}, mode="random",
+                     samples=1, grid_seed=-1)
+
     def test_unknown_field_is_rejected(self):
         with pytest.raises(ValidationError):
             GridSpec(values={"not_a_field": (1,)})
@@ -432,7 +438,12 @@ class TestRunOne:
             "model.ckpt": "ed89cfdc0cc9a894f2b2f49cf8c3729f6d61009dd91b45d8146c0c2092de35fd",
             "report.json": "a845f0d42f3d4be280e26b9ae9562578e81f328934794290a6c9b7bf08acedcf",
         }),
-    ], ids=["naive", "ips"])
+        (dict(objective="snips"), {
+            "epochs.jsonl": "73731bf325ffb4f1c094dee7095c2f54adf633ff57b6d4e29d4712965e710fca",
+            "model.ckpt": "753ea2b064f745ad6a68a76254abc16aa6be16db7c80a2cb4450efe3ce64b8fd",
+            "report.json": "2565b77c869e3463bb9dc9230bd2c806b8beca149eece66438ccdce57add1ca9",
+        }),
+    ], ids=["naive", "ips", "snips"])
     def test_baseline_run_files_are_unchanged(self, tmp_path, overrides, expected):
         # Digests of the files these baselines have always produced: no
         # train thresholds, and for ips one validation threshold.
@@ -542,7 +553,7 @@ class TestRunOne:
         # A zero threshold keeps the full training set.
         assert np.array_equal(a_tr[0].items, train.items)
         a_val = val_family(val, pt, cfg.epsilon_val, aux_seed)
-        _, state = fit(train, val, (a_tr, a_val), cfg)
+        _, state = fit(train, val, (a_tr, a_val), cfg, pt)
         assert state.best_score == pytest.approx(
             result.report["best_modified_score"], abs=1e-12
         )
@@ -710,10 +721,10 @@ class TestRunGrid:
 
 def fit_raising(monkeypatch, exc, in_cell=lambda cfg: True):
     """Make training raise ``exc`` in the runs whose config ``in_cell`` picks."""
-    def fit_or_raise(train, val, aux, cfg, **kwargs):
+    def fit_or_raise(train, val, aux, cfg, *args, **kwargs):
         if in_cell(cfg):
             raise exc
-        return fit(train, val, aux, cfg, **kwargs)
+        return fit(train, val, aux, cfg, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "fit", fit_or_raise)
 
@@ -853,8 +864,29 @@ class TestMakeTable:
     def test_missing_report_is_rejected(self, tmp_path):
         run_dir = tmp_path / "empty"
         run_dir.mkdir()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape(str(run_dir))):
             make_table([str(run_dir)])
+
+    # The CLI tests cover a report that is not JSON or lacks its config.
+    @pytest.mark.parametrize("data", [
+        json.dumps({"run_id": "x" * 16, "objective": "naive", "config": None}).encode(),
+        json.dumps({"config": {"ndcg_k": 50, "precision_ks": [5]}}).encode(),
+        b'["a", "list"]',
+        b'{"objective": "\xff"}',
+        json.dumps({"run_id": "x" * 16, "objective": "naive",
+                    "config": {"ndcg_k": 50, "precision_ks": [5]},
+                    "test_metrics": {"auc": "high"}}).encode(),
+        json.dumps({"run_id": "x" * 16, "objective": "naive",
+                    "config": {"ndcg_k": 50, "precision_ks": [5]},
+                    "test_metrics": ["auc"]}).encode(),
+    ], ids=["null-config", "no-objective", "a-list", "not-utf8", "text-metric", "metric-list"])
+    def test_a_malformed_report_names_its_run_dir(self, tmp_path, data):
+        good = self.write_report(tmp_path, "good", "naive", self.metric_row(0.5))
+        run_dir = tmp_path / "malformed"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_bytes(data)
+        with pytest.raises(ValidationError, match=re.escape(str(run_dir))):
+            make_table([good, str(run_dir)])
 
     def test_no_runs_is_rejected(self):
         with pytest.raises(ValidationError):

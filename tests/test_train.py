@@ -1,8 +1,8 @@
-"""Training loops: loss coefficients, joint objective, selection, stopping."""
+"""Training loops: batch gradients, joint objective, selection, stopping."""
 
 import inspect
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,13 +21,13 @@ from sste.optim import SparseAdam
 from sste.propensity import PropensityTable, estimate_popularity_propensity
 from sste.seeding import derive_seed
 from sste.selfsample import train_family, val_family
+from sste import train as train_mod
 from sste.train import (
     LossBreakdown,
     Objective,
     _apply_batch,
     _group,
     baseline_epoch,
-    batch_coefficients,
     batch_gradients,
     fit,
     regularization_terms,
@@ -36,6 +36,7 @@ from sste.train import (
 )
 
 from reference import (
+    batch_coefficients,
     batch_gradients_add_at,
     epoch_batches,
     make_dataset,
@@ -55,33 +56,6 @@ def run_cfg(**settings):
     if settings.get("objective") == "sste":
         settings.setdefault("epsilon_train", (0.5,))
     return RunConfig(**settings)
-
-
-class TestBatchCoefficients:
-    def test_naive_is_uniform_over_the_batch(self):
-        assert batch_coefficients(Objective.NAIVE, None, 4).tolist() == [0.25] * 4
-
-    def test_joint_objective_uses_the_naive_form(self):
-        assert np.array_equal(
-            batch_coefficients(Objective.SSTE, None, 8),
-            batch_coefficients(Objective.NAIVE, None, 8),
-        )
-
-    def test_inverse_weighting_divides_by_batch_size(self):
-        coeffs = batch_coefficients(Objective.IPS, np.array([2.0, 1.0]), 2)
-        assert coeffs.tolist() == [1.0, 0.5]
-
-    def test_self_normalized_weighting_divides_by_weight_sum(self):
-        coeffs = batch_coefficients(Objective.SNIPS, np.array([2.0, 1.0]), 2)
-        assert coeffs == pytest.approx([2 / 3, 1 / 3])
-
-    def test_weighted_objectives_require_weights(self):
-        with pytest.raises(ValidationError):
-            batch_coefficients(Objective.IPS, None, 2)
-
-    def test_weights_must_align_with_the_batch(self):
-        with pytest.raises(ValidationError):
-            batch_coefficients(Objective.SNIPS, np.array([1.0]), 2)
 
 
 class TestBatchGradients:
@@ -345,31 +319,18 @@ class TestEpochs:
         with pytest.raises(ValidationError):
             sste_epoch(m, opt, train, [], run_cfg(objective="sste"), epoch=1)
 
-    def test_baseline_epoch_rejects_the_joint_objective(self):
-        train = separable_4x4()
-        m = batch_model()
-        opt = SparseAdam(m.parameters(), 0.01)
-        with pytest.raises(ValidationError):
-            baseline_epoch(m, opt, train, None,
-                           run_cfg(objective="sste"), epoch=1)
-
-    def test_weighted_baseline_needs_a_propensity_table(self):
-        train = separable_4x4()
-        m = batch_model()
-        opt = SparseAdam(m.parameters(), 0.01)
-        with pytest.raises(ValidationError):
-            baseline_epoch(m, opt, train, None, run_cfg(objective="ips"), epoch=1)
-
     def test_all_one_propensities_make_ips_equal_naive(self):
         train = separable_4x4()
         table = PropensityTable(np.ones(4))
         runs = {}
-        for objective in ("naive", "ips"):
+        for objective, weights in (
+            ("naive", None), ("ips", 1.0 / table.per_item_propensity[train.items]),
+        ):
             m = init(4, 4, 2, 0.2, 7)
             opt = SparseAdam(m.parameters(), 0.05)
             cfg = run_cfg(objective=objective, batch_size=4, seed=3)
             for epoch in range(1, 4):
-                baseline_epoch(m, opt, train, table, cfg, epoch=epoch)
+                baseline_epoch(m, opt, train, weights, cfg, epoch=epoch)
             runs[objective] = m
         for name, value in runs["naive"].parameters().items():
             assert np.array_equal(value, runs["ips"].parameters()[name]), name
@@ -465,17 +426,17 @@ class TestEpochOrder:
         for name, value in got.items():
             assert np.array_equal(value, expected[name]), name
 
-    @pytest.mark.parametrize("objective", ["naive", "ips"])
+    @pytest.mark.parametrize("objective", ["naive", "ips", "snips"])
     def test_baseline_epoch_runs_batches_in_permutation_order(self, objective):
         train, pt = self.world()
         cfg = run_cfg(objective=objective, batch_size=64, seed=9,
                       learning_rate=0.05, l2_lambda=0.01)
         weights = None
-        if objective == "ips":
+        if objective != "naive":
             weights = 1.0 / pt.per_item_propensity[train.items]
         self.assert_replays(
             cfg,
-            lambda m, opt, epoch: baseline_epoch(m, opt, train, pt, cfg, epoch=epoch),
+            lambda m, opt, epoch: baseline_epoch(m, opt, train, weights, cfg, epoch=epoch),
             [(Branch.HAT, train, weights)],
         )
 
@@ -564,11 +525,11 @@ def fit_world(seed=3):
 
 class TestFit:
     def test_returns_the_best_epoch_snapshot(self):
-        train, val, _, _, aux = fit_world()
+        train, val, _, pt, aux = fit_world()
         cfg = run_cfg(objective="sste", batch_size=512, seed=5,
                       learning_rate=0.01, max_epochs=12, patience=4,
                       embedding_dim=6, init_scale=0.1)
-        model, state = fit(train, val, aux, cfg)
+        model, state = fit(train, val, aux, cfg, pt)
         scores = [r.modified_score for r in state.history]
         assert state.best_score == max(scores)
         assert state.best_epoch == scores.index(max(scores)) + 1
@@ -576,12 +537,12 @@ class TestFit:
         assert report.modified_score == pytest.approx(state.best_score)
 
     def test_two_runs_are_bitwise_identical(self):
-        train, val, _, _, aux = fit_world()
+        train, val, _, pt, aux = fit_world()
         cfg = run_cfg(objective="sste", batch_size=256, seed=9,
                       learning_rate=0.01, max_epochs=6, patience=6,
                       embedding_dim=5, init_scale=0.1)
-        m1, s1 = fit(train, val, aux, cfg)
-        m2, s2 = fit(train, val, aux, cfg)
+        m1, s1 = fit(train, val, aux, cfg, pt)
+        m2, s2 = fit(train, val, aux, cfg, pt)
         assert s1.best_epoch == s2.best_epoch
         assert [r.modified_score for r in s1.history] == [
             r.modified_score for r in s2.history
@@ -597,7 +558,7 @@ class TestFit:
         cfg = run_cfg(objective="naive", batch_size=4, seed=0,
                       learning_rate=0.01, max_epochs=50, patience=5,
                       embedding_dim=2, init_scale=0.1)
-        _, state = fit(train, val, ([], []), cfg)
+        _, state = fit(train, val, ([], []), cfg, PropensityTable(np.ones(4)))
         assert state.best_epoch == 1
         assert state.epoch == 1 + cfg.patience
         assert len(state.history) == cfg.patience + 1
@@ -605,53 +566,95 @@ class TestFit:
         assert len(scores) == 1
 
     def test_baseline_without_aux_uses_plain_validation_score(self):
-        train, val, _, _, _ = fit_world()
+        train, val, _, pt, _ = fit_world()
         cfg = run_cfg(objective="naive", batch_size=512, seed=2,
                       learning_rate=0.01, max_epochs=4, patience=4,
                       embedding_dim=4)
-        _, state = fit(train, val, ([], []), cfg)
+        _, state = fit(train, val, ([], []), cfg, pt)
         for report in state.history:
             assert report.alpha == 0.0
             assert report.modified_score == report.score_on_val
 
     def test_huge_learning_rate_raises_divergence(self):
-        train, val, _, _, _ = fit_world()
+        train, val, _, pt, _ = fit_world()
         cfg = run_cfg(objective="naive", batch_size=512, seed=2,
                       learning_rate=1e3, max_epochs=10, patience=10,
                       embedding_dim=4)
         with pytest.raises(TrainingDivergedError):
-            fit(train, val, ([], []), cfg)
+            fit(train, val, ([], []), cfg, pt)
 
     def test_joint_objective_requires_auxiliary_subsets(self):
-        train, val, _, _, _ = fit_world()
+        train, val, _, pt, _ = fit_world()
         cfg = run_cfg(objective="sste")
         with pytest.raises(ValidationError):
-            fit(train, val, ([], []), cfg)
+            fit(train, val, ([], []), cfg, pt)
 
     def test_vocabulary_mismatch_is_rejected(self):
-        train, val, _, _, _ = fit_world()
+        train, val, _, pt, _ = fit_world()
         other_val = make_dataset([0], [0], [1], 99, 99)
         with pytest.raises(ValidationError):
-            fit(train, other_val, ([], []), run_cfg(objective="naive"))
+            fit(train, other_val, ([], []), run_cfg(objective="naive"), pt)
 
     def test_resampling_changes_the_training_stream(self):
         train, val, _, pt, aux = fit_world()
         cfg = run_cfg(objective="sste", batch_size=256, seed=7,
                       learning_rate=0.05, max_epochs=6, patience=6,
                       embedding_dim=5, init_scale=0.1)
-        _, frozen_state = fit(train, val, aux, cfg)
-        _, resampled_state = fit(train, val, aux, cfg, propensity=pt,
-                                 resample_seed=13)
+        _, frozen_state = fit(train, val, aux, cfg, pt)
+        _, resampled_state = fit(train, val, aux, replace(cfg, resample_each_epoch=True), pt)
         assert [r.score_on_val for r in frozen_state.history] != [
             r.score_on_val for r in resampled_state.history
         ]
 
+    def test_redraws_use_the_selfsample_seed_of_the_config(self, monkeypatch):
+        # Epochs 2.. redraw at cfg.epsilon_train with the master seed that
+        # train_model drew epoch 0 with; nothing else reaches train_family.
+        train, val, _, pt, aux = fit_world()
+        cfg = run_cfg(objective="sste", batch_size=256, seed=7, max_epochs=4,
+                      patience=4, embedding_dim=5, epsilon_train=(0.3, 0.7),
+                      resample_each_epoch=True)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args[2:], kwargs))
+            return train_family(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "train_family", recording)
+        fit(train, val, aux, cfg, pt)
+        seed = derive_seed(cfg.seed, "selfsample")
+        assert calls == [(((0.3, 0.7), seed), {"epoch": e}) for e in (2, 3, 4)]
+
     def test_epoch_callback_sees_every_epoch(self):
-        train, val, _, _, _ = fit_world()
+        train, val, _, pt, _ = fit_world()
         cfg = run_cfg(objective="naive", batch_size=512, seed=2,
                       learning_rate=0.01, max_epochs=3, patience=3,
                       embedding_dim=4)
         seen = []
-        fit(train, val, ([], []), cfg,
+        fit(train, val, ([], []), cfg, pt,
             on_epoch=lambda epoch, breakdown, report: seen.append(epoch))
         assert seen == [1, 2, 3]
+
+
+class TestEpochDispatch:
+    """fit looks each epoch function up on the train module, once per epoch:
+    the benchmark's ``train.epoch`` span wraps ``train.sste_epoch`` and
+    ``train.baseline_epoch`` there and counts ``train.epochs`` by them."""
+
+    @pytest.mark.parametrize("objective", ["naive", "ips", "snips", "sste"])
+    def test_each_objective_runs_its_epoch_function_once_per_epoch(
+        self, objective, monkeypatch
+    ):
+        train, val, _, pt, aux = fit_world()
+        cfg = run_cfg(objective=objective, batch_size=512, seed=2, max_epochs=3,
+                      patience=3, embedding_dim=4)
+        counts = {"sste_epoch": 0, "baseline_epoch": 0}
+        for name in counts:
+            def counting(*args, _name=name, _inner=getattr(train_mod, name), **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(train_mod, name, counting)
+        _, state = fit(train, val, aux, cfg, pt)
+        assert state.epoch == 3
+        ran = "sste_epoch" if objective == "sste" else "baseline_epoch"
+        assert counts == {name: 3 if name == ran else 0 for name in counts}
