@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,7 @@ def _print_json(payload) -> None:
 
 def _cmd_data_stats(args) -> int:
     d = datamod.load_tsv(args.input, args.schema)
-    s = datamod.stats(d)
-    _print_json({name: getattr(s, name)
-                 for name in ("n_feedback", "pn_ratio_percent", "n_users", "n_items")})
+    _print_json(asdict(datamod.stats(d)))
     return 0
 
 
@@ -136,6 +134,8 @@ def _parse_metrics(text: str) -> tuple[list[str], tuple[int, ...], int]:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.aux_val and not args.val:
+        raise ValidationError("--aux-val needs --val")
     names, ks, ndcg_k = _parse_metrics(args.metrics)
     model, user_ids, item_ids = exp.load_model(args.checkpoint)
 

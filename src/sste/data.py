@@ -147,10 +147,6 @@ class Dataset:
     def positive_count(self) -> int:
         return int(self.labels.sum())
 
-    @property
-    def negative_count(self) -> int:
-        return len(self) - self.positive_count
-
     def take(self, indices: np.ndarray, provenance: Provenance | None = None) -> "Dataset":
         """New dataset from a subset of rows, preserving vocabularies."""
         return replace(
@@ -366,12 +362,12 @@ def stats(d: Dataset) -> DatasetStats:
     """
     if len(d) == 0:
         raise ValidationError("stats of an empty dataset")
-    negatives = d.negative_count
-    if negatives == 0:
+    positives = d.positive_count
+    if positives == len(d):
         raise DivisionGuardError("P/N ratio undefined without negatives")
     return DatasetStats(
         n_feedback=len(d),
-        pn_ratio_percent=100.0 * d.positive_count / negatives,
+        pn_ratio_percent=100.0 * positives / (len(d) - positives),
         n_users=d.n_users,
         n_items=d.n_items,
     )

@@ -29,6 +29,7 @@ from .data import (
     Schema,
     SplitMode,
     SyntheticSpec,
+    _frozen_id_map,
     generate_synthetic,
     load_tsv,
     split_ratio,
@@ -241,6 +242,9 @@ class GridSpec:
             options = tuple(options)
             if not options:
                 raise ValidationError(f"empty value list for {name!r}")
+            repeated = [v for i, v in enumerate(options) if v in options[:i]]
+            if repeated:
+                raise ValidationError(f"value list for {name!r} repeats {repeated[0]!r}")
             clean[name] = options
         object.__setattr__(self, "values", clean)
         if self.mode not in ("full", "random"):
@@ -377,15 +381,13 @@ def test_metrics_for(
 
 def save_model(model: MfModel, train: Dataset, path) -> None:
     """Checkpoint at ``path``, plus ``<path>.vocab.json`` when ``train`` was
-    loaded from files: its original-to-dense id maps, which ``load_model``
-    reads back so that ``sste evaluate`` scores files in the original id space."""
+    loaded from files: its two id maps as sorted lists of original ids, which
+    ``load_model`` reads back so that ``sste evaluate`` scores files in the
+    original id space."""
     save_checkpoint(model, path)
     if train.user_id_map is None:
         return
-    vocab = {
-        key: {str(orig): dense for dense, orig in enumerate(ids.tolist())}
-        for key, ids in (("users", train.user_id_map), ("items", train.item_id_map))
-    }
+    vocab = {"items": train.item_id_map.tolist(), "users": train.user_id_map.tolist()}
     Path(str(path) + ".vocab.json").write_text(
         json.dumps(vocab, sort_keys=True), encoding="utf-8"
     )
@@ -394,27 +396,23 @@ def save_model(model: MfModel, train: Dataset, path) -> None:
 def load_model(path) -> tuple[MfModel, np.ndarray, np.ndarray]:
     """(model, user ids, item ids) of a ``save_model`` checkpoint; row ``i`` is
     original id ``ids[i]``, and the ids are the rows when there is no sidecar.
-    A sidecar must map distinct int64 ids of each kind onto every checkpoint
-    row ``0..n-1``, one id a row in original-id order, else ParseError."""
+    Each sidecar list must hold JSON integers that form an id map of the
+    checkpoint's row count (``data._frozen_id_map``), else ParseError."""
     model = load_checkpoint(path)
     sidecar = Path(str(path) + ".vocab.json")
     if not sidecar.exists():
         return model, np.arange(model.n_users), np.arange(model.n_items)
     try:
         raw = json.loads(sidecar.read_text(encoding="utf-8"))
-        maps = [sorted((int(orig), row) for orig, row in raw[key].items())
-                for key in ("users", "items")]
-        ids = [np.array([orig for orig, _ in pairs], dtype=np.int64) for pairs in maps]
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError):
-        raise ParseError(f"malformed vocab sidecar {sidecar}") from None
-    for kind, n_rows, pairs in zip(("user", "item"), (model.n_users, model.n_items), maps):
-        rows = [row for _, row in pairs]
-        if any(type(row) is int and not 0 <= row < n_rows for row in rows):
-            raise ParseError(f"{sidecar} maps {kind} ids outside the checkpoint's {n_rows} rows")
-        if (any(type(row) is not int for row in rows)
-                or rows != list(range(n_rows)) or len(dict(pairs)) < len(pairs)):
-            raise ParseError(f"malformed vocab sidecar {sidecar}: the {kind} ids must be "
-                             f"distinct and take rows 0..{n_rows - 1} in original-id order")
+        ids = []
+        for key, n_rows in (("users", model.n_users), ("items", model.n_items)):
+            values = raw.get(key) if isinstance(raw, dict) else None
+            # The type test refuses a JSON true, which np.asarray reads as 1.
+            if not isinstance(values, list) or any(type(v) is not int for v in values):
+                raise ValidationError(f"{key} must be a list of JSON integers")
+            ids.append(_frozen_id_map(values, key, n_rows))
+    except ValueError as exc:
+        raise ParseError(f"malformed vocab sidecar {sidecar}: {exc}") from None
     return model, *ids
 
 
@@ -509,6 +507,8 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
     the ranking; if every cell fails the grid itself fails. The leaderboard
     is written as TSV next to the run directories.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     cells = grid.combinations()
     configs = []
     for order, overrides in enumerate(cells):

@@ -100,14 +100,9 @@ def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(p >= epsilon, 1.0, p)
 
 
-def save_table(t: PropensityTable, path, item_ids: np.ndarray | None = None) -> None:
-    """Write item<TAB>propensity lines in dense-id order.
-
-    ``item_ids`` is a loaded dataset's ``item_id_map``; with it the lines
-    carry the original ids, without it the dense ids.
-    """
-    values = t.per_item_propensity
-    items = np.arange(len(values)) if item_ids is None else item_ids
+def save_table(t: PropensityTable, path, item_ids: np.ndarray) -> None:
+    """Write item<TAB>propensity lines in dense-id order, each with its
+    original id from ``item_ids``, a loaded dataset's ``item_id_map``."""
     with open(path, "w", encoding="utf-8") as handle:
-        for item, value in zip(items.tolist(), values.tolist(), strict=True):
+        for item, value in zip(item_ids.tolist(), t.per_item_propensity.tolist(), strict=True):
             handle.write(f"{item}\t{value!r}\n")

@@ -62,7 +62,7 @@ class TestDataCommands:
         train = load_tsv(synth_dir / "train.tsv", Schema.USER_ITEM_LABEL)
         assert out["n_feedback"] == len(train)
         assert out["pn_ratio_percent"] == pytest.approx(
-            100.0 * train.positive_count / train.negative_count
+            100.0 * train.positive_count / (len(train) - train.positive_count)
         )
 
     def test_stats_on_a_missing_file_exits_nonzero(self, tmp_path, capsys):
@@ -292,6 +292,15 @@ class TestTrainAndEvaluate:
         assert out["aux_auc"] == [out["val_auc"]]
         assert out["alpha"] == 0.0
 
+    def test_evaluate_refuses_aux_files_without_val(self, trained, synth_dir, capsys):
+        ckpt, _, _ = trained
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--test", str(synth_dir / "test.tsv"), "--schema", "label",
+                     "--metrics", "auc", "--aux-val", str(synth_dir / "val.tsv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --aux-val needs --val\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("metrics", ["p@x", "p@0", "foo", "ndcg@10,ndcg@5"])
     def test_evaluate_rejects_bad_metric_names(self, trained, synth_dir,
                                                capsys, metrics):
@@ -439,10 +448,13 @@ class TestBadCheckpoints:
         ckpt, _, _ = trained
         sidecar = Path(str(ckpt) + ".vocab.json")
         vocab = json.loads(sidecar.read_text())
-        vocab["items"][next(iter(vocab["items"]))] = 20
+        # One item id more than the checkpoint has item rows.
+        vocab["items"].append(vocab["items"][-1] + 1)
         sidecar.write_text(json.dumps(vocab))
         assert self.evaluate(ckpt, synth_dir) == 1
-        assert "outside the checkpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: malformed vocab sidecar {sidecar}: items holds 21 ids, expected 20\n"
+        )
 
 
 class TestExperimentCommands:
@@ -483,6 +495,14 @@ class TestExperimentCommands:
         assert main(["exp", "grid", "--config", str(cfg), "--grid", str(grid)]) == 1
         err = capsys.readouterr().err
         assert err == "error: random mode needs samples >= 1 and grid_seed >= 0\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_exp_grid_rejects_a_repeated_value(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("seed=3,3\n")
+        assert main(["exp", "grid", "--config", str(cfg), "--grid", str(grid)]) == 1
+        assert capsys.readouterr().err == "error: value list for 'seed' repeats 3\n"
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("data, reason", [

@@ -340,6 +340,13 @@ class TestGridSpec:
             GridSpec(values={"batch_size": (16, 32)}, mode="random",
                      samples=1, grid_seed=-1)
 
+    def test_a_repeated_value_is_rejected(self):
+        # Two equal cells would share one run directory and write it twice.
+        with pytest.raises(ValidationError, match="value list for 'seed' repeats 3"):
+            GridSpec(values={"seed": (3, 4, 3)})
+        with pytest.raises(ValidationError, match="value list for 'learning_rate' repeats 0.1"):
+            GridSpec(values={"batch_size": (16, 32), "learning_rate": (0.1, 0.1)})
+
     def test_unknown_field_is_rejected(self):
         with pytest.raises(ValidationError):
             GridSpec(values={"not_a_field": (1,)})
@@ -615,12 +622,12 @@ class TestYahooShapedFiles:
         second = run_one(config(tmp_path / "second"))
         assert (first.status, second.status) == ("ok", "ok")
         assert differing_files(tmp_path / "first", tmp_path / "second") == []
-        # Digests of the files this config has always produced.
+        # Digests of the files this config produces.
         expected = {
             "epochs.jsonl": "dc2946a7aec1d7edf819da08080d200399fb160c63b7c886d17f9afa57049ff5",
             "model.ckpt": "98e05eea7b19cb4f620b0207da1329849e206c1d9e15450938bf5d200c69eeca",
             "model.ckpt.vocab.json":
-                "69260fe380a5b5e371e1e7d13eb8fd9bdde40609604143a05590fbf5b41e4399",
+                "77d608375b7ff3df22a4ef38c60ae34cdb9c1f81c63db8156c543875b89b49fe",
             "report.json": "b5ad6692e230a1fde76967ba860a38cd06dea5cb53e4d183c10216121ef150a0",
         }
         for name, digest in expected.items():
@@ -676,6 +683,13 @@ class TestRunGrid:
         with pytest.raises(ValidationError, match="floor"):
             run_grid(grid, base)
         assert not list(tmp_path.glob("runs/run-*"))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_is_rejected(self, tmp_path, workers):
+        grid = GridSpec(values={"learning_rate": (0.01,)})
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            run_grid(grid, quick_cfg(tmp_path), workers=workers)
+        assert not (tmp_path / "runs").exists()
 
     def test_every_cell_failing_is_an_error(self, tmp_path):
         base = quick_cfg(tmp_path, max_epochs=4)
@@ -969,12 +983,9 @@ class TestModelFiles:
         save_model(init(2, 2, k=3, scale=0.1, seed=1), train, ckpt)
         return ckpt
 
-    def write_vocab(self, ckpt, users, items):
-        Path(str(ckpt) + ".vocab.json").write_text(json.dumps({"users": users, "items": items}))
-
     def test_the_sidecar_bytes_are_fixed(self, saved):
         assert Path(str(saved) + ".vocab.json").read_bytes() == (
-            b'{"items": {"20": 0, "30": 1}, "users": {"10": 1, "3": 0}}'
+            b'{"items": [20, 30], "users": [3, 10]}'
         )
 
     def test_load_model_reads_back_the_ids_of_each_row(self, saved):
@@ -983,44 +994,45 @@ class TestModelFiles:
         assert user_ids.tolist() == [3, 10]
         assert item_ids.tolist() == [20, 30]
 
+    def test_load_model_returns_the_training_maps(self, tmp_path):
+        src = tmp_path / "a.tsv"
+        src.write_text(f"900\t7\t4\n{2**40}\t31\t2\n12\t7\t5\n")
+        train = load_tsv(src, Schema.USER_ITEM_RATING)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(init(3, 2, k=2, scale=0.1, seed=1), train, ckpt)
+        _, user_ids, item_ids = load_model(ckpt)
+        assert np.array_equal(user_ids, train.user_id_map)
+        assert np.array_equal(item_ids, train.item_id_map)
+
     def test_without_a_sidecar_the_ids_are_the_rows(self, saved):
         Path(str(saved) + ".vocab.json").unlink()
         _, user_ids, item_ids = load_model(saved)
         assert user_ids.tolist() == [0, 1]
         assert item_ids.tolist() == [0, 1]
 
-    def test_two_ids_on_one_row_are_refused(self, saved):
-        self.write_vocab(saved, {"3": 0, "10": 0}, {"20": 0, "30": 1})
-        with pytest.raises(ParseError, match="malformed vocab sidecar"):
-            load_model(saved)
-
-    def test_one_id_written_twice_is_refused(self, saved):
-        self.write_vocab(saved, {"3": 0, "03": 1}, {"20": 0, "30": 1})
-        with pytest.raises(ParseError, match="malformed vocab sidecar"):
-            load_model(saved)
-
-    @pytest.mark.parametrize("kind", ["users", "items"])
-    def test_an_empty_map_is_refused(self, saved, kind):
-        vocab = {"users": {"3": 0, "10": 1}, "items": {"20": 0, "30": 1}}
-        vocab[kind] = {}
-        self.write_vocab(saved, vocab["users"], vocab["items"])
-        with pytest.raises(ParseError, match="malformed vocab sidecar"):
-            load_model(saved)
-
-    @pytest.mark.parametrize("users, items", [
-        ({"3": 1, "10": 0}, {"20": 0, "30": 1}),  # rows out of original-id order
-        ({"3": 1}, {"20": 0, "30": 1}),  # rows that do not start at 0
-        ({"3": True, "10": 1}, {"20": 0, "30": 1}),  # a row that is not an int
-        ({"3": 0, str(2**63): 1}, {"20": 0, "30": 1}),  # an id beyond int64
-        ({"3": 0}, {"20": 0, "30": 1}),  # fewer user ids than checkpoint rows
-        ({"3": 0, "10": 1}, {"20": 0}),  # fewer item ids than checkpoint rows
-    ])
-    def test_rows_other_than_0_to_n_in_id_order_are_refused(self, saved, users, items):
-        self.write_vocab(saved, users, items)
-        with pytest.raises(ParseError, match="malformed vocab sidecar"):
-            load_model(saved)
-
-    def test_a_row_beyond_the_checkpoint_is_named(self, saved):
-        self.write_vocab(saved, {"3": 0, "10": 1}, {"20": 0, "30": 2})
-        with pytest.raises(ParseError, match="maps item ids outside the checkpoint's 2 rows"):
+    @pytest.mark.parametrize("text, reason", [
+        ('{"users": [10, 3], "items": [20, 30]}', "users must be a nonempty, strictly increasing"),
+        ('{"users": [3, 10], "items": [20, 20]}', "items must be a nonempty, strictly increasing"),
+        ('{"users": [], "items": [20, 30]}', "users must be a nonempty, strictly increasing"),
+        # numpy reads the JSON [0, true] as [0, 1].
+        ('{"users": [0, true], "items": [20, 30]}', "users must be a list of JSON integers"),
+        ('{"users": [3, 10.0], "items": [20, 30]}', "users must be a list of JSON integers"),
+        ('{"users": [3, "10"], "items": [20, 30]}', "users must be a list of JSON integers"),
+        (f'{{"users": [3, {2**63}], "items": [20, 30]}}', "users must be a nonempty, strictly increasing int64"),
+        ('{"users": [3], "items": [20, 30]}', "users holds 1 ids, expected 2"),
+        ('{"users": [3, 10, 11], "items": [20, 30]}', "users holds 3 ids, expected 2"),
+        ('{"users": [3, 10], "items": [20]}', "items holds 1 ids, expected 2"),
+        ('{"users": [3, 10], "items": [20, 30, 40]}', "items holds 3 ids, expected 2"),
+        ('{"users": [3, 10]}', "items must be a list of JSON integers"),
+        ('{"items": {"20": 0, "30": 1}, "users": {"10": 1, "3": 0}}',  # the old dict form
+         "users must be a list of JSON integers"),
+        ("{not json", "Expecting property name"),
+    ], ids=["unsorted", "repeated", "empty", "true", "float", "string", "beyond-int64",
+            "few-users", "many-users", "few-items", "many-items", "missing-key", "dict-form",
+            "not-json"])
+    def test_a_malformed_sidecar_is_refused(self, saved, text, reason):
+        sidecar = Path(str(saved) + ".vocab.json")
+        sidecar.write_text(text)
+        prefix = re.escape(f"malformed vocab sidecar {sidecar}: {reason}")
+        with pytest.raises(ParseError, match=f"^{prefix}"):
             load_model(saved)
