@@ -7,6 +7,10 @@ margins (sste minus naive), the win count, and the mean margin.
 
 Run:
     python scripts/run_synthetic_study.py --out runs/synthetic-study
+
+Exit status: 0 when SSTE wins a majority of the seeds, 1 when it does not,
+and 2 on an error, such as a bad argument or an unwritable directory, which
+is printed to stderr as ``error: ...``.
 """
 
 import argparse
@@ -17,6 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sste.errors import SsteError
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid
 
 # World and training constants for the study; the grid on top of these is
@@ -65,16 +70,24 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel grid cells per study")
     args = parser.parse_args(argv)
-
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    out_root = Path(args.out)
+    try:
+        return run_study(seeds, Path(args.out), args.workers)
+    except (SsteError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run_study(seeds: list[int], out_root: Path, workers: int) -> int:
+    """Both objectives' grids for every seed, then the summary; 0 if SSTE
+    wins a majority of the seeds, else 1."""
     results = {}
     t0 = time.time()
     for seed in seeds:
         for objective in ("naive", "sste"):
             grid_dir = out_root / f"seed{seed}" / objective
             cfg = study_config(seed, objective, str(grid_dir))
-            res = run_grid(GridSpec(values=DEFAULT_GRID), cfg, workers=args.workers)
+            res = run_grid(GridSpec(values=DEFAULT_GRID), cfg, workers=workers)
             results[(seed, objective)] = selected_test_auc(grid_dir, res.best_run_id)
             print(f"seed={seed} {objective:>5}: test AUC "
                   f"{results[(seed, objective)]:.4f}", flush=True)

@@ -321,13 +321,9 @@ def split_ratio(
     from ``seed``) and sends the first floor(ratio * n_u) to the first split;
     users with fewer than 2 interactions go entirely to the first split.
     CHRONOLOGICAL takes the first ceil(ratio * len) rows in file order.
+    ``ratio`` lies in (0,1), as RunConfig checks.
     """
     mode = SplitMode(mode)
-    if not 0.0 < ratio < 1.0:
-        raise ValidationError(f"ratio must be in (0,1), got {ratio}")
-    if len(d) == 0:
-        raise ValidationError("cannot split an empty dataset")
-
     if mode is SplitMode.CHRONOLOGICAL:
         cut = math.ceil(ratio * len(d))
         first_idx = np.arange(cut)

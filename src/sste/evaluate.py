@@ -31,8 +31,6 @@ def auc_scores(predictions: np.ndarray, labels: np.ndarray) -> float:
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.ndim != 1:
-        raise ValidationError("predictions and labels must be aligned vectors")
     if not np.all(np.isfinite(predictions)):
         raise ValidationError("predictions must be finite")
     n_pos = int((labels == 1).sum())
@@ -187,16 +185,7 @@ def alpha(score_val: float, scores_aux) -> float:
     auxiliary scores, i.e. their range. Zero when there are no auxiliary scores.
     """
     pooled = [score_val, *scores_aux]
-    if not all(np.isfinite(s) for s in pooled):
-        raise ValidationError("scores must be finite")
     return max(pooled) - min(pooled)
-
-
-def modified_score(score_val: float, a: float) -> float:
-    """Penalize a validation score by the cross-set disagreement alpha."""
-    if a < 0:
-        raise ValidationError("alpha must be >= 0")
-    return score_val - a
 
 
 @dataclass(frozen=True)
@@ -215,4 +204,4 @@ class EvalReport:
         object.__setattr__(self, "scores_on_aux", tuple(self.scores_on_aux))
         a = alpha(self.score_on_val, self.scores_on_aux)
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "modified_score", modified_score(self.score_on_val, a))
+        object.__setattr__(self, "modified_score", self.score_on_val - a)

@@ -106,6 +106,8 @@ class RunConfig:
             raise ValidationError("sste needs at least one epsilon_train value")
         if self.objective != "sste" and (self.epsilon_train or self.resample_each_epoch):
             raise ValidationError("epsilon_train and resample_each_epoch apply only to sste")
+        if not self.synthetic and not self.train_path:
+            raise ValidationError("file mode needs train_path")
         if not self.synthetic and not (self.test_path or self.val_path):
             raise ValidationError("file mode needs test_path")
         if self.ndcg_k < 1 or any(k < 1 for k in self.precision_ks):
@@ -169,7 +171,8 @@ def parse_value(text: str, hint):
 def read_fields(path, hints: dict, kind: str) -> dict:
     """The ``key = value`` lines of ``path`` (blanks and ``#`` comments
     skipped), typed by ``hints``. A line without ``=`` (checked first), an
-    unknown ``kind`` key or a bad value is a ParseError naming its line."""
+    unknown ``kind`` key, a key given twice or a bad value is a ParseError
+    naming its line."""
     entries = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -184,6 +187,8 @@ def read_fields(path, hints: dict, kind: str) -> dict:
     for line_no, key, text in entries:
         if key not in hints:
             raise ParseError(f"unknown {kind} key {key!r}", line_no)
+        if key in values:
+            raise ParseError(f"repeated {kind} key {key!r}", line_no)
         try:
             values[key] = parse_value(text, hints[key])
         except ValueError as exc:
@@ -308,17 +313,16 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a config; test is None when file mode has no test_path."""
     if cfg.synthetic:
         return _synthetic_world(cfg.synthetic_spec())
-    schema = Schema(cfg.schema)
-    biased = load_tsv(cfg.train_path, schema, provenance=Provenance.BIASED_TRAIN)
+    biased = load_tsv(cfg.train_path, cfg.schema, provenance=Provenance.BIASED_TRAIN)
 
     def aligned(path, provenance: Provenance) -> Dataset:
-        return load_tsv(path, schema, provenance, biased.user_id_map, biased.item_id_map)
+        return load_tsv(path, cfg.schema, provenance, biased.user_id_map, biased.item_id_map)
 
     if cfg.val_path:
         train, val = biased, aligned(cfg.val_path, Provenance.BIASED_VALIDATION)
     else:
         train, val = split_ratio(
-            biased, cfg.split_ratio, SplitMode(cfg.split_mode),
+            biased, cfg.split_ratio, cfg.split_mode,
             seed=derive_seed(cfg.data_seed, "split"),
         )
     if not cfg.test_path:
@@ -504,8 +508,8 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
     """Run every grid cell with a derived seed and rank completed runs.
 
     Failures are recorded as rows with status "failed" and excluded from
-    the ranking; if every cell fails the grid itself fails. The leaderboard
-    is written as TSV next to the run directories.
+    the ranking. The leaderboard is written as TSV next to the run
+    directories; if every cell failed, the grid then fails.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -540,8 +544,6 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
         rows.append(row)
 
     completed = [r for r in rows if r["status"] == "ok"]
-    if not completed:
-        raise SsteError("every grid cell failed")
     completed.sort(key=lambda r: (-r["modified_score"], r["order"]))
     failed = [r for r in rows if r["status"] != "ok"]
     ordered = completed + failed
@@ -555,6 +557,8 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
         overrides = ";".join(f"{k}={v}" for k, v in sorted(row["overrides"].items()))
         lines.append("\t".join([str(rank), row["run_id"], row["status"], *scores, overrides]))
     leaderboard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if not completed:
+        raise SsteError(f"every grid cell failed; see {leaderboard}")
     return GridResult(
         rows=tuple(ordered),
         best_run_id=completed[0]["run_id"],

@@ -10,7 +10,6 @@ tables moves both branches; updating a branch head moves only that branch.
 from __future__ import annotations
 
 import json
-import math
 from enum import Enum
 from pathlib import Path
 
@@ -171,11 +170,8 @@ def _logits_with_rows(m: MfModel, branch: Branch, users, items):
 
 
 def init(n_users: int, n_items: int, k: int, scale: float, seed: int) -> MfModel:
-    """Factors ~ Uniform(-scale, +scale), all biases zero, seeded."""
-    if n_users <= 0 or n_items <= 0 or k <= 0:
-        raise ValidationError("model dimensions must be positive")
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValidationError("init scale must be positive and finite")
+    """Factors ~ Uniform(-scale, +scale), all biases zero, seeded. The
+    dimensions and ``scale`` are positive, as Dataset and RunConfig check."""
     rng = rng_for(seed, "mf-init")
     n_rows = n_users + n_items
     return MfModel(

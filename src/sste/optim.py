@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -25,8 +23,6 @@ class SparseAdam:
     """
 
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
-        if not learning_rate > 0:
-            raise ValidationError("learning_rate must be positive")
         self.params = dict(params)
         self.lr = learning_rate
         self._m = {name: np.zeros_like(p) for name, p in self.params.items()}

@@ -36,12 +36,6 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
         raise ValidationError(f"{name} must lie in [0,1], got {epsilon}")
 
 
-def check_probabilities(p: np.ndarray) -> None:
-    """Raise ValidationError unless every entry of ``p`` lies in (0,1]; NaN fails."""
-    if len(p) and not (p.min() > 0.0 and p.max() <= 1.0):
-        raise ValidationError("probabilities must lie in (0,1]")
-
-
 @dataclass(frozen=True)
 class PropensityTable:
     """Per-item propensities in (0,1], the most frequent item's exactly 1."""
@@ -62,7 +56,8 @@ def estimate_popularity_propensity(
 ) -> PropensityTable:
     """Propensity(v) = (count(v) / max_count)^gamma, clipped below at floor.
 
-    Items never observed in ``d`` get the floor value.
+    Items never observed in ``d`` get the floor value. An empty ``d`` is
+    refused here: a per-user split with a small ratio can leave no train rows.
     """
     if len(d) == 0:
         raise ValidationError("cannot estimate propensities on an empty dataset")
@@ -80,11 +75,6 @@ def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
     The instance whose item has the lowest propensity gets probability 1;
     more exposed instances get proportionally smaller probabilities.
     """
-    if len(d) and d.items.max() >= len(t.per_item_propensity):
-        raise ValidationError(
-            f"table covers {len(t.per_item_propensity)} items, "
-            f"dataset references item {int(d.items.max())}"
-        )
     inverse = 1.0 / t.per_item_propensity[d.items]
     return inverse / inverse.max() if len(inverse) else inverse
 
@@ -95,7 +85,8 @@ def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:
     ``p`` must lie in (0,1] and ``epsilon`` in [0,1].
     """
     p = np.asarray(p, dtype=np.float64)
-    check_probabilities(p)
+    if len(p) and not (p.min() > 0.0 and p.max() <= 1.0):
+        raise ValidationError("probabilities must lie in (0,1]")
     check_epsilon(epsilon)
     return np.where(p >= epsilon, 1.0, p)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, Provenance
 from .errors import ValidationError
-from .propensity import PropensityTable, check_probabilities, sampling_probabilities, truncate
+from .propensity import PropensityTable, sampling_probabilities, truncate
 from .seeding import derive_seed
 
 
@@ -21,15 +21,9 @@ def draw_auxiliary(d: Dataset, probs: np.ndarray, seed: int) -> Dataset:
     """Keep each interaction independently with its probability in ``probs``.
 
     ``probs`` holds one value in (0,1] per row of ``d``, as ``truncate``
-    returns it; ``seed`` must be >= 0. Expected size is the sum of the
-    probabilities.
+    returns and checks it; ``seed`` must be >= 0. Expected size is the sum
+    of the probabilities.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if len(probs) != len(d):
-        raise ValidationError(
-            f"probabilities cover {len(probs)} instances, dataset has {len(d)}"
-        )
-    check_probabilities(probs)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -302,9 +302,6 @@ def fit(
     ``on_epoch(epoch, breakdown, report)`` is called after each epoch.
     """
     a_tr, a_val = aux
-    for d in [train, val, *a_tr, *a_val]:
-        if d.n_users != train.n_users or d.n_items != train.n_items:
-            raise ValidationError("all datasets must share the vocabularies")
     objective = Objective(cfg.objective)
     weights = None
     if objective in (Objective.IPS, Objective.SNIPS):

@@ -488,6 +488,12 @@ class TestExperimentCommands:
         out = read_json_lines(capsys)[-1]
         assert out["status"] == "failed"
 
+    def test_exp_run_refuses_file_mode_without_train_path(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, synthetic="false", test_path="test.tsv")
+        assert main(["exp", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: file mode needs train_path\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_exp_grid_rejects_a_negative_random_seed(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         grid = tmp_path / "grid.cfg"

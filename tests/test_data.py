@@ -525,12 +525,6 @@ class TestSplit:
         assert np.array_equal(a1.items, a2.items)
         assert np.array_equal(b1.items, b2.items)
 
-    def test_ratio_bounds_are_enforced(self):
-        ds = make_dataset([0], [0], [1], 1, 1)
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValidationError):
-                split_ratio(ds, bad, SplitMode.PER_USER_RANDOM, seed=0)
-
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2, max_value=60))
     @settings(max_examples=40)

@@ -37,7 +37,7 @@ from sste.selfsample import train_family, val_family
 from sste.train import fit
 
 from compare_runs import differing_files
-from run_synthetic_study import study_config
+from run_synthetic_study import main as study_main, study_config
 from reference import load_tsv_per_line
 from test_data import (
     assert_split_matches_the_loop,
@@ -163,7 +163,7 @@ class TestConfigFiles:
 
     def test_booleans_accept_words(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("synthetic=false\ntest_path=t.tsv\n")
+        path.write_text("synthetic=false\ntrain_path=a.tsv\ntest_path=t.tsv\n")
         assert load_config(path).synthetic is False
 
 
@@ -188,16 +188,19 @@ class TestOneReader:
         ("just words", "expected key = value, got 'just words'"),
         ("what = 3", "unknown {kind} key 'what'"),
         (None, "bad value for "),
+        ("good line again", "repeated {kind} key {key!r}"),
     ])
     def test_a_bad_line_is_named(self, tmp_path, kind, bad_line, message):
         load, good, bad_value = FILE_KINDS[kind]
+        key = good.partition("=")[0].strip()
+        bad_line = {None: bad_value, "good line again": good}.get(bad_line, bad_line)
         path = tmp_path / f"{kind}.txt"
-        lines = ["# settings", "", good, "   ", "# the bad line", bad_line or bad_value]
+        lines = ["# settings", "", good, "   ", "# the bad line", bad_line]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as info:
             load(path)
         assert info.value.line_number == 6
-        assert str(info.value).startswith("line 6: " + message.format(kind=kind))
+        assert str(info.value).startswith("line 6: " + message.format(kind=kind, key=key))
 
     def test_an_empty_grid_value_list_names_its_line(self, tmp_path):
         path = tmp_path / "grid.txt"
@@ -243,7 +246,7 @@ def run_configs(draw):
         exposure_bias_strength=draw(st.floats(0.0, 5.0)),
         positive_threshold=draw(st.floats(0.01, 0.99)),
         data_seed=draw(st.integers(0, 2**31)),
-        train_path=draw(line_text),
+        train_path=draw(line_text) if synthetic else draw(line_text.filter(bool)),
         val_path=draw(line_text),
         test_path=draw(line_text) if synthetic else draw(line_text.filter(bool)),
         schema=draw(st.sampled_from(["rating", "label"])),
@@ -274,6 +277,21 @@ class TestConfigRoundTrip:
         save_config(study_config(1, "sste", "runs/synthetic-study/seed1/sste"), path)
         golden = TESTS / "golden" / "study_seed1_sste_config.txt"
         assert path.read_bytes() == golden.read_bytes()
+
+
+class TestStudyScript:
+    @pytest.mark.parametrize("workers, out_name, message", [
+        ("0", "study", "workers must be >= 1, got 0"),
+        ("1", "file", "Not a directory"),  # --out is a regular file
+    ])
+    def test_an_error_is_exit_two(self, tmp_path, capsys, workers, out_name, message):
+        # Exit 1 means SSTE lost the study.
+        (tmp_path / "file").write_text("")
+        args = ["--seeds", "1", "--workers", workers, "--out", str(tmp_path / out_name)]
+        assert study_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "study").exists()
 
 
 class TestReadmeExamples:
@@ -405,6 +423,17 @@ class TestRunOne:
         first = json.loads(lines[0])
         assert first["epoch"] == 1
         assert "loss" in first and "modified_score" in first
+
+    def test_an_empty_train_split_fails_at_propensity(self, tmp_path):
+        # Every user has two rows and floor(0.1 * 2) = 0 of them go to train.
+        data = tmp_path / "data.tsv"
+        data.write_text("1\t1\t5\n1\t2\t1\n2\t1\t4\n2\t2\t2\n")
+        result = run_one(quick_cfg(tmp_path, synthetic=False, train_path=str(data),
+                                   test_path=str(data), split_ratio=0.1))
+        assert (result.status, result.stage) == ("failed", "propensity")
+        assert result.error == (
+            "ValidationError: cannot estimate propensities on an empty dataset"
+        )
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg_a = quick_cfg(tmp_path, out_dir=str(tmp_path / "a"))
@@ -693,9 +722,17 @@ class TestRunGrid:
 
     def test_every_cell_failing_is_an_error(self, tmp_path):
         base = quick_cfg(tmp_path, max_epochs=4)
-        grid = GridSpec(values={"learning_rate": (1e3,)})
-        with pytest.raises(SsteError):
+        grid = GridSpec(values={"learning_rate": (1e3, 2e3)})
+        leaderboard = tmp_path / "runs" / "leaderboard.tsv"
+        with pytest.raises(SsteError, match=re.escape(f"every grid cell failed; see {leaderboard}")):
             run_grid(grid, base)
+        # The leaderboard still lists every cell.
+        rows = [line.split("\t") for line in leaderboard.read_text().splitlines()[1:]]
+        assert [(row[0], row[2], row[-1]) for row in rows] == [
+            ("1", "failed", "learning_rate=1000.0"),
+            ("2", "failed", "learning_rate=2000.0"),
+        ]
+        assert all(row[3:6] == ["", "", ""] for row in rows)
 
     def test_leaderboard_file_lists_ranked_rows(self, tmp_path):
         base = quick_cfg(tmp_path, max_epochs=2, patience=2)

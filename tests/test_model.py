@@ -189,17 +189,6 @@ class TestInit:
             assert not head.item_bias.any()
             assert float(head.global_bias) == 0.0
 
-    def test_bad_scale_is_rejected(self):
-        for scale in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValidationError):
-                init(3, 3, 2, scale, 0)
-
-    def test_bad_dimensions_are_rejected(self):
-        with pytest.raises(ValidationError):
-            init(0, 3, 2, 0.1, 0)
-        with pytest.raises(ValidationError):
-            init(3, 3, 0, 0.1, 0)
-
     def test_parameter_shapes(self):
         m = init(5, 7, 3, 0.1, 0)
         p = m.parameters()

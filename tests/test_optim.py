@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sste.errors import ValidationError
 from sste.optim import ADAM_BETA1, ADAM_BETA2, SparseAdam
 
 from reference import adam_update_double_gather, adam_update_scalar
@@ -19,11 +18,6 @@ def make_params():
 
 
 class TestSparseAdam:
-    @pytest.mark.parametrize("learning_rate", [0.0, -0.1, float("nan")])
-    def test_rejects_nonpositive_learning_rate(self, learning_rate):
-        with pytest.raises(ValidationError):
-            SparseAdam(make_params(), learning_rate=learning_rate)
-
     def test_untouched_rows_never_move(self):
         params = make_params()
         opt = SparseAdam(params, learning_rate=0.1)

@@ -128,7 +128,7 @@ class TestSamplingProbabilities:
     def test_uncovered_item_is_rejected(self):
         ds = make_dataset([0], [5], [1], 1, 6)
         table = PropensityTable(np.array([1.0, 0.5]))
-        with pytest.raises(ValidationError):
+        with pytest.raises(IndexError):
             sampling_probabilities(ds, table)
 
     @given(

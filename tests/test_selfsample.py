@@ -64,17 +64,6 @@ class TestDrawAuxiliary:
         b = draw_auxiliary(ds, probs, seed=6)
         assert len(a) != len(b) or not np.array_equal(a.items, b.items)
 
-    def test_misaligned_lengths_are_rejected(self):
-        ds = make_dataset([0, 1], [0, 1], [1, 1], 2, 2)
-        with pytest.raises(ValidationError):
-            draw_auxiliary(ds, truncate(np.array([0.4]), 0.5), seed=1)
-
-    def test_probabilities_outside_zero_one_are_rejected(self):
-        ds = make_dataset([0, 1], [0, 1], [1, 1], 2, 2)
-        for probs in ([0.0, 0.5], [1.0, 1.5], [np.nan, 1.0]):
-            with pytest.raises(ValidationError, match=r"\(0,1\]"):
-                draw_auxiliary(ds, np.array(probs), seed=1)
-
     def test_half_probability_size_is_binomial(self):
         ds = biased_dataset(rows=10000)
         probs = truncate(np.full(len(ds), 0.5), 0.9)

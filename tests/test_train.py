@@ -506,10 +506,19 @@ class TestConfigs:
         with pytest.raises(ValidationError, match="epsilon_train"):
             RunConfig(objective="sste", epsilon_train=(0.5, 2.0))
 
-    def test_load_config_rejects_a_zero_learning_rate(self, tmp_path):
+    # The one check of each of these rules: SparseAdam, model.init and
+    # split_ratio take their values from a loaded config unchecked.
+    @pytest.mark.parametrize("name, text", [
+        ("learning_rate", "0"), ("learning_rate", "-0.1"),
+        ("learning_rate", "nan"), ("init_scale", "0"), ("init_scale", "-1"),
+        ("init_scale", "inf"), ("init_scale", "nan"), ("embedding_dim", "0"),
+        ("split_ratio", "0"), ("split_ratio", "1"), ("split_ratio", "-0.1"),
+        ("split_ratio", "1.5"), ("split_ratio", "nan"),
+    ])
+    def test_load_config_rejects_a_bad_setting(self, tmp_path, name, text):
         path = tmp_path / "run.cfg"
-        path.write_text("learning_rate = 0\n")
-        with pytest.raises(ValidationError, match="learning_rate"):
+        path.write_text(f"{name} = {text}\n")
+        with pytest.raises(ValidationError, match=name):
             load_config(path)
 
 
@@ -591,9 +600,9 @@ class TestFit:
 
     def test_vocabulary_mismatch_is_rejected(self):
         train, val, _, pt, _ = fit_world()
-        other_val = make_dataset([0], [0], [1], 99, 99)
-        with pytest.raises(ValidationError):
-            fit(train, other_val, ([], []), run_cfg(objective="naive"), pt)
+        other_val = make_dataset([0, 98], [0, 98], [1, 0], 99, 99)
+        with pytest.raises(ValidationError, match="id out of range"):
+            fit(train, other_val, ([], []), run_cfg(objective="naive", max_epochs=1), pt)
 
     def test_resampling_changes_the_training_stream(self):
         train, val, _, pt, aux = fit_world()
