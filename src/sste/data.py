@@ -26,6 +26,8 @@ _USER_FACTOR_SHIFT = 0.75  # nonzero user-factor mean gives items real main effe
 _SYNTH_VAL_RATIO = 0.8  # biased pool -> train:val split
 _ID_MIN, _ID_MAX = -2**63, 2**63 - 1  # the int64 range
 _PLAIN_DIGITS = 18  # the longest field the vectorized parse takes: every such id fits int64
+_INT32_DIGITS = 9  # fields this short fit int32
+_SCAN_BYTES = 1 << 18  # bytes of a file scanned for separators at a time
 
 
 class Provenance(Enum):
@@ -53,7 +55,23 @@ class SplitMode(Enum):
 
 
 def _frozen_column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous ``dtype`` vector of its own.
+
+    An array that already is one and owns its memory is kept: a column that
+    ``Dataset.take`` or ``load_tsv`` gathered and froze, or another dataset's
+    column. Anything else is copied, a caller's writeable array above all, so
+    no later write to it reaches the dataset."""
+    col = np.asarray(values)
+    if (col.dtype == dtype and col.flags.c_contiguous and col.flags.owndata
+            and not col.flags.writeable):
+        return col
     col = np.array(values, dtype=dtype, order="C", copy=True)
+    col.flags.writeable = False
+    return col
+
+
+def _frozen(col: np.ndarray) -> np.ndarray:
+    """A fresh array, made read-only so that ``Dataset`` keeps it uncopied."""
     col.flags.writeable = False
     return col
 
@@ -80,13 +98,20 @@ def _id_codes(ids: np.ndarray, id_map: np.ndarray) -> np.ndarray:
     vocabulary, not with the rows, and on Yahoo!-shaped columns it is 7-20
     times faster than ``searchsorted``, which serves a sparse map. The span is
     taken in Python ints, since it can overflow int64, and ids are clipped to
-    the map's range before they index the table."""
+    the map's range before they index the table. ``ids`` may be int32 or
+    int64; the codes are int64."""
     lo, hi = int(id_map[0]), int(id_map[-1])
     if hi - lo < 2 * len(id_map):
         table = np.zeros(hi - lo + 1, dtype=np.int64)
         table[id_map - lo] = np.arange(len(id_map))
-        return table[np.clip(ids, lo, hi) - lo]
-    return np.minimum(np.searchsorted(id_map, ids), len(id_map) - 1)
+        # One int64 vector the length of ``ids`` is made: clipped, shifted and
+        # then overwritten by its own lookups, each read before it is written.
+        codes = ids.astype(np.int64)
+        np.clip(codes, lo, hi, out=codes)
+        codes -= lo
+        return np.take(table, codes, out=codes, mode="clip")
+    codes = np.searchsorted(id_map, ids)
+    return np.minimum(codes, len(id_map) - 1, out=codes)
 
 
 def _frozen_id_map(ids, name: str, n: int | None = None) -> np.ndarray:
@@ -137,7 +162,7 @@ class Dataset:
                 raise ValidationError("user_id out of range [0, n_users)")
             if items.min() < 0 or items.max() >= self.n_items:
                 raise ValidationError("item_id out of range [0, n_items)")
-            if not np.all((labels == 0) | (labels == 1)):
+            if labels.min() < 0 or labels.max() > 1:
                 raise ValidationError("labels must be 0 or 1")
 
     def __len__(self) -> int:
@@ -148,10 +173,12 @@ class Dataset:
         return int(self.labels.sum())
 
     def take(self, indices: np.ndarray, provenance: Provenance | None = None) -> "Dataset":
-        """New dataset from a subset of rows, preserving vocabularies."""
+        """New dataset from a subset of rows (an index or boolean vector),
+        preserving vocabularies. The gathered columns are fresh arrays, frozen
+        and kept as the new dataset's columns: no second copy is made."""
         return replace(
-            self, users=self.users[indices], items=self.items[indices],
-            labels=self.labels[indices], provenance=provenance or self.provenance,
+            self, users=_frozen(self.users[indices]), items=_frozen(self.items[indices]),
+            labels=_frozen(self.labels[indices]), provenance=provenance or self.provenance,
         )
 
 
@@ -200,32 +227,72 @@ def _parse_lines(data: bytes, schema: Schema) -> np.ndarray:
     return np.array(table, dtype=np.int64).reshape(-1, 3)
 
 
+def _separator_positions(buf: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(buf < ord("0"))``, the positions of the tabs and
+    newlines of a digit/tab/newline buffer, as int32 when the buffer is under
+    2 GiB. The buffer is scanned in ``_SCAN_BYTES`` slices, so the int64
+    positions numpy finds are never held for more than one slice."""
+    dtype = np.int32 if len(buf) <= np.iinfo(np.int32).max else np.int64
+    slices = range(0, len(buf), _SCAN_BYTES)
+    n = sum(int(np.count_nonzero(buf[lo:lo + _SCAN_BYTES] < ord("0"))) for lo in slices)
+    positions = np.empty(n, dtype=dtype)
+    at = 0
+    for lo in slices:
+        found = np.flatnonzero(buf[lo:lo + _SCAN_BYTES] < ord("0"))
+        found += lo
+        positions[at:at + len(found)] = found
+        at += len(found)
+    return positions
+
+
 def _plain_table(data: bytes, schema: Schema) -> np.ndarray | None:
     """The (rows, 3) table of a file whose every byte is an ASCII digit, tab
     or newline, whose every non-blank line is three fields of 1 to 18 digits
     (so each fits int64) and whose values are in range; else None. Such a
-    file is one ``_parse_lines`` accepts, with the same table."""
+    file is one ``_parse_lines`` accepts, with the same values; the table is
+    int32 when no field has more than 9 digits, else int64.
+
+    Separator positions and field widths are int32 for a file under 2 GiB,
+    widths are differences written into one array (no ``prepend`` copy), the
+    checks are reductions that allocate nothing, and every temporary is
+    dropped before the table is parsed."""
     if data.translate(None, b"0123456789\t\n"):
         return None
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf < ord("0"))  # every tab and newline
+    ends = _separator_positions(buf)
     is_tab = buf[ends] == ord("\t")
-    widths = np.diff(ends, prepend=-1) - 1
+    # Field i spans the bytes between separators i-1 and i; the first
+    # starts at byte 0, as if separator -1 were at position -1.
+    widths = np.empty_like(ends)
+    widths[:1] = ends[:1]
+    np.subtract(ends[1:], ends[:-1], out=widths[1:])
+    widths[1:] -= 1
+    del ends
     # Drop the newline of each blank line: empty, and not after a tab.
-    keep = is_tab | (widths > 0) | np.concatenate(([False], is_tab[:-1]))
-    is_tab, widths = is_tab[keep], widths[keep]
-    if (len(is_tab) % 3 or not np.all(is_tab.reshape(-1, 3) == (True, True, False))
-            or not np.all((widths >= 1) & (widths <= _PLAIN_DIGITS))):
+    keep = widths > 0
+    keep |= is_tab
+    keep[1:] |= is_tab[:-1]
+    if not keep.all():
+        is_tab, widths = is_tab[keep], widths[keep]
+    del keep
+    if len(is_tab) % 3:
+        return None
+    line_ends = is_tab.reshape(-1, 3)
+    if not (line_ends[:, 0].all() and line_ends[:, 1].all()) or line_ends[:, 2].any():
         return None
     if not len(widths):  # only blank lines, where fromstring would read one 0
         return np.empty((0, 3), dtype=np.int64)
+    if widths.min() < 1 or widths.max() > _PLAIN_DIGITS:
+        return None
+    dtype = np.int32 if widths.max() <= _INT32_DIGITS else np.int64
+    del is_tab, line_ends, widths
     # With the structure checked, the whitespace-separated parse reads each
     # field as int() does.
-    table = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 3)
+    table = np.fromstring(data, dtype=dtype, sep=" ").reshape(-1, 3)
     low, high, _ = _VALUES[schema]
-    return table if np.all((table[:, 2] >= low) & (table[:, 2] <= high)) else None
+    return table if low <= table[:, 2].min() and table[:, 2].max() <= high else None
 
 
 def load_tsv(
@@ -246,7 +313,8 @@ def load_tsv(
     second file to the same vocabulary. A file's own map comes from a sort
     (``_sorted_unique``), not from ``np.unique``, which now hashes and is
     slower here; each id then finds its index by a lookup table when the map
-    is dense, else by ``searchsorted`` (``_id_codes``).
+    is dense, else by ``searchsorted`` (``_id_codes``). The dataset keeps
+    the code and label arrays built here as its columns, uncopied.
 
     Raises:
         ParseError: malformed line (wrong field count, non-integer field,
@@ -287,9 +355,9 @@ def load_tsv(
     else:
         labels = values_arr.astype(np.int8)
     return Dataset(
-        users=users,
-        items=items,
-        labels=labels,
+        users=_frozen(users),
+        items=_frozen(items),
+        labels=_frozen(labels),
         n_users=len(user_ids),
         n_items=len(item_ids),
         provenance=provenance,
@@ -321,33 +389,39 @@ def split_ratio(
     from ``seed``) and sends the first floor(ratio * n_u) to the first split;
     users with fewer than 2 interactions go entirely to the first split.
     CHRONOLOGICAL takes the first ceil(ratio * len) rows in file order.
-    ``ratio`` lies in (0,1), as RunConfig checks.
+    ``ratio`` lies in (0,1), as RunConfig checks. Either split may be empty.
+
+    The per-user split allocates, over the rows, one int64 order, int32
+    positions and rank bounds (under 2**31 rows) and two boolean masks. User
+    sizes come from a ``bincount`` over the vocabulary, not from a sorted
+    copy of the users, and each side is taken by its mask in file order, so
+    no index vector is gathered or sorted.
     """
     mode = SplitMode(mode)
     if mode is SplitMode.CHRONOLOGICAL:
-        cut = math.ceil(ratio * len(d))
-        first_idx = np.arange(cut)
-        second_idx = np.arange(cut, len(d))
+        in_first = np.zeros(len(d), dtype=bool)
+        in_first[:math.ceil(ratio * len(d))] = True
     else:
         rng = rng_for(seed, "per-user-split")
         order = np.argsort(d.users, kind="stable")
-        grouped = d.users[order]
-        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-        sizes = np.diff(starts, append=len(d))
+        sizes = np.bincount(d.users, minlength=d.n_users)
+        sizes = sizes[sizes > 0]  # users in id order, as ``order`` groups them
+        starts = np.cumsum(sizes) - sizes
         # An in-place shuffle of a user's slice of ``order`` draws what
         # ``rng.permutation`` of its size does; the slice's first ``n_first``
-        # rows, by rank within the slice, go first.
+        # rows go first.
         for lo, n in zip(starts.tolist(), sizes.tolist()):
             if n >= 2:
                 rng.shuffle(order[lo:lo + n])
         n_first = np.where(sizes < 2, sizes, np.floor(ratio * sizes).astype(np.int64))
-        rank = np.arange(len(d)) - np.repeat(starts, sizes)
-        in_first = rank < np.repeat(n_first, sizes)
-        first_idx = np.sort(order[in_first])
-        second_idx = np.sort(order[~in_first])
+        position = np.int32 if len(d) <= np.iinfo(np.int32).max else np.int64
+        stops = (starts + n_first).astype(position)
+        in_first = np.empty(len(d), dtype=bool)
+        in_first[order] = np.arange(len(d), dtype=position) < np.repeat(stops, sizes)
+        del order
 
-    first = d.take(first_idx, provenance=Provenance.BIASED_TRAIN)
-    second = d.take(second_idx, provenance=Provenance.BIASED_VALIDATION)
+    first = d.take(in_first, provenance=Provenance.BIASED_TRAIN)
+    second = d.take(~in_first, provenance=Provenance.BIASED_VALIDATION)
     return first, second
 
 

@@ -17,6 +17,7 @@ import time
 import traceback
 import typing
 from dataclasses import asdict, dataclass, fields, replace
+from enum import Enum
 from itertools import product
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .data import (
     SplitMode,
     SyntheticSpec,
     _frozen_id_map,
+    _nonblank_lines,
     generate_synthetic,
     load_tsv,
     split_ratio,
@@ -155,7 +157,8 @@ _FALSE_WORDS = {"false", "0", "no"}
 def parse_value(text: str, hint):
     """``text`` as a ``hint`` value, or ValueError: bool (true/1/yes or
     false/0/no, any case), tuple[T, ...] (comma-separated; an empty text is
-    ()), or a converter of the stripped text such as int, float or str."""
+    ()), an Enum (the text of one of its values, kept as text), or a
+    converter of the stripped text such as int, float or str."""
     text = text.strip()
     if typing.get_origin(hint) is tuple:
         element = typing.get_args(hint)[0]
@@ -165,24 +168,34 @@ def parse_value(text: str, hint):
         if word not in _TRUE_WORDS | _FALSE_WORDS:
             raise ValueError(f"not a boolean: {text!r}")
         return word in _TRUE_WORDS
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(text).value
     return hint(text)
+
+
+# RunConfig's text fields that name an enum value, typed by that enum where
+# a file is read, so that a bad name is refused on its line.
+_FIELD_TYPES = {
+    **typing.get_type_hints(RunConfig),
+    "objective": Objective, "schema": Schema, "split_mode": SplitMode,
+}
 
 
 def read_fields(path, hints: dict, kind: str) -> dict:
     """The ``key = value`` lines of ``path`` (blanks and ``#`` comments
-    skipped), typed by ``hints``. A line without ``=`` (checked first), an
-    unknown ``kind`` key, a key given twice or a bad value is a ParseError
-    naming its line."""
+    skipped), typed by ``hints``. A line that is not UTF-8 or has no ``=``
+    (checked first, in file order), an unknown ``kind`` key, a key given
+    twice or a bad value is a ParseError naming its line. Lines end at
+    ``\n``, ``\r\n`` or ``\r``."""
     entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key = value, got {line!r}", line_no)
-            key, _, text = line.partition("=")
-            entries.append((line_no, key.strip(), text))
+    for line_no, line in _nonblank_lines(Path(path).read_bytes()):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key = value, got {line!r}", line_no)
+        key, _, text = line.partition("=")
+        entries.append((line_no, key.strip(), text))
     values = {}
     for line_no, key, text in entries:
         if key not in hints:
@@ -198,7 +211,7 @@ def read_fields(path, hints: dict, kind: str) -> dict:
 
 def load_config(path) -> RunConfig:
     """RunConfig from a flat key=value file; unknown keys are errors."""
-    return RunConfig(**read_fields(path, typing.get_type_hints(RunConfig), "config"))
+    return RunConfig(**read_fields(path, _FIELD_TYPES, "config"))
 
 
 def save_config(cfg: RunConfig, path) -> None:
@@ -279,10 +292,7 @@ def load_grid(path) -> GridSpec:
     """GridSpec from key=value lines: control keys, or a swept RunConfig field."""
     control = typing.get_type_hints(GridSpec)
     del control["values"]
-    hints = {
-        name: functools.partial(_value_list, hint)
-        for name, hint in typing.get_type_hints(RunConfig).items()
-    }
+    hints = {name: functools.partial(_value_list, hint) for name, hint in _FIELD_TYPES.items()}
     values = read_fields(path, {**hints, **control}, "grid")
     settings = {name: values.pop(name) for name in control if name in values}
     return GridSpec(values=values, **settings)
@@ -310,7 +320,8 @@ def _synthetic_world(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
-    """(train, val, test) of a config; test is None when file mode has no test_path."""
+    """(train, val, test) of a config; test is None when file mode has no test_path.
+    A split of the train file that leaves either side empty is a ValidationError."""
     if cfg.synthetic:
         return _synthetic_world(cfg.synthetic_spec())
     biased = load_tsv(cfg.train_path, cfg.schema, provenance=Provenance.BIASED_TRAIN)
@@ -325,6 +336,12 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
             biased, cfg.split_ratio, cfg.split_mode,
             seed=derive_seed(cfg.data_seed, "split"),
         )
+        for side, part in (("train", train), ("validation", val)):
+            if not len(part):
+                raise ValidationError(
+                    f"split_ratio = {cfg.split_ratio} ({cfg.split_mode}) leaves the "
+                    f"{side} split of {cfg.train_path} empty"
+                )
     if not cfg.test_path:
         return train, val, None
     return train, val, aligned(cfg.test_path, Provenance.UNIFORM_TEST)

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -31,6 +32,25 @@ def criterion():
     """``with criterion(number, title):`` records that acceptance criterion's
     pass/fail/skip outcome for the terminal summary."""
     return _criterion
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args, **kwargs)`` is ``(fn(*args, **kwargs), peak)``:
+    the most bytes ``tracemalloc`` saw allocated at once during the call,
+    above what was allocated when it began. numpy reports its array buffers
+    to ``tracemalloc``, so for fixed inputs the peak is deterministic."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

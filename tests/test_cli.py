@@ -96,6 +96,13 @@ class TestDataCommands:
                      "--out-dir", str(tmp_path)]) == 1
         assert "error: line 1: bad value for n_users" in capsys.readouterr().err
 
+    def test_a_spec_line_that_is_not_utf8_reports_its_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_bytes(b"n_users=10\n\xff\xfe = 1\n")
+        assert main(["data", "synth", "--spec", str(spec),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: line 2: invalid UTF-8\n"
+
     def test_spec_missing_keys_names_them(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_users=10\n")
@@ -492,6 +499,24 @@ class TestExperimentCommands:
         cfg = self.write_config(tmp_path, synthetic="false", test_path="test.tsv")
         assert main(["exp", "run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: file mode needs train_path\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_exp_run_names_the_line_of_an_unknown_objective(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, objective="bogus")
+        assert main(["exp", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 8: bad value for objective: 'bogus' is not a valid Objective\n"
+        )
+        assert not (tmp_path / "runs").exists()
+
+    def test_exp_grid_names_the_line_of_an_unknown_objective(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("seed=1,2\nobjective=naive,bogus\n")
+        assert main(["exp", "grid", "--config", str(cfg), "--grid", str(grid)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: bad value for objective: 'bogus' is not a valid Objective\n"
+        )
         assert not (tmp_path / "runs").exists()
 
     def test_exp_grid_rejects_a_negative_random_seed(self, tmp_path, capsys):

@@ -202,6 +202,43 @@ class TestOneReader:
         assert info.value.line_number == 6
         assert str(info.value).startswith("line 6: " + message.format(kind=kind, key=key))
 
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, kind):
+        load, good, _ = FILE_KINDS[kind]
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(good.encode() + b"\n\xff\xfe = 1\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert (info.value.line_number, str(info.value)) == (2, "line 2: invalid UTF-8")
+
+    @pytest.mark.parametrize("kind, line", [
+        ("config", "objective = bogus"),
+        ("config", "schema = stars"),
+        ("config", "split_mode = by_time"),
+        ("grid", "objective = naive,bogus"),
+        ("grid", "split_mode = per_user,by_time"),
+    ])
+    def test_an_unknown_enum_name_is_named(self, tmp_path, kind, line):
+        load, good, _ = FILE_KINDS[kind]
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(f"{good}\n{line}\n")
+        key, _, text = line.partition(" = ")
+        enum = {"objective": "Objective", "schema": "Schema", "split_mode": "SplitMode"}[key]
+        bad = text.split(",")[-1]
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"line 2: bad value for {key}: {bad!r} is not a valid {enum}"
+        )
+
+    def test_enum_names_load_as_text(self, tmp_path):
+        config, grid = tmp_path / "run.cfg", tmp_path / "grid.txt"
+        config.write_text("objective = ips\nschema = label\nsplit_mode = chronological\n")
+        grid.write_text("objective = naive, snips\n")
+        cfg = load_config(config)
+        assert (cfg.objective, cfg.schema, cfg.split_mode) == ("ips", "label", "chronological")
+        assert load_grid(grid).values == {"objective": ("naive", "snips")}
+
     def test_an_empty_grid_value_list_names_its_line(self, tmp_path):
         path = tmp_path / "grid.txt"
         path.write_text("learning_rate = 0.1\n\nbatch_size =\n")
@@ -424,15 +461,21 @@ class TestRunOne:
         assert first["epoch"] == 1
         assert "loss" in first and "modified_score" in first
 
-    def test_an_empty_train_split_fails_at_propensity(self, tmp_path):
+    @pytest.mark.parametrize("mode, ratio, side", [
         # Every user has two rows and floor(0.1 * 2) = 0 of them go to train.
+        ("per_user", 0.1, "train"),
+        # ceil(0.9 * 4) = 4 rows go to train.
+        ("chronological", 0.9, "validation"),
+    ])
+    def test_a_split_with_an_empty_side_fails_at_data(self, tmp_path, mode, ratio, side):
         data = tmp_path / "data.tsv"
         data.write_text("1\t1\t5\n1\t2\t1\n2\t1\t4\n2\t2\t2\n")
         result = run_one(quick_cfg(tmp_path, synthetic=False, train_path=str(data),
-                                   test_path=str(data), split_ratio=0.1))
-        assert (result.status, result.stage) == ("failed", "propensity")
+                                   test_path=str(data), split_ratio=ratio, split_mode=mode))
+        assert (result.status, result.stage) == ("failed", "data")
         assert result.error == (
-            "ValidationError: cannot estimate propensities on an empty dataset"
+            f"ValidationError: split_ratio = {ratio} ({mode}) leaves the {side} split "
+            f"of {data} empty"
         )
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):

@@ -9,9 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sste.errors import ParseError, ValidationError
+from sste import model as model_mod
 from sste.model import (
     Branch,
     MfModel,
+    _logits_with_rows,
+    _probability,
     bce_from_logits,
     init,
     load_checkpoint,
@@ -164,6 +167,68 @@ class TestPredictRows:
         for block in ([-1], [0, 3]):
             with pytest.raises(ValidationError):
                 m.predict_rows(Branch.HAT, block)
+
+
+def scored_model(k: int, n_users: int = 300, n_items: int = 200):
+    """A model with random factors and nonzero biases on both branches."""
+    m = init(n_users, n_items, k, 0.5, seed=k)
+    rng = np.random.default_rng(k)
+    for head in (m.branch_tilde, m.branch_hat):
+        head.bias[...] = rng.normal(size=head.bias.shape)
+    return m
+
+
+class TestBlockedScoring:
+    """``predict`` scores blocks of ``_SCORE_BLOCK`` pairs; its probabilities
+    equal those of all pairs scored at once, and those of each pair scored
+    alone by ``_logits_with_rows`` then ``_probability``, bit for bit."""
+
+    BLOCK = model_mod._SCORE_BLOCK
+
+    @pytest.mark.parametrize("k", [10, 50])
+    @pytest.mark.parametrize("n_pairs", [BLOCK - 1, BLOCK, 3 * BLOCK + 17],
+                             ids=["a block less one", "one block", "three blocks and 17"])
+    def test_equals_the_pairs_scored_at_once_and_alone(self, k, n_pairs):
+        m = scored_model(k)
+        rng = np.random.default_rng(n_pairs)
+        users, items = rng.integers(0, m.n_users, n_pairs), rng.integers(0, m.n_items, n_pairs)
+        # Pairs alone: both sides of every block edge, and a random draw.
+        edges = np.arange(0, n_pairs + 1, self.BLOCK)[:, None] + np.arange(-2, 3)
+        sample = np.union1d(edges.ravel(), rng.integers(0, n_pairs, 300))
+        sample = sample[(sample >= 0) & (sample < n_pairs)]
+        for branch in Branch:
+            got = m.predict(branch, users, items)
+            at_once = _probability(_logits_with_rows(m, branch, users, items)[0])
+            alone = np.concatenate([
+                _probability(_logits_with_rows(m, branch, [users[j]], [items[j]])[0])
+                for j in sample.tolist()
+            ])
+            assert got.shape == (n_pairs,)
+            assert np.array_equal(got.view(np.uint64), at_once.view(np.uint64))
+            assert np.array_equal(got[sample].view(np.uint64), alone.view(np.uint64))
+
+    def test_one_user_is_paired_with_every_item(self):
+        m = scored_model(10)
+        items = np.arange(m.n_items).repeat(30)
+        assert np.array_equal(m.predict(Branch.HAT, 7, items),
+                              m.predict(Branch.HAT, np.full(len(items), 7), items))
+
+    def test_unequal_pair_lengths_are_an_error(self):
+        with pytest.raises(ValueError):
+            scored_model(10).predict(Branch.HAT, [0, 1], [0, 1, 2])
+
+    def test_peak_memory_grows_only_by_the_output(self, traced_peak):
+        m = init(15400, 1000, 10, 0.1, seed=0)
+        rng = np.random.default_rng(0)
+        peaks = {}
+        for n in (50_000, 200_000):
+            users, items = rng.integers(0, 15400, n), rng.integers(0, 1000, n)
+            _, peaks[n] = traced_peak(m.predict, Branch.HAT, users, items)
+        # Measured: the output plus 3.15 MB at both sizes (before: 8.8 and
+        # 35.2 MB beyond the output at k=10). Bound: the output plus 4 MiB,
+        # 33% above, and the two sizes differ by their outputs within 64 KiB.
+        assert peaks[200_000] <= 8 * 200_000 + 4 * 2**20
+        assert abs((peaks[200_000] - peaks[50_000]) - 8 * 150_000) <= 2**16
 
 
 class TestInit:
