@@ -20,7 +20,7 @@ from . import data as datamod
 from . import experiment as exp
 from . import propensity as prop
 from . import selfsample as ss
-from .errors import ParseError, SsteError, ValidationError
+from .errors import SsteError, ValidationError
 from .train import Objective, self_evaluate
 
 
@@ -35,13 +35,7 @@ def _cmd_data_stats(args) -> int:
 
 
 def _cmd_data_synth(args) -> int:
-    hints = typing.get_type_hints(datamod.SyntheticSpec)
-    values = exp.read_fields(args.spec, hints, "synthetic")
-    missing = [name for name in hints if name not in values]
-    if missing:
-        raise ParseError(f"missing synthetic keys: {', '.join(missing)}")
-    spec = datamod.SyntheticSpec(**values)
-    train, val, test, relevance = datamod.generate_synthetic(spec)
+    train, val, test, relevance = datamod.generate_synthetic(exp.load_spec(args.spec))
     # sste train maps val/test ids through the ids train.tsv shows.
     for name, d in (("val.tsv", val), ("test.tsv", test)):
         for kind, unseen in (("user", np.setdiff1d(d.users, train.users)),

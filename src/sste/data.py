@@ -428,10 +428,8 @@ def split_ratio(
 def stats(d: Dataset) -> DatasetStats:
     """Feedback count and positive/negative ratio, Table-style.
 
-    Raises DivisionGuardError when the dataset has no negatives.
+    Raises DivisionGuardError when ``d``, nonempty by ``load_tsv``, has no negatives.
     """
-    if len(d) == 0:
-        raise ValidationError("stats of an empty dataset")
     positives = d.positive_count
     if positives == len(d):
         raise DivisionGuardError("P/N ratio undefined without negatives")

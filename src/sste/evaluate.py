@@ -76,13 +76,11 @@ def topk_metrics(result: RankedUsers, ks, ndcg_k: int) -> dict[str, float]:
     A user's DCG sums over its first min(ndcg_k, n_candidates) positions.
     The per-user terms are added left to right in ascending user order
     (``cumsum``; a pairwise ``sum`` can differ in the last bit), so the
-    values equal a per-user loop's, whatever the blocking.
+    values equal a per-user loop's, whatever the blocking. ``result`` reaches
+    the largest cutoff or every item, as ``experiment.test_metrics_for`` ranks.
     """
     if len(result) == 0:
         raise MetricUndefinedError("top-K metrics over an empty user set")
-    depth = result.hits.shape[1]
-    if depth < max((*ks, ndcg_k)) and depth < result.n_candidates.max():
-        raise ValidationError(f"ranking depth {depth} is too shallow for these cutoffs")
     hits = {k: result.hits[:, :k].sum(axis=1) for k in ks}
     terms = {f"p@{k}": hits[k] / k for k in ks}
     terms.update({f"r@{k}": hits[k] / result.n_relevant for k in ks})
@@ -147,13 +145,9 @@ def build_ranked_lists(
     ``(len(user_ids), n_items)`` scores of every item for each user; it is
     called once per block of users, at most ``PAIR_BUDGET`` scores unless one
     user's row is longer. Each user keeps the hits of its top ``depth``
-    candidates.
+    candidates; ``depth`` >= 1, and ``exclude`` shares ``eval_set``'s item vocabulary.
     """
     n_items = eval_set.n_items
-    if exclude is not None and exclude.n_items != n_items:
-        raise ValidationError("exclusion set must share the item vocabulary")
-    if depth < 1:
-        raise ValidationError("ranking depth must be >= 1")
     depth = min(depth, n_items)
     banned = _positive_keys(exclude) if exclude is not None else np.empty(0, np.int64)
     relevant = _positive_keys(eval_set)

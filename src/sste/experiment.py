@@ -298,6 +298,15 @@ def load_grid(path) -> GridSpec:
     return GridSpec(values=values, **settings)
 
 
+def load_spec(path) -> SyntheticSpec:
+    """SyntheticSpec from key=value lines that give every one of its fields."""
+    values = read_fields(path, typing.get_type_hints(SyntheticSpec), "synthetic")
+    missing = [f.name for f in fields(SyntheticSpec) if f.name not in values]
+    if missing:
+        raise ParseError(f"missing synthetic keys: {', '.join(missing)}")
+    return SyntheticSpec(**values)
+
+
 @dataclass(frozen=True)
 class RunResult:
     run_id: str
@@ -321,30 +330,34 @@ def _synthetic_world(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
 
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a config; test is None when file mode has no test_path.
-    A split of the train file that leaves either side empty is a ValidationError."""
+    In every mode the train split is nonempty and the validation split holds
+    both labels, as training and self-evaluation's AUC need; else a
+    ValidationError names the setting or file that made the split."""
     if cfg.synthetic:
-        return _synthetic_world(cfg.synthetic_spec())
-    biased = load_tsv(cfg.train_path, cfg.schema, provenance=Provenance.BIASED_TRAIN)
-
-    def aligned(path, provenance: Provenance) -> Dataset:
-        return load_tsv(path, cfg.schema, provenance, biased.user_id_map, biased.item_id_map)
-
-    if cfg.val_path:
-        train, val = biased, aligned(cfg.val_path, Provenance.BIASED_VALIDATION)
+        train, val, test = _synthetic_world(cfg.synthetic_spec())
+        cause, source = f"train_impressions = {cfg.train_impressions}", "the synthetic world"
     else:
-        train, val = split_ratio(
-            biased, cfg.split_ratio, cfg.split_mode,
-            seed=derive_seed(cfg.data_seed, "split"),
-        )
-        for side, part in (("train", train), ("validation", val)):
-            if not len(part):
-                raise ValidationError(
-                    f"split_ratio = {cfg.split_ratio} ({cfg.split_mode}) leaves the "
-                    f"{side} split of {cfg.train_path} empty"
-                )
-    if not cfg.test_path:
-        return train, val, None
-    return train, val, aligned(cfg.test_path, Provenance.UNIFORM_TEST)
+        biased = load_tsv(cfg.train_path, cfg.schema, provenance=Provenance.BIASED_TRAIN)
+        maps = biased.user_id_map, biased.item_id_map
+        if cfg.val_path:
+            train = biased
+            val = load_tsv(cfg.val_path, cfg.schema, Provenance.BIASED_VALIDATION, *maps)
+            cause, source = "val_path", cfg.val_path
+        else:
+            train, val = split_ratio(
+                biased, cfg.split_ratio, cfg.split_mode,
+                seed=derive_seed(cfg.data_seed, "split"),
+            )
+            cause, source = f"split_ratio = {cfg.split_ratio} ({cfg.split_mode})", cfg.train_path
+        test = (load_tsv(cfg.test_path, cfg.schema, Provenance.UNIFORM_TEST, *maps)
+                if cfg.test_path else None)
+    for side, part in (("train", train), ("validation", val)):
+        if not len(part):
+            raise ValidationError(f"{cause} leaves the {side} split of {source} empty")
+    if not 0 < val.positive_count < len(val):
+        raise ValidationError(f"{cause} leaves the validation split of {source} "
+                              "with one class; self-evaluation needs both")
+    return train, val, test
 
 
 def train_model(
@@ -432,13 +445,24 @@ def load_model(path) -> tuple[MfModel, np.ndarray, np.ndarray]:
             if not isinstance(values, list) or any(type(v) is not int for v in values):
                 raise ValidationError(f"{key} must be a list of JSON integers")
             ids.append(_frozen_id_map(values, key, n_rows))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed vocab sidecar {sidecar}: {exc}") from None
     return model, *ids
 
 
+def _write_whole(path: Path, text: str) -> None:
+    """``text`` to a temp file beside ``path``, then moved into place by
+    ``os.replace``: a reader finds the old file or all of the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_whole(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def run_one(cfg: RunConfig) -> RunResult:
@@ -573,7 +597,7 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
         scores = [_fmt(row.get(name)) for name in _SCORE_COLUMNS]
         overrides = ";".join(f"{k}={v}" for k, v in sorted(row["overrides"].items()))
         lines.append("\t".join([str(rank), row["run_id"], row["status"], *scores, overrides]))
-    leaderboard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_whole(leaderboard, "\n".join(lines) + "\n")
     if not completed:
         raise SsteError(f"every grid cell failed; see {leaderboard}")
     return GridResult(
@@ -613,7 +637,8 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
             run_columns = _table_columns(report["config"])
             label = f"{report['objective']}/{report['run_id'][:8]}"
             metrics = {name: float(v) for name, v in report.get("test_metrics", {}).items()}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                RecursionError) as exc:
             raise ValidationError(f"unreadable report.json under {run_dir}: {exc!r}") from None
         if rows and run_columns != columns:
             raise ValidationError(

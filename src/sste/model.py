@@ -232,7 +232,7 @@ def load_checkpoint(path) -> MfModel:
         try:
             dims = json.loads(header_line.decode("utf-8"))
             n_users, n_items, k = dims["n_users"], dims["n_items"], dims["k"]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             raise ParseError("malformed checkpoint header") from None
         # bool is an int subclass, so a JSON true would pass isinstance.
         if not all(type(n) is int and n > 0 for n in (n_users, n_items, k)):

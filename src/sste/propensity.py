@@ -56,11 +56,9 @@ def estimate_popularity_propensity(
 ) -> PropensityTable:
     """Propensity(v) = (count(v) / max_count)^gamma, clipped below at floor.
 
-    Items never observed in ``d`` get the floor value. An empty ``d`` is
-    refused here: a per-user split with a small ratio can leave no train rows.
+    Items never observed in ``d`` get the floor value. ``d`` is nonempty, as
+    ``experiment.build_datasets`` and ``load_tsv`` guarantee.
     """
-    if len(d) == 0:
-        raise ValidationError("cannot estimate propensities on an empty dataset")
     check_settings(gamma, floor)
     counts = np.bincount(d.items, minlength=d.n_items).astype(np.float64)
     values = np.power(counts / counts.max(), gamma)
@@ -76,7 +74,7 @@ def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
     more exposed instances get proportionally smaller probabilities.
     """
     inverse = 1.0 / t.per_item_propensity[d.items]
-    return inverse / inverse.max() if len(inverse) else inverse
+    return inverse / inverse.max()
 
 
 def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:
@@ -85,7 +83,7 @@ def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:
     ``p`` must lie in (0,1] and ``epsilon`` in [0,1].
     """
     p = np.asarray(p, dtype=np.float64)
-    if len(p) and not (p.min() > 0.0 and p.max() <= 1.0):
+    if not (p.min() > 0.0 and p.max() <= 1.0):
         raise ValidationError("probabilities must lie in (0,1]")
     check_epsilon(epsilon)
     return np.where(p >= epsilon, 1.0, p)

@@ -22,7 +22,8 @@ def draw_auxiliary(d: Dataset, probs: np.ndarray, seed: int) -> Dataset:
 
     ``probs`` holds one value in (0,1] per row of ``d``, as ``truncate``
     returns and checks it; ``seed`` must be >= 0. Expected size is the sum
-    of the probabilities.
+    of the probabilities. A subset of a nonempty source is never empty: each
+    draw is below 1, and the largest of ``sampling_probabilities`` is exactly 1.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evaluate as ev
 from .data import Dataset
-from .errors import MetricUndefinedError, TrainingDivergedError, ValidationError
+from .errors import TrainingDivergedError
 from .model import Branch, MfModel, _logits_with_rows, bce_from_logits, init, sigmoid
 from .optim import SparseAdam
 from .propensity import PropensityTable
@@ -179,9 +179,6 @@ def _run_epoch(
     of B rows weighs each 1/B, or w/B (ips) or w/sum(w) (snips) by its weight
     w. Returns each source's sum of batch loss times batch size.
     """
-    for _, source, _ in sources:
-        if len(source) == 0:
-            raise ValidationError("cannot train on an empty dataset")
     rng = rng_for(derive_seed(cfg.seed, "train"), "epoch", epoch)
     perms = [rng.permutation(len(source)) for _, source, _ in sources]
     schedule = [
@@ -223,8 +220,6 @@ def sste_epoch(
 ) -> LossBreakdown:
     """One interleaved pass over the biased set (Tilde) and each auxiliary
     subset (Hat), batches shuffled together proportionally to source sizes."""
-    if not a_tr:
-        raise ValidationError("sste needs at least one auxiliary train subset")
     sources = [(Branch.TILDE, d_tr, None)] + [(Branch.HAT, a, None) for a in a_tr]
     sums = _run_epoch(m, opt, sources, cfg, epoch)
     reg_tilde, reg_hat = regularization_terms(m, cfg.l2_lambda)
@@ -258,25 +253,15 @@ def baseline_epoch(
     )
 
 
-def _dataset_auc(m: MfModel, d: Dataset) -> float:
-    return ev.auc_scores(m.predict(Branch.HAT, d.users, d.items), d.labels)
-
-
-def _usable_for_auc(d: Dataset) -> bool:
-    return len(d) > 0 and 0 < d.positive_count < len(d)
-
-
 def self_evaluate(m: MfModel, val: Dataset, a_val: list[Dataset]) -> ev.EvalReport:
     """Hat-branch AUC on validation and each usable auxiliary subset.
 
-    Auxiliary subsets on which AUC is undefined (empty or single-class
-    draws) are skipped; alpha covers the remaining scores.
+    Single-class auxiliary subsets are skipped, and alpha covers the rest; a
+    single-class validation set is ``auc_scores``' MetricUndefinedError.
     """
-    if not _usable_for_auc(val):
-        raise MetricUndefinedError("validation split needs both classes")
-    score_val = _dataset_auc(m, val)
-    scores_aux = [_dataset_auc(m, a) for a in a_val if _usable_for_auc(a)]
-    return ev.EvalReport(score_val, scores_aux)
+    usable = [val, *(a for a in a_val if 0 < a.positive_count < len(a))]
+    scores = [ev.auc_scores(m.predict(Branch.HAT, d.users, d.items), d.labels) for d in usable]
+    return ev.EvalReport(scores[0], scores[1:])
 
 
 def fit(
@@ -289,14 +274,15 @@ def fit(
 ) -> tuple[MfModel, TrainState]:
     """Train, self-evaluate each epoch, and return the best checkpoint.
 
-    ``aux`` is the (auxiliary train list, auxiliary val list) pair; a
-    baseline ignores the train list, ``sste_epoch`` refuses an empty one, and
-    with no val subsets selection is by plain validation AUC. The model with
-    the highest modified score is returned, first-best winning ties; training
-    stops when the score has not strictly improved for ``cfg.patience``
-    epochs. ips and snips weigh each row by its inverse ``propensity``. With
-    ``cfg.resample_each_epoch``, the joint objective redraws its auxiliary
-    train subsets at ``cfg.epsilon_train`` before every epoch after the first.
+    ``aux`` is the (auxiliary train list, auxiliary val list) pair; the train
+    list, one subset per ``cfg.epsilon_train`` value (sste has one or more),
+    is ignored by a baseline, and with no val subsets selection is by plain
+    validation AUC. The model with the highest modified score is returned,
+    first-best winning ties; training stops when the score has not strictly
+    improved for ``cfg.patience`` epochs. ips and snips weigh each row by
+    its inverse ``propensity``. With ``cfg.resample_each_epoch``, the joint
+    objective redraws its auxiliary train subsets at ``cfg.epsilon_train``
+    before every epoch after the first.
     Initialization, epoch shuffles and redraws use the seeds
     ``derive_seed(cfg.seed, "init" | "train" | "selfsample")``.
     ``on_epoch(epoch, breakdown, report)`` is called after each epoch.

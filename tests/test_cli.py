@@ -450,6 +450,20 @@ class TestBadCheckpoints:
         assert self.evaluate(ckpt, synth_dir) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, message", [
+        ("header", "malformed checkpoint header"), ("sidecar", "malformed vocab sidecar"),
+    ])
+    def test_deeply_nested_json_exits_nonzero(self, trained, synth_dir, capsys, where, message):
+        ckpt, _, _ = trained
+        deep = b"[" * 100_000
+        if where == "header":
+            magic, _, payload = ckpt.read_bytes().split(b"\n", 2)
+            ckpt.write_bytes(magic + b"\n" + deep + b"\n" + payload)
+        else:
+            Path(str(ckpt) + ".vocab.json").write_bytes(deep)
+        assert self.evaluate(ckpt, synth_dir) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_sidecar_outside_the_checkpoint_exits_nonzero(self, trained,
                                                           synth_dir, capsys):
         ckpt, _, _ = trained
@@ -539,7 +553,8 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("data, reason", [
         (b"{not json", "JSONDecodeError"),
         (b'{"run_id": "0123456789abcdef", "objective": "naive"}', "KeyError('config')"),
-    ], ids=["not-json", "no-config"])
+        (b"[" * 100_000, "RecursionError"),
+    ], ids=["not-json", "no-config", "deeply-nested"])
     def test_exp_table_names_a_malformed_report(self, tmp_path, capsys, data, reason):
         run_dir = tmp_path / "runs" / "run-broken"
         run_dir.mkdir(parents=True)

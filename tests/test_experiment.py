@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sste import experiment
@@ -639,6 +640,88 @@ class TestRunOne:
         assert state.best_epoch == result.report["best_epoch"]
 
 
+# Tiny settings of the two kinds of run: a synthetic world, and a rating file
+# split into train and validation (and scored on itself).
+tiny_world = st.fixed_dictionaries({
+    "n_users": st.integers(1, 6), "n_items": st.integers(1, 6),
+    "train_impressions": st.integers(1, 40), "test_impressions": st.integers(1, 20),
+    "positive_threshold": st.floats(0.05, 0.95), "data_seed": st.integers(0, 50),
+})
+tiny_file = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=12,
+)
+tiny_split = st.fixed_dictionaries({
+    "split_ratio": st.floats(0.05, 0.95), "split_mode": st.sampled_from(["per_user", "chronological"]),
+})
+tiny_training = st.fixed_dictionaries({
+    "objective": st.sampled_from(["naive", "ips", "snips", "sste"]),
+    # Taken by sste only; a threshold of 1 keeps only the rarest item's rows
+    # for sure, and the subset is still never empty.
+    "epsilon_train": st.sampled_from([(0.0,), (0.5,), (1.0,), (0.3, 1.0)]),
+    "epsilon_val": st.sampled_from([(), (0.5,), (1.0,)]),
+    "batch_size": st.integers(1, 8), "embedding_dim": st.integers(1, 3),
+})
+
+
+class TestTrainableSplits:
+    """A run whose data stage passes gets through propensity, self-sampling
+    and training, whatever its world, split or objective."""
+
+    # The stages a tiny run may fail at: config (writing its files), data
+    # (an untrainable split), and evaluate, as test AUC and top-K metrics are
+    # undefined on a test set without both classes or without positives.
+    FAILABLE = ("config", "data", "evaluate")
+
+    def run(self, out_dir, training, **data):
+        if training["objective"] != "sste":
+            training = {**training, "epsilon_train": ()}
+        result = run_one(quick_cfg(out_dir, max_epochs=1, patience=1, **training, **data))
+        assert result.status == "ok" or result.stage in self.FAILABLE, result.error
+
+    @given(world=tiny_world, training=tiny_training, data=st.data())
+    @settings(max_examples=40)
+    def test_a_tiny_synthetic_world_trains_or_fails_at_data(
+        self, tmp_path_factory, world, training, data
+    ):
+        world["latent_dim"] = data.draw(st.integers(1, min(world["n_users"], world["n_items"])))
+        self.run(tmp_path_factory.mktemp("world"), training, **world)
+
+    @given(rows=tiny_file, split=tiny_split, training=tiny_training)
+    @settings(max_examples=40)
+    def test_a_tiny_file_split_trains_or_fails_at_data(
+        self, tmp_path_factory, rows, split, training
+    ):
+        out_dir = tmp_path_factory.mktemp("split")
+        path = out_dir / "data.tsv"
+        path.write_text("".join(f"{u}\t{i}\t{r}\n" for u, i, r in rows))
+        self.run(out_dir, training, synthetic=False, train_path=str(path),
+                 test_path=str(path), **split)
+
+    def test_a_synthetic_world_without_validation_rows_fails_at_data(self, tmp_path):
+        # Three impressions over 30 users: no user has the two rows that
+        # put one on the validation side.
+        result = run_one(quick_cfg(tmp_path, train_impressions=3))
+        assert (result.status, result.stage) == ("failed", "data")
+        assert result.error == (
+            "ValidationError: train_impressions = 3 leaves the validation split "
+            "of the synthetic world empty"
+        )
+        assert not (Path(result.run_dir) / "epochs.jsonl").exists()
+
+    def test_a_single_class_validation_file_fails_at_data(self, tmp_path):
+        train, val = tmp_path / "train.tsv", tmp_path / "val.tsv"
+        train.write_text("1\t1\t5\n1\t2\t1\n2\t1\t4\n2\t2\t2\n")
+        val.write_text("1\t2\t5\n2\t1\t4\n")
+        result = run_one(quick_cfg(tmp_path, synthetic=False, train_path=str(train),
+                                   val_path=str(val), test_path=str(train)))
+        assert (result.status, result.stage) == ("failed", "data")
+        assert result.error == (
+            f"ValidationError: val_path leaves the validation split of {val} "
+            "with one class; self-evaluation needs both"
+        )
+        assert not (Path(result.run_dir) / "epochs.jsonl").exists()
+
+
 def yahoo_gen():
     """perfbench/yahoo_gen.py, loaded by path as perfbench loads the study script."""
     spec = importlib.util.spec_from_file_location(
@@ -789,6 +872,8 @@ class TestRunGrid:
         assert len(lines) == 3
         assert lines[1].split("\t")[0] == "1"
         assert "embedding_dim=" in lines[1].split("\t")[6]
+        # Each run's status.json and the leaderboard were moved into place.
+        assert not list(Path(base.out_dir).rglob("*.tmp"))
 
     def test_swept_seed_values_are_respected(self, tmp_path):
         base = quick_cfg(tmp_path, max_epochs=2, patience=2)
@@ -868,6 +953,32 @@ class TestFaultContainment:
         result = run_one(cfg)
         assert (result.status, result.stage) == ("failed", "train")
         assert read_status(result.run_dir)["status"] == "failed"
+
+    @pytest.mark.parametrize("failures", [0, 1, 2], ids=["none", "the-ok", "both"])
+    def test_a_failed_status_write_leaves_no_ok(self, tmp_path, monkeypatch, failures):
+        # status.json goes through a temp file and os.replace; fail the first
+        # ``failures`` of those moves, the first being the one that says ok.
+        replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "status.json":
+                calls.append(dst)
+                if len(calls) <= failures:
+                    raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        cfg = quick_cfg(tmp_path, max_epochs=1)
+        run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
+        if failures < 2:
+            result = run_one(cfg)
+            assert (result.status, result.stage) == [("ok", "done"), ("failed", "persist")][failures]
+            assert read_status(run_dir)["status"] == result.status
+        else:
+            with pytest.raises(OSError, match="disk full"):
+                run_one(cfg)
+            assert not (run_dir / "status.json").exists()
+        assert not list(run_dir.glob("*.tmp"))
 
     def test_an_unwritable_run_directory_fails_at_the_config_stage(self, tmp_path):
         cfg = quick_cfg(tmp_path)

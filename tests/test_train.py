@@ -312,13 +312,6 @@ class TestEpochs:
         split = [train.take(np.arange(6)), train.take(np.arange(6, 16))]
         assert hat_bce(split) == pytest.approx(hat_bce([train]), abs=1e-9)
 
-    def test_sste_epoch_requires_auxiliary_data(self):
-        train = separable_4x4()
-        m = batch_model()
-        opt = SparseAdam(m.parameters(), 0.01)
-        with pytest.raises(ValidationError):
-            sste_epoch(m, opt, train, [], run_cfg(objective="sste"), epoch=1)
-
     def test_all_one_propensities_make_ips_equal_naive(self):
         train = separable_4x4()
         table = PropensityTable(np.ones(4))
@@ -590,12 +583,6 @@ class TestFit:
                       learning_rate=1e3, max_epochs=10, patience=10,
                       embedding_dim=4)
         with pytest.raises(TrainingDivergedError):
-            fit(train, val, ([], []), cfg, pt)
-
-    def test_joint_objective_requires_auxiliary_subsets(self):
-        train, val, _, pt, _ = fit_world()
-        cfg = run_cfg(objective="sste")
-        with pytest.raises(ValidationError):
             fit(train, val, ([], []), cfg, pt)
 
     def test_vocabulary_mismatch_is_rejected(self):
