@@ -336,19 +336,14 @@ def load_tsv(
     users = _id_codes(users_arr, user_ids)
     items = _id_codes(items_arr, item_ids)
     # Only a given map can lack an id; a file's own map holds all of them.
-    unknown = []  # (first row, kind, id), users first
-    for kind, given, ids, codes, original in (("user", user_map, user_ids, users, users_arr),
-                                              ("item", item_map, item_ids, items, items_arr)):
-        if given is None:
-            continue
-        mask = ids[codes] != original
-        if mask.any():
-            row = int(np.argmax(mask))
-            unknown.append((row, kind, original[row]))
-    if unknown:
-        row, kind, original = min(unknown, key=lambda found: found[0])
-        line_no = next(islice(_nonblank_lines(data), row, None))[0]
-        raise ParseError(f"unknown {kind} id {original}", line_no)
+    if user_map is not None or item_map is not None:
+        bad_user = user_ids[users] != users_arr
+        bad = bad_user | (item_ids[items] != items_arr)
+        if bad.any():
+            row = int(np.argmax(bad))
+            kind, original = ("user", users_arr) if bad_user[row] else ("item", items_arr)
+            line_no = next(islice(_nonblank_lines(data), row, None))[0]
+            raise ParseError(f"unknown {kind} id {original[row]}", line_no)
 
     if schema is Schema.USER_ITEM_RATING:
         labels = (values_arr > _POSITIVE_RATING_CUTOFF).astype(np.int8)
@@ -458,6 +453,9 @@ class SyntheticSpec:
         for name in ("n_users", "n_items", "latent_dim", "train_impressions", "test_impressions"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
+        # One pair's standardized score is 0/0, and its relevance NaN.
+        if self.n_users * self.n_items < 2:
+            raise ValidationError("n_users * n_items must be at least 2")
         if self.latent_dim > min(self.n_users, self.n_items):
             raise ValidationError("latent_dim must not exceed min(n_users, n_items)")
         if not 0.0 < self.positive_threshold < 1.0:

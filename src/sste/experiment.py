@@ -472,8 +472,8 @@ def run_one(cfg: RunConfig) -> RunResult:
     sidecar in file mode), report.json, and status.json. A status.json left
     by an earlier run in the same directory is removed first. Any Exception
     is recorded in status.json with the stage that failed and its traceback,
-    and reported in the returned RunResult; KeyboardInterrupt and SystemExit
-    propagate.
+    and reported in the returned RunResult, alone (with the write's OSError)
+    if no status can be written. KeyboardInterrupt and SystemExit propagate.
     """
     run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -490,10 +490,7 @@ def run_one(cfg: RunConfig) -> RunResult:
             "traceback": None if error is None else traceback.format_exc(),
             "elapsed_seconds": time.monotonic() - started,
         })
-        return RunResult(
-            run_id=cfg.run_id, run_dir=str(run_dir), status=status,
-            stage=at, error=error, report=report,
-        )
+        return RunResult(cfg.run_id, str(run_dir), status, at, error, report)
 
     def enter(name: str) -> None:
         nonlocal stage
@@ -531,7 +528,12 @@ def run_one(cfg: RunConfig) -> RunResult:
         _write_json(run_dir / "report.json", report)
         return finish(None, report)
     except Exception as exc:
-        return finish(f"{type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+        try:
+            return finish(error)
+        except OSError as lost:  # no status.json, and so no ok, is left
+            error += f"; status.json not written: {type(lost).__name__}: {lost}"
+            return RunResult(cfg.run_id, str(run_dir), "failed", stage, error, None)
 
 
 @dataclass(frozen=True)

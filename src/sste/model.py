@@ -46,10 +46,8 @@ def bce_from_logits(z, y):
     """Binary cross-entropy in the logit-stable form.
 
     Equals -y*log(sigmoid(z)) - (1-y)*log(1-sigmoid(z)) without ever
-    forming the probabilities.
+    forming the probabilities; an integer ``y`` is upcast exactly.
     """
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     return np.logaddexp(0.0, z) - y * z
 
 
@@ -139,12 +137,7 @@ class MfModel:
         return _probability(z)
 
     def copy(self) -> "MfModel":
-        return MfModel(
-            self.n_users,
-            self.factors.copy(),
-            self.branch_tilde.bias.copy(),
-            self.branch_hat.bias.copy(),
-        )
+        return MfModel(self.n_users, *(table.copy() for table in self.parameters().values()))
 
     def parameters(self) -> dict[str, np.ndarray]:
         """The three live parameter tables, in checkpoint block order."""
@@ -176,13 +169,11 @@ def _logits_with_rows(m: MfModel, branch: Branch, users, items):
 
     The scoring formula, which ``MfModel.predict_rows`` repeats for whole
     rows: the factor row dot product, then the branch's user bias, item bias
-    and global bias, in that order. Ids are checked first. The gathered rows
-    are fresh arrays that the caller may overwrite; ``take`` copies whole
-    factor rows, 1.4-3.4 times faster than fancy indexing at the benchmark's
-    shapes.
+    and global bias, in that order. Its callers check the ids, once and not
+    per block (``_checked_ids``). The gathered rows are fresh arrays that
+    the caller may overwrite; ``take`` copies whole factor rows, 1.4-3.4
+    times faster than fancy indexing at the benchmark's shapes.
     """
-    users = _checked_ids(users, m.n_users, "user")
-    items = _checked_ids(items, m.n_items, "item")
     head = m.head(branch)
     user_rows = m.user_factors.take(users, axis=0)
     item_rows = m.item_factors.take(items, axis=0)

@@ -74,7 +74,8 @@ def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
     more exposed instances get proportionally smaller probabilities.
     """
     inverse = 1.0 / t.per_item_propensity[d.items]
-    return inverse / inverse.max()
+    inverse /= inverse.max()
+    return inverse
 
 
 def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:

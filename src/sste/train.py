@@ -23,7 +23,8 @@ import numpy as np
 from . import evaluate as ev
 from .data import Dataset
 from .errors import TrainingDivergedError
-from .model import Branch, MfModel, _logits_with_rows, bce_from_logits, init, sigmoid
+from .model import (Branch, MfModel, _checked_ids, _logits_with_rows, bce_from_logits, init,
+                    sigmoid)
 from .optim import SparseAdam
 from .propensity import PropensityTable
 from .selfsample import train_family
@@ -115,12 +116,16 @@ def batch_gradients(
     users: np.ndarray,
     items: np.ndarray,
     labels: np.ndarray,
-    coeffs: np.ndarray,
+    coeffs: np.ndarray | float,
 ) -> BatchGradients:
     """Gradients of sum_i coeffs_i * BCE_i at the current parameters.
 
-    All gradients are evaluated before any update (simultaneous step).
+    ``labels`` are 0/1 in any numeric dtype; ``coeffs`` is a scalar or one
+    weight per row. Ids are checked once, here. All gradients are evaluated
+    before any update (simultaneous step).
     """
+    users = _checked_ids(users, m.n_users, "user")
+    items = _checked_ids(items, m.n_items, "item")
     z, user_rows, item_rows = _logits_with_rows(m, branch, users, items)
     residual = coeffs * (sigmoid(z) - labels)
     uniq_users, u_inv = _group(users, m.n_users)
@@ -197,13 +202,12 @@ def _run_epoch(
         branch, source, weights = sources[si]
         idx = perms[si][lo:lo + cfg.batch_size]
         if weights is None:
-            coeffs = np.full(len(idx), 1.0 / len(idx))
+            coeffs = 1.0 / len(idx)
         else:
             w = weights[idx]
             coeffs = w / (w.sum() if snips else len(idx))
         bg = batch_gradients(
-            m, branch, source.users[idx], source.items[idx],
-            source.labels[idx].astype(np.float64), coeffs,
+            m, branch, source.users[idx], source.items[idx], source.labels[idx], coeffs
         )
         _apply_batch(m, opt, branch, bg, cfg.l2_lambda)
         sums[si] += bg.loss * len(idx)

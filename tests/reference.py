@@ -1,10 +1,10 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the slow, obvious way (pair enumeration,
-pooled ranges, one user at a time, explicit finite differences, masked
-sigmoid, ``np.add.at`` scatters, Adam state read row by row twice, one
-``int()`` per TSV field, one objective switch per batch's loss
-coefficients) and stays free of the package's own metric, gradient,
+tie-averaged rank sums, pooled ranges, one user at a time, explicit finite
+differences, masked sigmoid, ``np.add.at`` scatters, Adam state read row by
+row twice, one ``int()`` per TSV field, one objective switch per batch's
+loss coefficients) and stays free of the package's own metric, gradient,
 optimizer or parsing code paths.
 """
 
@@ -48,6 +48,21 @@ def auc_pair_matrix(predictions, labels) -> float:
     neg = predictions[labels == 0][None, :]
     wins = (pos > neg).sum() + 0.5 * (pos == neg).sum()
     return float(wins) / (pos.size * neg.size)
+
+
+def auc_rank_sum(predictions, labels) -> float:
+    """The pair count by rank sums: the positives' tie-averaged ranks among
+    all predictions, less the least sum n_pos ranks can have, over
+    n_pos * n_neg (Hanley and McNeil 1982)."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    _, inverse, counts = np.unique(predictions, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    avg_ranks = (ends - counts + 1 + ends) / 2.0
+    rank_sum = avg_ranks[inverse][labels == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def alpha_range(score_val, scores_aux) -> float:

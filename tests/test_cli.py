@@ -103,6 +103,14 @@ class TestDataCommands:
                      "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: line 2: invalid UTF-8\n"
 
+    def test_a_one_pair_spec_is_refused(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_users=1\nn_items=1\nlatent_dim=1\n" + SPEC_TEXT.split("\n", 3)[3])
+        out = tmp_path / "data"
+        assert main(["data", "synth", "--spec", str(spec), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_users * n_items must be at least 2\n"
+        assert not out.exists()
+
     def test_spec_missing_keys_names_them(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_users=10\n")

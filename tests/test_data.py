@@ -720,6 +720,15 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             small_spec(exposure_bias_strength=-1.0)
 
+    def test_rejects_a_one_pair_world(self):
+        # Its one score has no spread to standardize by: relevance was NaN.
+        with pytest.raises(ValidationError, match="n_users \\* n_items must be at least 2"):
+            small_spec(n_users=1, n_items=1, latent_dim=1)
+        for n_users, n_items in ((1, 2), (2, 1)):
+            _, _, _, relevance = generate_synthetic(
+                small_spec(n_users=n_users, n_items=n_items, latent_dim=1))
+            assert np.all((relevance > 0) & (relevance < 1))
+
 
 def small_spec(**overrides):
     base = dict(n_users=40, n_items=25, latent_dim=4,

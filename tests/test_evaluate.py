@@ -25,6 +25,7 @@ from reference import (
     RankedList,
     alpha_range,
     auc_bruteforce,
+    auc_rank_sum,
     dcg_binary,
     make_dataset,
     positives_by_user,
@@ -103,6 +104,32 @@ class TestAuc:
         base = auc_scores(preds, labels)
         assert auc_scores(3.0 * preds + 2.0, labels) == pytest.approx(base)
         assert auc_scores(np.exp(preds), labels) == pytest.approx(base)
+
+    @given(
+        # A small grid makes ties common, -0.0 and 0.0 among them.
+        scores=st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 0.5, -1.5, 1e-300, 2.0]),
+                                  st.floats(-10, 10)), min_size=2, max_size=300),
+        data=st.data(),
+        dtype=st.sampled_from([np.int8, np.int64, np.float64]),
+    )
+    @settings(max_examples=300)
+    def test_equals_the_rank_sum_bit_for_bit(self, scores, data, dtype):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                    max_size=len(scores)).filter(lambda y: 0 < sum(y) < len(y)))
+        preds, labels = np.array(scores), np.array(labels, dtype=dtype)
+        assert auc_scores(preds, labels).hex() == auc_rank_sum(preds, labels).hex()
+
+    # 60k distinct predictions: the rank-sum form peaked at 3.90 MB at every
+    # rate; the two sorted classes and one searchsorted result of the
+    # positives' length peak at 0.60, 0.78 and 1.00 MB.
+    @pytest.mark.parametrize("positive_rate", [0.05, 0.5, 0.95])
+    def test_peak_memory_of_60k_predictions(self, traced_peak, positive_rate):
+        rng = np.random.default_rng(7)
+        preds = rng.random(60_000)
+        labels = (rng.random(60_000) < positive_rate).astype(np.int8)
+        got, peak = traced_peak(auc_scores, preds, labels)
+        assert got.hex() == auc_rank_sum(preds, labels).hex()
+        assert peak < 24 * len(preds)
 
 
 def by_item_id(n_items, n_users=1):

@@ -101,6 +101,12 @@ class TestRunConfig:
         assert (result.status, result.stage) == ("failed", "data")
         assert "test_path" in result.error
 
+    def test_a_one_pair_world_is_rejected_on_load(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n_users = 1\nn_items = 1\nlatent_dim = 1\n")
+        with pytest.raises(ValidationError, match="n_users \\* n_items must be at least 2"):
+            load_config(path)
+
     def test_unknown_objective_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             quick_cfg(tmp_path, objective="dr")
@@ -275,7 +281,8 @@ def run_configs(draw):
     objective = draw(st.sampled_from(["naive", "ips", "snips", "sste"]))
     sste = objective == "sste"
     synthetic = draw(st.booleans())
-    n_users, n_items = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    n_users = draw(st.integers(1, 50))
+    n_items = draw(st.integers(2 if n_users == 1 else 1, 50))  # a world has two pairs
     return RunConfig(
         synthetic=synthetic,
         n_users=n_users,
@@ -642,11 +649,12 @@ class TestRunOne:
 
 # Tiny settings of the two kinds of run: a synthetic world, and a rating file
 # split into train and validation (and scored on itself).
+# A one-pair world is refused when its config loads (TestRunConfig).
 tiny_world = st.fixed_dictionaries({
     "n_users": st.integers(1, 6), "n_items": st.integers(1, 6),
     "train_impressions": st.integers(1, 40), "test_impressions": st.integers(1, 20),
     "positive_threshold": st.floats(0.05, 0.95), "data_seed": st.integers(0, 50),
-})
+}).filter(lambda world: world["n_users"] * world["n_items"] >= 2)
 tiny_file = st.lists(
     st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=12,
 )
@@ -970,15 +978,40 @@ class TestFaultContainment:
         monkeypatch.setattr(os, "replace", failing_replace)
         cfg = quick_cfg(tmp_path, max_epochs=1)
         run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
+        result = run_one(cfg)
+        assert (result.status, result.stage, result.error) == [
+            ("ok", "done", None),
+            ("failed", "persist", "OSError: disk full"),
+            ("failed", "persist", "OSError: disk full; status.json not written: OSError: disk full"),
+        ][failures]
         if failures < 2:
-            result = run_one(cfg)
-            assert (result.status, result.stage) == [("ok", "done"), ("failed", "persist")][failures]
             assert read_status(run_dir)["status"] == result.status
         else:
-            with pytest.raises(OSError, match="disk full"):
-                run_one(cfg)
             assert not (run_dir / "status.json").exists()
         assert not list(run_dir.glob("*.tmp"))
+
+    def test_a_cell_that_can_write_no_status_leaves_the_grid_running(self, tmp_path, monkeypatch):
+        base = quick_cfg(tmp_path, max_epochs=1)
+        doomed = replace(base, embedding_dim=4, seed=derive_seed(base.seed, "grid", 0)).run_id
+        move = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "status.json" and Path(dst).parent.name == f"run-{doomed}":
+                raise OSError("disk full")
+            move(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        result = run_grid(GridSpec(values={"embedding_dim": (4, 8)}), base)
+        assert [(row["status"], row["overrides"]) for row in result.rows] == [
+            ("ok", {"embedding_dim": 8}), ("failed", {"embedding_dim": 4}),
+        ]
+        assert result.rows[1]["run_id"] == doomed
+        assert result.rows[1]["error"].startswith("OSError: disk full; status.json not written")
+        lines = Path(result.leaderboard_path).read_text().splitlines()
+        assert [line.split("\t")[1:3] for line in lines[1:]] == [
+            [result.best_run_id, "ok"], [doomed, "failed"],
+        ]
+        assert not (tmp_path / "runs" / f"run-{doomed}" / "status.json").exists()
 
     def test_an_unwritable_run_directory_fails_at_the_config_stage(self, tmp_path):
         cfg = quick_cfg(tmp_path)

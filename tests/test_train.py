@@ -179,6 +179,27 @@ class TestExactAgainstOracle:
         for name, p in m.parameters().items():
             assert p.tobytes() == before[name].tobytes(), name
 
+    @given(
+        k=st.sampled_from([1, 10, 50]),
+        n_users=st.integers(1, 12),
+        n_items=st.integers(1, 12),
+        size=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        branch=st.sampled_from(list(Branch)),
+    )
+    def test_int8_labels_and_a_scalar_weight_change_no_byte(
+        self, k, n_users, n_items, size, seed, branch
+    ):
+        # What the epoch loop passes for an unweighted batch, against float64
+        # labels and one 1/B weight per row.
+        m, users, items, labels, _ = oracle_case(k, n_users, n_items, size, seed)
+        got = batch_gradients(m, branch, users, items, labels.astype(np.int8), 1.0 / size)
+        want = batch_gradients(m, branch, users, items, labels, np.full(size, 1.0 / size))
+        for name in ("rows", "factors", "bias", "loss"):
+            got_value, value = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert (got_value.dtype, got_value.shape) == (value.dtype, value.shape), name
+            assert got_value.tobytes() == value.tobytes(), name
+
 
 class TestGroup:
     """_group equals np.unique(ids, return_inverse=True) on both sides of its
