@@ -64,15 +64,16 @@ def _cmd_propensity(args) -> int:
 def _cmd_selfsample(args) -> int:
     d = datamod.load_tsv(args.input, args.schema)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
-    probs = prop.truncate(prop.sampling_probabilities(d, table), args.epsilon)
-    subset = ss.draw_auxiliary(d, probs, args.seed)
+    probs = prop.sampling_probabilities(d, table)
+    prop.check_epsilon(args.epsilon)
+    subset = ss.draw_auxiliary(d, probs, args.epsilon, args.seed)
     datamod.save_tsv(subset, args.out)
     _print_json(
         {
             "out": args.out,
             "source_size": len(d),
             "subset_size": len(subset),
-            "expected_size": float(probs.sum()),
+            "expected_size": float(np.where(probs >= args.epsilon, 1.0, probs).sum()),
         }
     )
     return 0

@@ -487,12 +487,19 @@ def synthetic_exposure_weights(spec: SyntheticSpec,
     appeal: the heaviest draws go to the items users like most on average.
     Logged feedback therefore over-represents well-liked items, which is
     what makes its positive rate sit far above the uniform pool's.
+    A strength that overflows the weights of the drawn popularity (each at
+    least 1, so a finite sum means finite weights) is a ValidationError.
     """
     draws = np.sort(1.0 + rng_for(spec.seed, "popularity").pareto(1.0, size=spec.n_items))
     appeal_rank = np.argsort(np.argsort(relevance.mean(axis=0)))
     popularity = draws[appeal_rank]
-    weights = popularity ** spec.exposure_bias_strength
-    return popularity, weights / weights.sum()
+    with np.errstate(over="ignore"):
+        weights = popularity ** spec.exposure_bias_strength
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise ValidationError(f"exposure_bias_strength = {spec.exposure_bias_strength} "
+                              "overflows the synthetic exposure weights")
+    return popularity, weights / total
 
 
 def generate_synthetic(
@@ -512,7 +519,8 @@ def generate_synthetic(
     relevance = _latent_relevance(spec)
     _, exposure = synthetic_exposure_weights(spec, relevance)
 
-    def _draw_pool(tag: str, n: int, item_probs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _draw_pool(tag: str, n: int, item_probs: np.ndarray | None,
+                   provenance: Provenance) -> Dataset:
         rng = rng_for(spec.seed, tag)
         users = rng.integers(0, spec.n_users, size=n)
         if item_probs is None:
@@ -520,28 +528,12 @@ def generate_synthetic(
         else:
             items = rng.choice(spec.n_items, size=n, p=item_probs)
         labels = (rng.random(n) < relevance[users, items]).astype(np.int8)
-        return users, items, labels
+        return Dataset(_frozen(users), _frozen(items), _frozen(labels), spec.n_users,
+                       spec.n_items, provenance)
 
-    b_users, b_items, b_labels = _draw_pool("biased-pool", spec.train_impressions, exposure)
-    biased = Dataset(
-        users=b_users,
-        items=b_items,
-        labels=b_labels,
-        n_users=spec.n_users,
-        n_items=spec.n_items,
-        provenance=Provenance.BIASED_TRAIN,
-    )
+    biased = _draw_pool("biased-pool", spec.train_impressions, exposure, Provenance.BIASED_TRAIN)
     train, val = split_ratio(
         biased, _SYNTH_VAL_RATIO, SplitMode.PER_USER_RANDOM, seed=spec.seed
     )
-
-    t_users, t_items, t_labels = _draw_pool("uniform-pool", spec.test_impressions, None)
-    test = Dataset(
-        users=t_users,
-        items=t_items,
-        labels=t_labels,
-        n_users=spec.n_users,
-        n_items=spec.n_items,
-        provenance=Provenance.UNIFORM_TEST,
-    )
+    test = _draw_pool("uniform-pool", spec.test_impressions, None, Provenance.UNIFORM_TEST)
     return train, val, test, relevance

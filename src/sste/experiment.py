@@ -55,8 +55,8 @@ class RunConfig:
     (synthetic=false) loads TSVs instead, splitting train when val_path is
     empty. A file-mode config without test_path can train but not run. ``seed``
     drives training, initialization, and sampling; ``data_seed`` drives
-    dataset generation and splitting. Every setting is range-checked here
-    (the world's by SyntheticSpec), so no bad value reaches a stage.
+    dataset generation and splitting. Every setting is range-checked and
+    finite here (the world's by SyntheticSpec), so no bad value reaches a stage.
     """
 
     # data
@@ -124,8 +124,8 @@ class RunConfig:
         for name in ("batch_size", "max_epochs", "patience", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if not np.isfinite(self.init_scale) or self.init_scale <= 0:
-            raise ValidationError("init_scale must be positive and finite")
+        if not self.init_scale > 0:
+            raise ValidationError("init_scale must be positive")
         self.synthetic_spec()
         check_settings(self.gamma, self.floor)
         for name in ("epsilon_train", "epsilon_val"):
@@ -133,6 +133,10 @@ class RunConfig:
                 check_epsilon(e, name)
         if not 0 < self.split_ratio < 1:
             raise ValidationError("split_ratio must lie in (0,1)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
 
     def synthetic_spec(self) -> SyntheticSpec:
         """The world of this config: its SyntheticSpec fields, seeded by data_seed."""
@@ -238,8 +242,8 @@ class GridSpec:
     """Value lists per RunConfig field plus the search mode.
 
     mode "full" expands the whole product; "random" draws ``samples``
-    distinct cells with ``grid_seed``. Runs are ranked by the modified
-    validation score.
+    distinct cells with ``grid_seed``, which full mode refuses. Runs are
+    ranked by the modified validation score.
     """
 
     values: dict[str, tuple]
@@ -269,6 +273,8 @@ class GridSpec:
             raise ValidationError(f"unknown grid mode {self.mode!r}")
         if self.mode == "random" and not (self.samples >= 1 and self.grid_seed >= 0):
             raise ValidationError("random mode needs samples >= 1 and grid_seed >= 0")
+        if self.mode == "full" and (self.samples or self.grid_seed):
+            raise ValidationError("samples and grid_seed apply only to mode = random")
 
     def combinations(self) -> list[dict]:
         names = sorted(self.values)

@@ -1,12 +1,11 @@
-"""Popularity propensities and truncated per-instance sampling probabilities.
+"""Popularity propensities and per-instance sampling probabilities.
 
 Propensity of an item is its observation count relative to the most frequent
 item, raised to a power and clipped below at a floor. Instance sampling
 probability is the max-normalized inverse propensity of its item, so the
-rarest instance always gets probability 1. Probabilities at or above a
-threshold epsilon are forced to 1 ("truncated"); the rest are kept as-is.
-Probabilities are plain float64 arrays: with p in (0,1] and epsilon in [0,1],
-a truncated array is 1 exactly where p >= epsilon, so no flags are kept.
+rarest instance always gets probability 1. A threshold epsilon in [0,1]
+truncates every probability at or above it to 1; ``selfsample`` applies that
+as a test, ``p >= epsilon``, inside each draw, so no truncated copy is made.
 """
 
 from __future__ import annotations
@@ -71,23 +70,15 @@ def sampling_probabilities(d: Dataset, t: PropensityTable) -> np.ndarray:
     """Max-normalized inverse propensity per instance, in (0,1].
 
     The instance whose item has the lowest propensity gets probability 1;
-    more exposed instances get proportionally smaller probabilities.
+    more exposed instances get proportionally smaller probabilities. A floor
+    so tiny that its inverse overflows passes every range check, yet would
+    make NaN and 0 here, so the result's range is checked where it is made.
     """
     inverse = 1.0 / t.per_item_propensity[d.items]
     inverse /= inverse.max()
+    if not (inverse.min() > 0.0 and inverse.max() <= 1.0):
+        raise ValidationError("sampling probabilities must lie in (0,1]")
     return inverse
-
-
-def truncate(p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Force probabilities >= epsilon to 1, keep the rest unchanged.
-
-    ``p`` must lie in (0,1] and ``epsilon`` in [0,1].
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if not (p.min() > 0.0 and p.max() <= 1.0):
-        raise ValidationError("probabilities must lie in (0,1]")
-    check_epsilon(epsilon)
-    return np.where(p >= epsilon, 1.0, p)
 
 
 def save_table(t: PropensityTable, path, item_ids: np.ndarray) -> None:

@@ -1,8 +1,9 @@
 """Bernoulli draws of auxiliary subsets under truncated sampling probabilities.
 
-Each auxiliary subset keeps every interaction of its source independently
-with that instance's probability, so a subset is always a sub-multiset of
-the source. Families of subsets (one per threshold) use independent seeds
+A subset keeps each row of its source where a uniform draw is below the row's
+probability or that probability is at least a threshold epsilon: since every
+draw is below 1, exactly a draw under the probabilities truncated to 1 at
+epsilon. Families of subsets (one per threshold) use independent seeds
 derived from a master seed, which keeps both preprocessing mode and
 per-epoch resampling reproducible.
 """
@@ -13,22 +14,24 @@ import numpy as np
 
 from .data import Dataset, Provenance
 from .errors import ValidationError
-from .propensity import PropensityTable, sampling_probabilities, truncate
+from .propensity import PropensityTable, sampling_probabilities
 from .seeding import derive_seed
 
 
-def draw_auxiliary(d: Dataset, probs: np.ndarray, seed: int) -> Dataset:
-    """Keep each interaction independently with its probability in ``probs``.
+def draw_auxiliary(d: Dataset, probs: np.ndarray, epsilon: float, seed: int) -> Dataset:
+    """Keep each row of ``d`` where a uniform draw from ``seed`` (>= 0) is
+    below its probability in ``probs``, or that probability is at least ``epsilon``.
 
-    ``probs`` holds one value in (0,1] per row of ``d``, as ``truncate``
-    returns and checks it; ``seed`` must be >= 0. Expected size is the sum
-    of the probabilities. A subset of a nonempty source is never empty: each
-    draw is below 1, and the largest of ``sampling_probabilities`` is exactly 1.
+    ``probs`` lies in (0,1], as ``sampling_probabilities`` checks, and
+    ``epsilon`` in [0,1], as ``RunConfig`` and the ``selfsample`` command check.
+    Expected size is the sum of the truncated probabilities. A subset of a
+    nonempty source is never empty: the largest probability is exactly 1.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(d)) < probs
+    keep |= probs >= epsilon
     return d.take(np.flatnonzero(keep), provenance=Provenance.AUXILIARY_SUBSET)
 
 
@@ -61,9 +64,12 @@ def _draw_family(
     tag: str,
     *epoch: int,
 ) -> list[Dataset]:
-    """Subset i keeps ``source`` under threshold i, seeded by (tag, i, *epoch)."""
-    base = sampling_probabilities(source, pt)
+    """Subset i keeps ``source`` under threshold i, seeded by (tag, i, *epoch);
+    the probabilities are computed once, and not for an empty family."""
+    if not epsilons:
+        return []
+    probs = sampling_probabilities(source, pt)
     return [
-        draw_auxiliary(source, truncate(base, eps), derive_seed(master_seed, tag, i, *epoch))
+        draw_auxiliary(source, probs, eps, derive_seed(master_seed, tag, i, *epoch))
         for i, eps in enumerate(epsilons)
     ]

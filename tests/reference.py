@@ -4,8 +4,9 @@ Everything here is written the slow, obvious way (pair enumeration,
 tie-averaged rank sums, pooled ranges, one user at a time, explicit finite
 differences, masked sigmoid, ``np.add.at`` scatters, Adam state read row by
 row twice, one ``int()`` per TSV field, one objective switch per batch's
-loss coefficients) and stays free of the package's own metric, gradient,
-optimizer or parsing code paths.
+loss coefficients, a truncated copy of the sampling probabilities) and
+stays free of the package's own metric, gradient, optimizer, parsing or
+sampling code paths.
 """
 
 import math
@@ -124,6 +125,21 @@ def batch_coefficients(
     if objective is Objective.IPS:
         return weights / batch_size
     return weights / weights.sum()
+
+
+def truncate(p, epsilon: float) -> np.ndarray:
+    """The truncated sampling probabilities, as a second array: each of ``p``
+    at or above ``epsilon`` forced to 1, the rest kept."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.where(p >= epsilon, 1.0, p)
+
+
+def draw_truncated(d: Dataset, probs, epsilon: float, seed: int) -> Dataset:
+    """The auxiliary draw under ``truncate(probs, epsilon)``: rows whose
+    uniform draw from ``seed`` falls below their truncated probability,
+    gathered by index."""
+    keep = np.random.default_rng(seed).random(len(d)) < truncate(probs, epsilon)
+    return d.take(np.flatnonzero(keep))
 
 
 def batch_gradients_add_at(m, branch, users, items, labels, coeffs) -> dict:

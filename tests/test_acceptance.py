@@ -30,7 +30,6 @@ from sste.data import (
 from sste.evaluate import alpha, auc_scores, build_ranked_lists, topk_metrics
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid, run_one
 from sste.model import Branch, init
-from sste.propensity import truncate
 from sste.selfsample import draw_auxiliary
 from sste.train import (
     _apply_batch,
@@ -44,6 +43,7 @@ from reference import (
     auc_pair_matrix,
     central_difference,
     dcg_binary,
+    draw_truncated,
     lazy_l2_batch_objective,
     make_dataset,
 )
@@ -234,15 +234,19 @@ class TestGradientMachinery:
 class TestSamplingContracts:
     def test_truncation_identity_and_concentration(self, criterion):
         with criterion(5, "sampling contracts"):
+            # The draw keeps exactly the rows of a draw under the truncated
+            # probabilities, and always the rows at or above the threshold.
             probs = np.round(np.arange(0.01, 1.005, 0.01), 2)
-            for eps in np.round(np.arange(0.0, 1.005, 0.01), 2):
-                out = truncate(probs, float(eps))
-                expected = np.where(probs >= eps, 1.0, probs)
-                assert np.array_equal(out, expected)
-                assert np.array_equal(out == 1.0, probs >= eps)
+            n = len(probs)
+            grid = make_dataset(np.arange(n), np.arange(n) % 7, np.arange(n) % 2, n, 7)
+            for seed, eps in enumerate(np.round(np.arange(0.0, 1.005, 0.01), 2)):
+                out = draw_auxiliary(grid, probs, float(eps), seed)
+                oracle = draw_truncated(grid, probs, float(eps), seed)
+                assert np.array_equal(out.users, oracle.users)
+                assert set(np.flatnonzero(probs >= eps)) <= set(out.users.tolist())
 
             ds = make_dataset([0, 1, 2], [2, 0, 1], [1, 0, 1], 3, 3)
-            kept = draw_auxiliary(ds, truncate(np.ones(3), 0.5), seed=9)
+            kept = draw_auxiliary(ds, np.ones(3), 0.5, seed=9)
             assert np.array_equal(kept.users, ds.users)
             assert np.array_equal(kept.items, ds.items)
             assert np.array_equal(kept.labels, ds.labels)
@@ -253,10 +257,10 @@ class TestSamplingContracts:
                 rng.integers(0, 50, n), rng.integers(0, 40, n),
                 rng.integers(0, 2, n), 50, 40,
             )
-            half = truncate(np.full(n, 0.5), 0.9)
+            half = np.full(n, 0.5)
             sigma = (n * 0.25) ** 0.5
             inside = sum(
-                abs(len(draw_auxiliary(big, half, seed=s)) - n / 2) <= 3 * sigma
+                abs(len(draw_auxiliary(big, half, 0.9, seed=s)) - n / 2) <= 3 * sigma
                 for s in range(100)
             )
             assert inside >= 99

@@ -14,6 +14,9 @@ import sste
 from sste.cli import main
 from sste.data import Schema, load_tsv
 from sste.model import Branch, load_checkpoint
+from sste.propensity import estimate_popularity_propensity, sampling_probabilities
+
+from reference import truncate
 
 SPEC_TEXT = (
     "n_users=30\nn_items=20\nlatent_dim=4\nexposure_bias_strength=1.5\n"
@@ -111,6 +114,19 @@ class TestDataCommands:
         assert capsys.readouterr().err == "error: n_users * n_items must be at least 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("strength", ["1000", "inf"])
+    def test_an_overflowing_bias_strength_is_refused(self, tmp_path, capsys, strength):
+        spec = tmp_path / "spec.cfg"
+        rest = SPEC_TEXT.split("\n", 2)[2].replace("strength=1.5", f"strength={strength}")
+        spec.write_text("n_users=20\nn_items=10\n" + rest)
+        out = tmp_path / "data"
+        assert main(["data", "synth", "--spec", str(spec), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: exposure_bias_strength = {float(strength)} "
+            "overflows the synthetic exposure weights\n"
+        )
+        assert not out.exists()
+
     def test_spec_missing_keys_names_them(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_users=10\n")
@@ -199,6 +215,26 @@ class TestPropensityCommands:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["1.5", "-0.1", "nan"])
+    def test_selfsample_rejects_an_epsilon_outside_zero_one(self, synth_dir, capsys, epsilon):
+        out = synth_dir / "aux.tsv"
+        assert main(["selfsample", "--input", str(synth_dir / "train.tsv"),
+                     "--schema", "label", "--epsilon", epsilon, "--seed", "3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: epsilon must lie in [0,1], got {float(epsilon)}\n"
+        )
+        assert not out.exists()
+
+    def test_selfsample_expected_size_sums_the_truncated_probabilities(self, synth_dir, capsys):
+        train = synth_dir / "train.tsv"
+        assert main(["selfsample", "--input", str(train), "--schema", "label",
+                     "--epsilon", "0.4", "--seed", "3", "--out", str(synth_dir / "aux.tsv")]) == 0
+        info = read_json_lines(capsys)[-1]
+        d = load_tsv(train, Schema.USER_ITEM_LABEL)
+        probs = sampling_probabilities(d, estimate_popularity_propensity(d))
+        assert info["expected_size"] == float(truncate(probs, 0.4).sum())
 
 
 @pytest.fixture()
@@ -548,6 +584,22 @@ class TestExperimentCommands:
         assert main(["exp", "grid", "--config", str(cfg), "--grid", str(grid)]) == 1
         err = capsys.readouterr().err
         assert err == "error: random mode needs samples >= 1 and grid_seed >= 0\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("line", ["samples=2", "grid_seed=5"])
+    def test_exp_grid_refuses_random_keys_in_full_mode(self, tmp_path, capsys, line):
+        cfg = self.write_config(tmp_path)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"embedding_dim=4,8\n{line}\n")
+        assert main(["exp", "grid", "--config", str(cfg), "--grid", str(grid)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: samples and grid_seed apply only to mode = random\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_exp_run_refuses_an_infinite_setting(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, gamma="inf")
+        assert main(["exp", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: gamma must be finite, got inf\n"
         assert not (tmp_path / "runs").exists()
 
     def test_exp_grid_rejects_a_repeated_value(self, tmp_path, capsys):

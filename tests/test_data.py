@@ -1,6 +1,7 @@
 """Dataset loading, splitting, statistics, and the synthetic generator."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -814,6 +815,14 @@ class TestGenerateSynthetic:
         counts = counts + np.bincount(val.items, minlength=spec.n_items)
         rho = scipy_stats.spearmanr(counts, popularity ** 1.5).statistic
         assert rho > 0.95
+
+    @pytest.mark.parametrize("strength", [1000.0, math.inf])
+    def test_an_overflowing_bias_strength_is_refused(self, strength):
+        # Popularity ** strength overflows for these draws; no range check
+        # on the strength alone could tell.
+        with pytest.raises(ValidationError, match=f"exposure_bias_strength = {strength} "
+                                                  "overflows the synthetic exposure weights"):
+            generate_synthetic(small_spec(n_users=20, n_items=10, exposure_bias_strength=strength))
 
     def test_test_items_stay_uniform_under_bias(self):
         spec = small_spec(test_impressions=30000)

@@ -397,6 +397,18 @@ class TestGridSpec:
                         samples=10, grid_seed=0)
         assert len(grid.combinations()) == 2
 
+    @pytest.mark.parametrize("keys", [dict(samples=1, grid_seed=5), dict(samples=2),
+                                      dict(grid_seed=5)])
+    def test_full_mode_refuses_the_random_keys(self, tmp_path, keys):
+        # Full mode runs every cell, so a sample count or seed would be ignored.
+        message = "samples and grid_seed apply only to mode = random"
+        with pytest.raises(ValidationError, match=message):
+            GridSpec(values={"seed": (1, 2, 3)}, **keys)
+        path = tmp_path / "grid.cfg"
+        path.write_text("seed = 1,2,3\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        with pytest.raises(ValidationError, match=message):
+            load_grid(path)
+
     def test_random_mode_rejects_a_negative_seed(self):
         # numpy's generators take only seeds >= 0.
         with pytest.raises(ValidationError, match="grid_seed >= 0"):
@@ -448,6 +460,23 @@ class TestGridSpec:
 
 
 class TestRunOne:
+    def test_an_overflowing_bias_strength_fails_at_stage_data(self, tmp_path):
+        result = run_one(quick_cfg(tmp_path, exposure_bias_strength=1000.0))
+        assert (result.status, result.stage) == ("failed", "data")
+        assert result.error == ("ValidationError: exposure_bias_strength = 1000.0 "
+                                "overflows the synthetic exposure weights")
+
+    def test_an_underflowing_floor_fails_only_a_run_that_draws(self, tmp_path):
+        # The floor's inverse overflows, so its sampling probabilities hold
+        # NaN: sste's draw refuses them, and naive, which draws none, runs.
+        with np.errstate(all="ignore"):
+            sste = run_one(quick_cfg(tmp_path, objective="sste", epsilon_train=(0.5,),
+                                     gamma=1000.0, floor=1e-310))
+            naive = run_one(quick_cfg(tmp_path, gamma=1000.0, floor=1e-310))
+        assert (sste.status, sste.stage) == ("failed", "selfsample")
+        assert sste.error == "ValidationError: sampling probabilities must lie in (0,1]"
+        assert naive.status == "ok"
+
     def test_writes_the_full_artifact_set(self, tmp_path):
         cfg = quick_cfg(tmp_path)
         result = run_one(cfg)

@@ -1,4 +1,5 @@
-"""Popularity propensity estimation, inverse sampling probabilities, truncation."""
+"""Popularity propensity estimation, inverse sampling probabilities, and the
+truncation rule that the auxiliary draw tests against (``reference.truncate``)."""
 
 import math
 
@@ -14,10 +15,9 @@ from sste.propensity import (
     estimate_popularity_propensity,
     sampling_probabilities,
     save_table,
-    truncate,
 )
 
-from reference import make_dataset
+from reference import make_dataset, truncate
 
 
 def dataset_with_item_counts(counts):
@@ -125,6 +125,19 @@ class TestSamplingProbabilities:
         probs = sampling_probabilities(ds, table)
         assert probs.max() == 1.0
 
+    def test_probabilities_that_underflow_are_rejected(self):
+        # Each floor passes check_settings, but its inverse overflows to inf,
+        # and the normalized probabilities hold NaN and 0.
+        ds = make_dataset([0, 0], [0, 1], [1, 1], 1, 2)
+        with np.errstate(all="ignore"):
+            tables = (PropensityTable(np.array([1.0, 1e-310])),
+                      estimate_popularity_propensity(
+                          dataset_with_item_counts([50, 1]), gamma=1000.0, floor=1e-310))
+            for table in tables:
+                with pytest.raises(ValidationError,
+                                   match=r"sampling probabilities must lie in \(0,1\]"):
+                    sampling_probabilities(ds, table)
+
     def test_uncovered_item_is_rejected(self):
         ds = make_dataset([0], [5], [1], 1, 6)
         table = PropensityTable(np.array([1.0, 0.5]))
@@ -149,6 +162,9 @@ class TestSamplingProbabilities:
 
 
 class TestTruncate:
+    """The rule ``selfsample.draw_auxiliary`` applies as a threshold test,
+    kept as the oracle of ``test_selfsample``."""
+
     def test_below_epsilon_is_kept(self):
         out = truncate(np.array([0.3]), epsilon=0.5)
         assert out.tolist() == [0.3]
@@ -164,18 +180,6 @@ class TestTruncate:
     def test_epsilon_one_only_touches_exact_ones(self):
         out = truncate(np.array([0.999, 1.0]), epsilon=1.0)
         assert out.tolist() == [0.999, 1.0]
-
-    def test_out_of_range_epsilon_is_rejected(self):
-        with pytest.raises(ValidationError):
-            truncate(np.array([0.5]), epsilon=1.5)
-        with pytest.raises(ValidationError):
-            truncate(np.array([0.5]), epsilon=-0.1)
-        with pytest.raises(ValidationError, match="epsilon must lie in"):
-            truncate(np.array([0.5]), epsilon=math.nan)
-
-    def test_zero_probability_is_rejected(self):
-        with pytest.raises(ValidationError):
-            truncate(np.array([0.0, 0.5]), epsilon=0.5)
 
     @given(
         hnp.arrays(np.float64, st.integers(min_value=1, max_value=40),

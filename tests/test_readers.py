@@ -3,7 +3,8 @@ SsteError, which the CLI prints as ``error: ...``: never another exception.
 
 Each reader takes arbitrary bytes and mutations of a valid file of its
 kind: the TSV, config, grid and synthetic-spec readers, the checkpoint, its
-vocab sidecar, and ``report.json`` as ``exp table`` reads it.
+vocab sidecar, and ``report.json`` as ``exp table`` reads it. A spec that
+loads also draws its world, or refuses it with an SsteError.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sste.data import Provenance, Schema, load_tsv
+from sste.data import Provenance, Schema, generate_synthetic, load_tsv
 from sste.errors import SsteError
 from sste.experiment import load_config, load_grid, load_model, load_spec, make_table
 from sste.model import load_checkpoint
@@ -143,9 +144,21 @@ class TestEveryReader:
         parses_or_refuses(folder, "grid.txt", data)
 
     @given(data=inputs(SPEC))
+    @example(data=SPEC.replace(b"= 1.5", b"= 1000"))
+    @example(data=SPEC.replace(b"= 1.5", b"= inf"))
     @settings(max_examples=150)
     def test_spec(self, folder, data):
-        parses_or_refuses(folder, "spec.cfg", data)
+        # A spec that loads also draws its world or refuses it, when the
+        # world is small enough to draw here.
+        path = folder / "spec.cfg"
+        path.write_bytes(data)
+        try:
+            spec = load_spec(path)
+            if (spec.n_users * spec.n_items <= 10**5
+                    and max(spec.train_impressions, spec.test_impressions) <= 10**5):
+                generate_synthetic(spec)
+        except SsteError:
+            pass
 
     @given(data=inputs(CHECKPOINT))
     @example(data=MAGIC + DEEP + b"\n" + PAYLOAD)

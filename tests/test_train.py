@@ -514,6 +514,8 @@ class TestConfigs:
             ("gamma", -1.0), ("gamma", math.nan), ("floor", 0.0), ("floor", 1.5),
             ("epsilon_val", (-0.5,)), ("epsilon_val", (0.3, math.nan)),
             ("split_ratio", 1.5), ("split_ratio", 0.0),
+            ("gamma", math.inf), ("learning_rate", math.inf), ("l2_lambda", math.inf),
+            ("exposure_bias_strength", math.inf),
         ]:
             with pytest.raises(ValidationError, match=name):
                 RunConfig(**{name: value})
@@ -528,6 +530,8 @@ class TestConfigs:
         ("init_scale", "inf"), ("init_scale", "nan"), ("embedding_dim", "0"),
         ("split_ratio", "0"), ("split_ratio", "1"), ("split_ratio", "-0.1"),
         ("split_ratio", "1.5"), ("split_ratio", "nan"),
+        ("gamma", "inf"), ("learning_rate", "inf"), ("l2_lambda", "inf"),
+        ("exposure_bias_strength", "inf"),
     ])
     def test_load_config_rejects_a_bad_setting(self, tmp_path, name, text):
         path = tmp_path / "run.cfg"
