@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sste.errors import SsteError
+from sste.errors import SsteError, ValidationError
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid
 
 # World and training constants for the study; the grid on top of these is
@@ -61,6 +61,21 @@ def selected_test_auc(grid_dir: Path, best_run_id: str) -> float:
     return report["test_metrics"]["auc"]
 
 
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of a comma-separated list; ValidationError unless it holds
+    one or more distinct integers."""
+    try:
+        seeds = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValidationError(f"--seeds must list integers, got {text!r}") from None
+    if not seeds:
+        raise ValidationError("--seeds lists no seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValidationError(f"--seeds repeats {', '.join(map(str, repeated))}")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1,2,3,4,5",
@@ -70,9 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel grid cells per study")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     try:
-        return run_study(seeds, Path(args.out), args.workers)
+        return run_study(parse_seeds(args.seeds), Path(args.out), args.workers)
     except (SsteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ import numpy as np
 from . import data as datamod
 from . import experiment as exp
 from . import propensity as prop
-from . import selfsample as ss
 from .errors import SsteError, ValidationError
 from .train import Objective, self_evaluate
 
@@ -62,11 +61,13 @@ def _cmd_propensity(args) -> int:
 
 
 def _cmd_selfsample(args) -> int:
+    prop.check_epsilon(args.epsilon)
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     d = datamod.load_tsv(args.input, args.schema)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
     probs = prop.sampling_probabilities(d, table)
-    prop.check_epsilon(args.epsilon)
-    subset = ss.draw_auxiliary(d, probs, args.epsilon, args.seed)
+    subset = prop.draw_auxiliary(d, probs, args.epsilon, args.seed)
     datamod.save_tsv(subset, args.out)
     _print_json(
         {

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivisionGuardError, ParseError, ValidationError
+from .errors import MetricUndefinedError, ParseError, ValidationError
 from .seeding import rng_for
 
 _POSITIVE_RATING_CUTOFF = 3  # rating > 3 is a positive
@@ -423,11 +423,11 @@ def split_ratio(
 def stats(d: Dataset) -> DatasetStats:
     """Feedback count and positive/negative ratio, Table-style.
 
-    Raises DivisionGuardError when ``d``, nonempty by ``load_tsv``, has no negatives.
+    Raises MetricUndefinedError when ``d``, nonempty by ``load_tsv``, has no negatives.
     """
     positives = d.positive_count
     if positives == len(d):
-        raise DivisionGuardError("P/N ratio undefined without negatives")
+        raise MetricUndefinedError("P/N ratio undefined without negatives")
     return DatasetStats(
         n_feedback=len(d),
         pn_ratio_percent=100.0 * positives / (len(d) - positives),

@@ -22,10 +22,6 @@ class ParseError(SsteError, ValueError):
         self.line_number = line_number
 
 
-class DivisionGuardError(SsteError, ZeroDivisionError):
-    """A ratio was requested with a zero denominator."""
-
-
 class MetricUndefinedError(SsteError, ValueError):
     """A metric has no defined value on the given input."""
 

@@ -39,9 +39,8 @@ from .data import (
 from .errors import ParseError, SsteError, ValidationError
 from .model import Branch, MfModel, load_checkpoint, save_checkpoint
 from .propensity import (DEFAULT_FLOOR, DEFAULT_GAMMA, check_epsilon, check_settings,
-                         estimate_popularity_propensity)
+                         estimate_popularity_propensity, train_family, val_family)
 from .seeding import derive_seed
-from .selfsample import train_family, val_family
 from .train import Objective, TrainState, fit
 
 _RUN_ID_HEX_CHARS = 16
@@ -482,8 +481,6 @@ def run_one(cfg: RunConfig) -> RunResult:
     if no status can be written. KeyboardInterrupt and SystemExit propagate.
     """
     run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "status.json").unlink(missing_ok=True)
     started = time.monotonic()
     stage = "config"
 
@@ -503,6 +500,8 @@ def run_one(cfg: RunConfig) -> RunResult:
         stage = name
 
     try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "status.json").unlink(missing_ok=True)
         save_config(cfg, run_dir / "config.txt")
         _write_json(run_dir / "config.json", cfg.identity_dict())
         stage = "data"
@@ -563,12 +562,8 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     cells = grid.combinations()
-    configs = []
-    for order, overrides in enumerate(cells):
-        cell = replace(base, **overrides)
-        if "seed" not in overrides:
-            cell = replace(cell, seed=derive_seed(base.seed, "grid", order))
-        configs.append(cell)
+    configs = [replace(base, **{"seed": derive_seed(base.seed, "grid", order), **overrides})
+               for order, overrides in enumerate(cells)]
     if workers > 1:
         # Imported here: the process-pool modules cost every other command
         # about 20 ms at start-up.

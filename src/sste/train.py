@@ -26,8 +26,7 @@ from .errors import TrainingDivergedError
 from .model import (Branch, MfModel, _checked_ids, _logits_with_rows, bce_from_logits, init,
                     sigmoid)
 from .optim import SparseAdam
-from .propensity import PropensityTable
-from .selfsample import train_family
+from .propensity import PropensityTable, train_family
 from .seeding import derive_seed, rng_for
 
 if TYPE_CHECKING:

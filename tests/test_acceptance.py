@@ -30,7 +30,7 @@ from sste.data import (
 from sste.evaluate import alpha, auc_scores, build_ranked_lists, topk_metrics
 from sste.experiment import DEFAULT_GRID, GridSpec, RunConfig, run_grid, run_one
 from sste.model import Branch, init
-from sste.selfsample import draw_auxiliary
+from sste.propensity import draw_auxiliary
 from sste.train import (
     _apply_batch,
     batch_gradients,

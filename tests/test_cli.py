@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,12 @@ class TestDataCommands:
         path.write_bytes(content)
         assert main(["data", "stats", "--input", str(path)]) == 1
         assert capsys.readouterr().err.strip() == message
+
+    def test_stats_of_a_set_without_negatives_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "positives.tsv"
+        path.write_text("1\t2\t1\n3\t4\t1\n")
+        assert main(["data", "stats", "--input", str(path), "--schema", "label"]) == 1
+        assert capsys.readouterr().err == "error: P/N ratio undefined without negatives\n"
 
     def test_bad_spec_key_exits_nonzero(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
@@ -208,18 +215,39 @@ class TestPropensityCommands:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_selfsample_rejects_a_negative_seed(self, synth_dir, capsys):
+    # The flags are checked before the input is read, so a missing one
+    # still reports the flag.
+    @pytest.mark.parametrize("source", ["train.tsv", "missing.tsv"])
+    def test_selfsample_rejects_a_negative_seed(self, synth_dir, capsys, source):
         out = synth_dir / "aux.tsv"
-        assert main(["selfsample", "--input", str(synth_dir / "train.tsv"),
+        assert main(["selfsample", "--input", str(synth_dir / source),
                      "--schema", "label", "--epsilon", "0.5", "--seed", "-1",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["propensity"],
+                                         ["selfsample", "--epsilon", "0.5", "--seed", "3"]])
+    def test_a_floor_whose_inverse_overflows_is_refused(self, synth_dir, capsys, command):
+        out = synth_dir / "out.tsv"
+        args = [*command, "--input", str(synth_dir / "train.tsv"), "--schema", "label",
+                "--gamma", "1000", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--floor", "1e-310"]) == 1
+            assert capsys.readouterr().err == (
+                "error: floor must lie in (0,1] with a finite inverse, got 1e-310\n"
+            )
+            assert not out.exists()
+            assert main([*args, "--floor", "1e-300"]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("source", ["train.tsv", "missing.tsv"])
     @pytest.mark.parametrize("epsilon", ["1.5", "-0.1", "nan"])
-    def test_selfsample_rejects_an_epsilon_outside_zero_one(self, synth_dir, capsys, epsilon):
+    def test_selfsample_rejects_an_epsilon_outside_zero_one(self, synth_dir, capsys, epsilon,
+                                                            source):
         out = synth_dir / "aux.tsv"
-        assert main(["selfsample", "--input", str(synth_dir / "train.tsv"),
+        assert main(["selfsample", "--input", str(synth_dir / source),
                      "--schema", "label", "--epsilon", epsilon, "--seed", "3",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (

@@ -23,7 +23,7 @@ from sste.data import (
     stats,
     synthetic_exposure_weights,
 )
-from sste.errors import DivisionGuardError, ParseError, ValidationError
+from sste.errors import MetricUndefinedError, ParseError, ValidationError
 
 from reference import load_tsv_per_line, make_dataset, save_tsv_per_row, split_per_user_loop
 
@@ -704,7 +704,8 @@ class TestStats:
 
     def test_no_negatives_is_guarded(self):
         ds = make_dataset([0], [0], [1], 1, 1)
-        with pytest.raises(DivisionGuardError):
+        with pytest.raises(MetricUndefinedError,
+                           match="P/N ratio undefined without negatives"):
             stats(ds)
 
 

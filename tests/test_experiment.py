@@ -6,6 +6,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,9 +33,8 @@ from sste.experiment import (
     save_model,
 )
 from sste.model import init
-from sste.propensity import estimate_popularity_propensity
+from sste.propensity import estimate_popularity_propensity, train_family, val_family
 from sste.seeding import derive_seed
-from sste.selfsample import train_family, val_family
 from sste.train import fit
 
 from compare_runs import differing_files
@@ -106,6 +106,19 @@ class TestRunConfig:
         path.write_text("n_users = 1\nn_items = 1\nlatent_dim = 1\n")
         with pytest.raises(ValidationError, match="n_users \\* n_items must be at least 2"):
             load_config(path)
+
+    @pytest.mark.parametrize("objective", ["naive", "ips", "snips", "sste"])
+    def test_a_floor_whose_inverse_overflows_is_refused_on_load(self, tmp_path, objective):
+        path = tmp_path / "run.cfg"
+        extras = "epsilon_train = 0.5\n" if objective == "sste" else ""
+        path.write_text(f"objective = {objective}\n{extras}gamma = 1000\nfloor = 1e-310\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^floor must lie in \(0,1\] with a "
+                                                      r"finite inverse, got 1e-310$"):
+                load_config(path)
+            path.write_text(path.read_text().replace("1e-310", "1e-300"))
+            assert load_config(path).floor == 1e-300
 
     def test_unknown_objective_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -325,14 +338,17 @@ class TestConfigRoundTrip:
 
 
 class TestStudyScript:
-    @pytest.mark.parametrize("workers, out_name, message", [
-        ("0", "study", "workers must be >= 1, got 0"),
-        ("1", "file", "Not a directory"),  # --out is a regular file
+    @pytest.mark.parametrize("seeds, workers, out_name, message", [
+        ("1", "0", "study", "workers must be >= 1, got 0"),
+        ("1", "1", "file", "Not a directory"),  # --out is a regular file
+        ("", "1", "study", "--seeds lists no seed"),
+        ("x", "1", "study", "--seeds must list integers, got 'x'"),
+        ("1,1", "1", "study", "--seeds repeats 1"),
     ])
-    def test_an_error_is_exit_two(self, tmp_path, capsys, workers, out_name, message):
+    def test_an_error_is_exit_two(self, tmp_path, capsys, seeds, workers, out_name, message):
         # Exit 1 means SSTE lost the study.
         (tmp_path / "file").write_text("")
-        args = ["--seeds", "1", "--workers", workers, "--out", str(tmp_path / out_name)]
+        args = ["--seeds", seeds, "--workers", workers, "--out", str(tmp_path / out_name)]
         assert study_main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -465,17 +481,6 @@ class TestRunOne:
         assert (result.status, result.stage) == ("failed", "data")
         assert result.error == ("ValidationError: exposure_bias_strength = 1000.0 "
                                 "overflows the synthetic exposure weights")
-
-    def test_an_underflowing_floor_fails_only_a_run_that_draws(self, tmp_path):
-        # The floor's inverse overflows, so its sampling probabilities hold
-        # NaN: sste's draw refuses them, and naive, which draws none, runs.
-        with np.errstate(all="ignore"):
-            sste = run_one(quick_cfg(tmp_path, objective="sste", epsilon_train=(0.5,),
-                                     gamma=1000.0, floor=1e-310))
-            naive = run_one(quick_cfg(tmp_path, gamma=1000.0, floor=1e-310))
-        assert (sste.status, sste.stage) == ("failed", "selfsample")
-        assert sste.error == "ValidationError: sampling probabilities must lie in (0,1]"
-        assert naive.status == "ok"
 
     def test_writes_the_full_artifact_set(self, tmp_path):
         cfg = quick_cfg(tmp_path)
@@ -1041,6 +1046,24 @@ class TestFaultContainment:
             [result.best_run_id, "ok"], [doomed, "failed"],
         ]
         assert not (tmp_path / "runs" / f"run-{doomed}" / "status.json").exists()
+
+    def test_a_run_directory_that_cannot_be_made_fails_only_its_cell(self, tmp_path):
+        base = quick_cfg(tmp_path, max_epochs=1)
+        blocked = replace(base, embedding_dim=4, seed=derive_seed(base.seed, "grid", 0)).run_id
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / f"run-{blocked}").write_text("")  # a file where the directory goes
+        result = run_grid(GridSpec(values={"embedding_dim": (4, 8)}), base)
+        assert [(row["status"], row["overrides"]) for row in result.rows] == [
+            ("ok", {"embedding_dim": 8}), ("failed", {"embedding_dim": 4}),
+        ]
+        failed = result.rows[1]
+        assert failed["run_id"] == blocked
+        assert failed["error"].startswith("FileExistsError: ")
+        assert "; status.json not written: NotADirectoryError: " in failed["error"]
+        lines = Path(result.leaderboard_path).read_text().splitlines()
+        assert [line.split("\t")[1:3] for line in lines[1:]] == [
+            [result.best_run_id, "ok"], [blocked, "failed"],
+        ]
 
     def test_an_unwritable_run_directory_fails_at_the_config_stage(self, tmp_path):
         cfg = quick_cfg(tmp_path)

@@ -2,10 +2,11 @@
 truncation rule that the auxiliary draw tests against (``reference.truncate``)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +19,9 @@ from sste.propensity import (
 )
 
 from reference import make_dataset, truncate
+
+# The least float64 whose inverse is finite: the next one down overflows.
+SMALLEST_FLOOR = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
 
 
 def dataset_with_item_counts(counts):
@@ -69,6 +73,18 @@ class TestEstimate:
         with pytest.raises(ValidationError, match="floor"):
             estimate_popularity_propensity(ds, floor=math.nan)
 
+    def test_a_floor_whose_inverse_overflows_is_rejected(self):
+        ds = dataset_with_item_counts([50, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for floor in (1e-310, SMALLEST_FLOOR / 2, np.nextafter(SMALLEST_FLOOR, 0.0)):
+                with pytest.raises(ValidationError, match=r"^floor must lie in \(0,1\] "
+                                                          r"with a finite inverse, got "):
+                    estimate_popularity_propensity(ds, gamma=1000.0, floor=float(floor))
+            for floor in (1e-300, SMALLEST_FLOOR):
+                table = estimate_popularity_propensity(ds, gamma=1000.0, floor=floor)
+                assert table.per_item_propensity.tolist() == [1.0, floor]
+
     @given(
         st.lists(st.integers(min_value=1, max_value=50), min_size=2,
                  max_size=12),
@@ -91,7 +107,7 @@ class TestTableValidation:
             PropensityTable(np.array([0.9, 0.5]))
 
     def test_value_outside_zero_one_is_rejected(self):
-        for values in ([1.0, 0.0], [1.0, -0.5], [1.5, 1.0], [1.0, math.nan]):
+        for values in ([1.0, 0.0], [1.0, -0.5], [1.5, 1.0], [1.0, math.nan], [1.0, 1e-310]):
             with pytest.raises(ValidationError, match=r"\(0,1\]"):
                 PropensityTable(np.array(values))
 
@@ -125,18 +141,23 @@ class TestSamplingProbabilities:
         probs = sampling_probabilities(ds, table)
         assert probs.max() == 1.0
 
-    def test_probabilities_that_underflow_are_rejected(self):
-        # Each floor passes check_settings, but its inverse overflows to inf,
-        # and the normalized probabilities hold NaN and 0.
-        ds = make_dataset([0, 0], [0, 1], [1, 1], 1, 2)
-        with np.errstate(all="ignore"):
-            tables = (PropensityTable(np.array([1.0, 1e-310])),
-                      estimate_popularity_propensity(
-                          dataset_with_item_counts([50, 1]), gamma=1000.0, floor=1e-310))
-            for table in tables:
-                with pytest.raises(ValidationError,
-                                   match=r"sampling probabilities must lie in \(0,1\]"):
-                    sampling_probabilities(ds, table)
+    @given(hnp.arrays(np.float64, st.integers(min_value=1, max_value=20),
+                      elements=st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+    @example(np.array([1.0, SMALLEST_FLOOR]))
+    @example(np.array([1.0, SMALLEST_FLOOR, 1e-300, 0.5]))
+    @settings(max_examples=200)
+    def test_every_table_gives_probabilities_in_zero_one(self, values):
+        # PropensityTable's inverse check is what keeps 0 and NaN out.
+        values[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not np.isfinite(1.0 / float(values.min())):
+                with pytest.raises(ValidationError, match="finite inverses"):
+                    PropensityTable(values)
+                return
+            ds = dataset_with_item_counts([1] * len(values))
+            probs = sampling_probabilities(ds, PropensityTable(values))
+        assert probs.min() > 0.0 and probs.max() == 1.0
 
     def test_uncovered_item_is_rejected(self):
         ds = make_dataset([0], [5], [1], 1, 6)

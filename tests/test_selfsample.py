@@ -12,13 +12,14 @@ from hypothesis.extra import numpy as hnp
 from sste.data import Provenance, generate_synthetic
 from sste.errors import ValidationError
 from sste.experiment import RunConfig
-from sste.propensity import estimate_popularity_propensity, sampling_probabilities
-from sste.seeding import derive_seed
-from sste.selfsample import (
+from sste.propensity import (
     draw_auxiliary,
+    estimate_popularity_propensity,
+    sampling_probabilities,
     train_family,
     val_family,
 )
+from sste.seeding import derive_seed
 
 from reference import draw_truncated, make_dataset, truncate
 from test_data import small_spec

@@ -18,9 +18,9 @@ from sste.errors import (
 from sste.experiment import RunConfig, load_config
 from sste.model import Branch, bce_from_logits, init, save_checkpoint, sigmoid
 from sste.optim import SparseAdam
-from sste.propensity import PropensityTable, estimate_popularity_propensity
+from sste.propensity import (PropensityTable, estimate_popularity_propensity, train_family,
+                             val_family)
 from sste.seeding import derive_seed
-from sste.selfsample import train_family, val_family
 from sste import train as train_mod
 from sste.train import (
     LossBreakdown,
