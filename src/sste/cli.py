@@ -53,6 +53,7 @@ def _cmd_data_synth(args) -> int:
 
 
 def _cmd_propensity(args) -> int:
+    prop.check_settings(args.gamma, args.floor)
     d = datamod.load_tsv(args.input, args.schema)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
     prop.save_table(table, args.out, d.item_id_map)
@@ -64,6 +65,7 @@ def _cmd_selfsample(args) -> int:
     prop.check_epsilon(args.epsilon)
     if args.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {args.seed}")
+    prop.check_settings(args.gamma, args.floor)
     d = datamod.load_tsv(args.input, args.schema)
     table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
     probs = prop.sampling_probabilities(d, table)

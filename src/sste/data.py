@@ -301,12 +301,15 @@ def load_tsv(
     provenance: Provenance = Provenance.BIASED_TRAIN,
     user_map: np.ndarray | None = None,
     item_map: np.ndarray | None = None,
+    data: bytes | None = None,
 ) -> Dataset:
     """Parse a user/item/rating-or-label TSV into a Dataset.
 
-    Each field is what ``int()`` accepts. A file of plain digit/tab/newline
-    lines is parsed in one vectorized pass; any other file, or one whose
-    value column is out of range, is read line by line.
+    ``data`` is the file's bytes when the caller has read them already;
+    else they are read from ``path``. Each field is what ``int()`` accepts.
+    A file of plain digit/tab/newline lines is parsed in one vectorized
+    pass; any other file, or one whose value column is out of range, is read
+    line by line.
 
     Ids are re-mapped to dense indices in sorted original-id order. Pass
     ``user_map``/``item_map`` from a previously loaded dataset to align a
@@ -323,7 +326,8 @@ def load_tsv(
         ValidationError: empty file or a malformed given map.
     """
     schema = Schema(schema)
-    data = Path(path).read_bytes()
+    if data is None:
+        data = Path(path).read_bytes()
     table = _plain_table(data, schema)
     if table is None:
         table = _parse_lines(data, schema)

@@ -149,8 +149,13 @@ class RunConfig:
 
     @property
     def run_id(self) -> str:
-        canonical = json.dumps(self.identity_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:_RUN_ID_HEX_CHARS]
+        return _run_id(self.identity_dict())
+
+
+def _run_id(identity: dict) -> str:
+    """The run id of a config's ``identity_dict``."""
+    canonical = json.dumps(identity, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:_RUN_ID_HEX_CHARS]
 
 
 _TRUE_WORDS = {"true", "1", "yes"}
@@ -322,40 +327,69 @@ class RunResult:
     report: dict | None
 
 
-@functools.lru_cache(maxsize=1)
-def _synthetic_world(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, val, test) of ``spec``, built once per spec in a process.
+# The world of the last config a process built, under its key: the cells of
+# a grid share it, and runs stay independent because Dataset columns are
+# read-only.
+_WORLD: dict = {}
 
-    A grid's cells share one world; runs stay independent because Dataset
-    columns are read-only.
-    """
-    train, val, test, _ = generate_synthetic(spec)
+
+def _shared_world(key, build):
+    """``build()``, the (train, val, test) of a world, or the one already built
+    under ``key``. The world held before is dropped before a new one is built."""
+    if key not in _WORLD:
+        _WORLD.clear()
+        _WORLD[key] = build()
+    return _WORLD[key]
+
+
+def _file_world(cfg: RunConfig,
+                data: dict[str, bytes]) -> tuple[Dataset, Dataset, Dataset | None]:
+    """(train, val, test) of a file-mode config, parsed from ``data``, the
+    bytes of its train, val and test files by those names. Each file's bytes
+    leave ``data`` as they are parsed."""
+    biased = load_tsv(cfg.train_path, cfg.schema, Provenance.BIASED_TRAIN,
+                      data=data.pop("train"))
+    maps = biased.user_id_map, biased.item_id_map
+    if cfg.val_path:
+        train = biased
+        val = load_tsv(cfg.val_path, cfg.schema, Provenance.BIASED_VALIDATION, *maps,
+                       data=data.pop("val"))
+    else:
+        train, val = split_ratio(
+            biased, cfg.split_ratio, cfg.split_mode, seed=derive_seed(cfg.data_seed, "split"),
+        )
+    test = (load_tsv(cfg.test_path, cfg.schema, Provenance.UNIFORM_TEST, *maps,
+                     data=data.pop("test")) if cfg.test_path else None)
     return train, val, test
 
 
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a config; test is None when file mode has no test_path.
-    In every mode the train split is nonempty and the validation split holds
-    both labels, as training and self-evaluation's AUC need; else a
-    ValidationError names the setting or file that made the split."""
+
+    A process keeps the last world it built. A synthetic world is keyed by
+    its spec; a file-mode world by its paths, its schema, its split settings
+    when it has no val_path, and the sha256 of the bytes read from each
+    file. Those are the bytes it parses, so a file edited since is read
+    again; every file is read, hit or miss, before any is parsed. In every
+    mode the train split is
+    nonempty and the validation split holds both labels, as training and
+    self-evaluation's AUC need; else a ValidationError names the setting or
+    file that made the split."""
     if cfg.synthetic:
-        train, val, test = _synthetic_world(cfg.synthetic_spec())
+        spec = cfg.synthetic_spec()
+        train, val, test = _shared_world(spec, lambda: generate_synthetic(spec)[:3])
         cause, source = f"train_impressions = {cfg.train_impressions}", "the synthetic world"
     else:
-        biased = load_tsv(cfg.train_path, cfg.schema, provenance=Provenance.BIASED_TRAIN)
-        maps = biased.user_id_map, biased.item_id_map
+        paths = {"train": cfg.train_path, "val": cfg.val_path, "test": cfg.test_path}
+        data = {name: Path(path).read_bytes() for name, path in paths.items() if path}
+        split = () if cfg.val_path else (cfg.split_ratio, cfg.split_mode, cfg.data_seed)
+        key = (*paths.values(), cfg.schema, *split,
+               *(hashlib.sha256(b).hexdigest() for b in data.values()))
+        train, val, test = _shared_world(key, lambda: _file_world(cfg, data))
         if cfg.val_path:
-            train = biased
-            val = load_tsv(cfg.val_path, cfg.schema, Provenance.BIASED_VALIDATION, *maps)
             cause, source = "val_path", cfg.val_path
         else:
-            train, val = split_ratio(
-                biased, cfg.split_ratio, cfg.split_mode,
-                seed=derive_seed(cfg.data_seed, "split"),
-            )
             cause, source = f"split_ratio = {cfg.split_ratio} ({cfg.split_mode})", cfg.train_path
-        test = (load_tsv(cfg.test_path, cfg.schema, Provenance.UNIFORM_TEST, *maps)
-                if cfg.test_path else None)
     for side, part in (("train", train), ("validation", val)):
         if not len(part):
             raise ValidationError(f"{cause} leaves the {side} split of {source} empty")
@@ -480,7 +514,9 @@ def run_one(cfg: RunConfig) -> RunResult:
     and reported in the returned RunResult, alone (with the write's OSError)
     if no status can be written. KeyboardInterrupt and SystemExit propagate.
     """
-    run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
+    identity = cfg.identity_dict()
+    run_id = _run_id(identity)
+    run_dir = Path(cfg.out_dir) / f"run-{run_id}"
     started = time.monotonic()
     stage = "config"
 
@@ -493,7 +529,7 @@ def run_one(cfg: RunConfig) -> RunResult:
             "traceback": None if error is None else traceback.format_exc(),
             "elapsed_seconds": time.monotonic() - started,
         })
-        return RunResult(cfg.run_id, str(run_dir), status, at, error, report)
+        return RunResult(run_id, str(run_dir), status, at, error, report)
 
     def enter(name: str) -> None:
         nonlocal stage
@@ -503,7 +539,7 @@ def run_one(cfg: RunConfig) -> RunResult:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "status.json").unlink(missing_ok=True)
         save_config(cfg, run_dir / "config.txt")
-        _write_json(run_dir / "config.json", cfg.identity_dict())
+        _write_json(run_dir / "config.json", identity)
         stage = "data"
         if not (cfg.synthetic or cfg.test_path):
             raise ValidationError("file mode needs test_path")
@@ -520,9 +556,9 @@ def run_one(cfg: RunConfig) -> RunResult:
         stage = "persist"
         save_model(model, train, run_dir / "model.ckpt")
         report = {
-            "run_id": cfg.run_id,
+            "run_id": run_id,
             "objective": cfg.objective,
-            "config": cfg.identity_dict(),
+            "config": identity,
             "epochs_run": state.epoch,
             "best_epoch": state.best_epoch,
             "best_modified_score": state.best_score,
@@ -538,7 +574,7 @@ def run_one(cfg: RunConfig) -> RunResult:
             return finish(error)
         except OSError as lost:  # no status.json, and so no ok, is left
             error += f"; status.json not written: {type(lost).__name__}: {lost}"
-            return RunResult(cfg.run_id, str(run_dir), "failed", stage, error, None)
+            return RunResult(run_id, str(run_dir), "failed", stage, error, None)
 
 
 @dataclass(frozen=True)

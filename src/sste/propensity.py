@@ -65,10 +65,13 @@ def estimate_popularity_propensity(
 ) -> PropensityTable:
     """Propensity(v) = (count(v) / max_count)^gamma, clipped below at floor.
 
-    Items never observed in ``d`` get the floor value. ``d`` is nonempty, as
-    ``experiment.build_datasets`` and ``load_tsv`` guarantee.
+    Items never observed in ``d`` get the floor value. ``gamma`` and
+    ``floor`` pass ``check_settings``, as ``RunConfig`` and the propensity
+    commands check where they enter. An empty ``d``, which has no max count,
+    is a ValidationError.
     """
-    check_settings(gamma, floor)
+    if not len(d):
+        raise ValidationError("cannot estimate propensities from an empty dataset")
     counts = np.bincount(d.items, minlength=d.n_items).astype(np.float64)
     values = np.power(counts / counts.max(), gamma)
     values[counts == 0] = floor

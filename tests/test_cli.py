@@ -243,6 +243,17 @@ class TestPropensityCommands:
         assert out.exists()
 
     @pytest.mark.parametrize("source", ["train.tsv", "missing.tsv"])
+    @pytest.mark.parametrize("command", [["propensity"],
+                                         ["selfsample", "--epsilon", "0.5", "--seed", "3"]])
+    def test_a_bad_gamma_is_refused_before_the_input_is_read(self, synth_dir, capsys,
+                                                             command, source):
+        out = synth_dir / "out.tsv"
+        assert main([*command, "--input", str(synth_dir / source), "--schema", "label",
+                     "--gamma", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: gamma must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["train.tsv", "missing.tsv"])
     @pytest.mark.parametrize("epsilon", ["1.5", "-0.1", "nan"])
     def test_selfsample_rejects_an_epsilon_outside_zero_one(self, synth_dir, capsys, epsilon,
                                                             source):

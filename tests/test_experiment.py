@@ -1204,9 +1204,9 @@ class TestSyntheticWorldCache:
             return real(spec)
 
         monkeypatch.setattr(experiment, "generate_synthetic", counting)
-        experiment._synthetic_world.cache_clear()
+        experiment._WORLD.clear()
         yield built
-        experiment._synthetic_world.cache_clear()
+        experiment._WORLD.clear()
 
     def test_configs_of_one_world_build_it_once(self, tmp_path, builds):
         first = build_datasets(quick_cfg(tmp_path, seed=1))
@@ -1239,13 +1239,129 @@ class TestSyntheticWorldCache:
         real_run_one = experiment.run_one
 
         def run_one_with_a_fresh_world(cfg):
-            experiment._synthetic_world.cache_clear()
+            experiment._WORLD.clear()
             return real_run_one(cfg)
 
         monkeypatch.setattr(experiment, "run_one", run_one_with_a_fresh_world)
         run_grid(grid, replace(base, out_dir=str(tmp_path / "fresh")))
         assert len(builds) == 1 + 4
         assert differing_files(tmp_path / "shared", tmp_path / "fresh") == []
+
+
+class TestFileWorldCache:
+    @pytest.fixture(autouse=True)
+    def calls(self, monkeypatch):
+        """(name, first argument) of each experiment.load_tsv and split_ratio
+        call, with an empty cache."""
+        called = []
+        for name in ("load_tsv", "split_ratio"):
+            real = getattr(experiment, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                called.append((_name, args[0] if _name == "load_tsv" else None))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counting)
+        experiment._WORLD.clear()
+        yield called
+        experiment._WORLD.clear()
+
+    @pytest.fixture()
+    def inputs(self, yahoo_dir, tmp_path):
+        """A copy of the small Yahoo!-shaped train.tsv and test.tsv."""
+        out = tmp_path / "inputs"
+        out.mkdir()
+        for name in ("train.tsv", "test.tsv"):
+            (out / name).write_bytes((yahoo_dir / name).read_bytes())
+        return out
+
+    @staticmethod
+    def config(inputs, out_dir, **overrides) -> RunConfig:
+        return RunConfig(**{
+            **dict(synthetic=False, schema="rating", train_path=str(inputs / "train.tsv"),
+                   test_path=str(inputs / "test.tsv"), objective="sste",
+                   epsilon_train=(0.5,), epsilon_val=(0.3,), resample_each_epoch=True,
+                   embedding_dim=4, batch_size=512, max_epochs=2, patience=2,
+                   data_seed=1, seed=1, out_dir=str(out_dir)),
+            **overrides,
+        })
+
+    GRID = GridSpec(values={"embedding_dim": (4, 8), "learning_rate": (0.01, 0.05)})
+
+    def test_a_grid_reads_each_file_once_and_splits_once(self, inputs, tmp_path, calls):
+        result = run_grid(self.GRID, self.config(inputs, tmp_path / "grid"))
+        assert [row["status"] for row in result.rows] == ["ok"] * 4
+        assert calls == [("load_tsv", str(inputs / "train.tsv")), ("split_ratio", None),
+                         ("load_tsv", str(inputs / "test.tsv"))]
+
+    def test_grid_runs_match_runs_that_build_their_own_world(
+        self, inputs, tmp_path, monkeypatch, calls
+    ):
+        run_grid(self.GRID, self.config(inputs, tmp_path / "shared"))
+        assert len(calls) == 3
+
+        real_run_one = experiment.run_one
+
+        def run_one_with_a_fresh_world(cfg):
+            experiment._WORLD.clear()
+            return real_run_one(cfg)
+
+        monkeypatch.setattr(experiment, "run_one", run_one_with_a_fresh_world)
+        run_grid(self.GRID, self.config(inputs, tmp_path / "fresh"))
+        assert len(calls) == 3 + 4 * 3
+        assert differing_files(tmp_path / "shared", tmp_path / "fresh") == []
+
+    def test_an_edited_input_is_read_again(self, inputs, tmp_path, calls):
+        before = run_one(self.config(inputs, tmp_path / "before"))
+        train = inputs / "train.tsv"
+        lines = train.read_bytes().splitlines(keepends=True)
+        # The same ids, one row more per repeated line: the same vocabulary.
+        train.write_bytes(b"".join(lines + lines[:200]))
+        after = run_one(self.config(inputs, tmp_path / "after"))
+        assert [name for name, _ in calls] == ["load_tsv", "split_ratio", "load_tsv"] * 2
+        experiment._WORLD.clear()
+        fresh = run_one(self.config(inputs, tmp_path / "fresh"))
+        assert (before.status, after.status, fresh.status) == ("ok", "ok", "ok")
+        assert differing_files(tmp_path / "after", tmp_path / "fresh") == []
+        assert differing_files(tmp_path / "before", tmp_path / "after") != []
+
+    def test_cached_columns_are_not_writeable(self, inputs, tmp_path, calls):
+        first = build_datasets(self.config(inputs, tmp_path))
+        second = build_datasets(self.config(inputs, tmp_path, seed=2, embedding_dim=8))
+        assert len(calls) == 3
+        assert all(a is b for a, b in zip(first, second))
+        for d in first:
+            columns = (d.users, d.items, d.labels, d.user_id_map, d.item_id_map)
+            assert not any(col.flags.writeable for col in columns)
+
+    def test_split_settings_key_the_world_only_without_a_val_file(self, inputs, tmp_path, calls):
+        splits = [dict(data_seed=1), dict(data_seed=2), dict(split_ratio=0.5),
+                  dict(split_mode="chronological")]
+        with_val = [build_datasets(self.config(inputs, tmp_path, val_path=str(inputs / "test.tsv"),
+                                               **split)) for split in splits]
+        assert [name for name, _ in calls] == ["load_tsv"] * 3
+        assert all(world[0] is with_val[0][0] for world in with_val)
+        for split in splits:
+            build_datasets(self.config(inputs, tmp_path, **split))
+        assert [name for name, _ in calls[3:]] == ["load_tsv", "split_ratio", "load_tsv"] * 4
+
+    def test_every_input_is_read_before_any_is_parsed(self, inputs, tmp_path, calls):
+        (inputs / "train.tsv").write_text("1\tx\t5\n")
+        missing = inputs / "missing.tsv"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            build_datasets(self.config(inputs, tmp_path, test_path=str(missing)))
+        assert calls == []
+        with pytest.raises(ParseError):
+            build_datasets(self.config(inputs, tmp_path))
+
+    def test_a_cached_world_is_checked_on_every_call(self, inputs, tmp_path, calls):
+        cfg = self.config(inputs, tmp_path, split_ratio=0.01)
+        message = (f"^split_ratio = 0.01 \\(per_user\\) leaves the train split of "
+                   f"{re.escape(cfg.train_path)} empty$")
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=message):
+                build_datasets(cfg)
+        assert len(calls) == 3
 
 
 class TestModelFiles:

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from sste.errors import ValidationError
 from sste.propensity import (
     PropensityTable,
+    check_settings,
     estimate_popularity_propensity,
     sampling_probabilities,
     save_table,
@@ -59,31 +60,11 @@ class TestEstimate:
 
     def test_empty_dataset_is_rejected(self):
         ds = make_dataset([], [], [], 1, 1)
-        with pytest.raises(ValidationError):
-            estimate_popularity_propensity(ds)
-
-    def test_bad_gamma_and_floor_are_rejected(self):
-        ds = dataset_with_item_counts([2, 1])
-        with pytest.raises(ValidationError):
-            estimate_popularity_propensity(ds, gamma=-1.0)
-        with pytest.raises(ValidationError):
-            estimate_popularity_propensity(ds, floor=0.0)
-        with pytest.raises(ValidationError, match="gamma"):
-            estimate_popularity_propensity(ds, gamma=math.nan)
-        with pytest.raises(ValidationError, match="floor"):
-            estimate_popularity_propensity(ds, floor=math.nan)
-
-    def test_a_floor_whose_inverse_overflows_is_rejected(self):
-        ds = dataset_with_item_counts([50, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for floor in (1e-310, SMALLEST_FLOOR / 2, np.nextafter(SMALLEST_FLOOR, 0.0)):
-                with pytest.raises(ValidationError, match=r"^floor must lie in \(0,1\] "
-                                                          r"with a finite inverse, got "):
-                    estimate_popularity_propensity(ds, gamma=1000.0, floor=float(floor))
-            for floor in (1e-300, SMALLEST_FLOOR):
-                table = estimate_popularity_propensity(ds, gamma=1000.0, floor=floor)
-                assert table.per_item_propensity.tolist() == [1.0, floor]
+            with pytest.raises(ValidationError, match="^cannot estimate propensities "
+                                                      "from an empty dataset$"):
+                estimate_popularity_propensity(ds)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=50), min_size=2,
@@ -99,6 +80,32 @@ class TestEstimate:
             for b in range(len(counts)):
                 if counts[a] > counts[b]:
                     assert values[a] >= values[b]
+
+
+class TestCheckSettings:
+    """The gamma and floor checks that ``RunConfig`` and the propensity
+    commands make before ``estimate_popularity_propensity`` runs."""
+
+    @pytest.mark.parametrize("gamma, floor, name", [
+        (-1.0, 0.01, "gamma"), (math.nan, 0.01, "gamma"),
+        (0.5, 0.0, "floor"), (0.5, math.nan, "floor"), (0.5, 1.5, "floor"),
+    ])
+    def test_bad_gamma_and_floor_are_rejected(self, gamma, floor, name):
+        with pytest.raises(ValidationError, match=f"^{name} must "):
+            check_settings(gamma, floor)
+
+    def test_a_floor_whose_inverse_overflows_is_rejected(self):
+        ds = dataset_with_item_counts([50, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for floor in (1e-310, SMALLEST_FLOOR / 2, np.nextafter(SMALLEST_FLOOR, 0.0)):
+                with pytest.raises(ValidationError, match=r"^floor must lie in \(0,1\] "
+                                                          r"with a finite inverse, got "):
+                    check_settings(1000.0, float(floor))
+            for floor in (1e-300, SMALLEST_FLOOR):
+                check_settings(1000.0, floor)
+                table = estimate_popularity_propensity(ds, gamma=1000.0, floor=floor)
+                assert table.per_item_propensity.tolist() == [1.0, floor]
 
 
 class TestTableValidation:
