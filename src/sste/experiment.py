@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import signal
 import time
 import traceback
 import typing
@@ -452,18 +453,30 @@ def test_metrics_for(
     return metrics
 
 
+# Ids formatted at a time into the vocab sidecar, so that writing it holds
+# the Python ints and strings of one chunk, never of a whole id map.
+_SIDECAR_CHUNK = 4096
+
+
 def save_model(model: MfModel, train: Dataset, path) -> None:
     """Checkpoint at ``path``, plus ``<path>.vocab.json`` when ``train`` was
     loaded from files: its two id maps as sorted lists of original ids, which
     ``load_model`` reads back so that ``sste evaluate`` scores files in the
-    original id space."""
+    original id space. The sidecar holds the bytes of
+    ``json.dumps({"items": ..., "users": ...}, sort_keys=True)``, written
+    ``_SIDECAR_CHUNK`` ids at a time."""
     save_checkpoint(model, path)
     if train.user_id_map is None:
         return
-    vocab = {"items": train.item_id_map.tolist(), "users": train.user_id_map.tolist()}
-    Path(str(path) + ".vocab.json").write_text(
-        json.dumps(vocab, sort_keys=True), encoding="utf-8"
-    )
+    with open(str(path) + ".vocab.json", "w", encoding="utf-8") as out:
+        for opening, ids in (('{"items": [', train.item_id_map),
+                             ('], "users": [', train.user_id_map)):
+            out.write(opening)
+            for lo in range(0, len(ids), _SIDECAR_CHUNK):
+                if lo:
+                    out.write(", ")
+                out.write(", ".join(map(str, ids[lo:lo + _SIDECAR_CHUNK].tolist())))
+        out.write("]}")
 
 
 def load_model(path) -> tuple[MfModel, np.ndarray, np.ndarray]:
@@ -504,6 +517,14 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_whole(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_status(run_dir: Path, status: str, stage: str, error: str | None,
+                  trace: str | None, elapsed: float, stage_seconds: dict) -> None:
+    _write_json(run_dir / "status.json", {
+        "status": status, "stage": stage, "error": error, "traceback": trace,
+        "elapsed_seconds": elapsed, "stage_seconds": stage_seconds,
+    })
+
+
 def run_one(cfg: RunConfig) -> RunResult:
     """Execute one config end to end, persisting artifacts in its run dir.
 
@@ -513,47 +534,52 @@ def run_one(cfg: RunConfig) -> RunResult:
     is recorded in status.json with the stage that failed and its traceback,
     and reported in the returned RunResult, alone (with the write's OSError)
     if no status can be written. KeyboardInterrupt and SystemExit propagate.
+    status.json's ``stage_seconds`` gives the wall seconds of each stage the
+    run entered, up to the status write; together they are
+    ``elapsed_seconds``.
     """
     identity = cfg.identity_dict()
     run_id = _run_id(identity)
     run_dir = Path(cfg.out_dir) / f"run-{run_id}"
-    started = time.monotonic()
+    started = entered = time.monotonic()
     stage = "config"
+    stage_seconds: dict[str, float] = {}
+
+    def enter(name: str) -> None:
+        nonlocal stage, entered
+        now = time.monotonic()
+        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + (now - entered)
+        stage, entered = name, now
 
     def finish(error: str | None, report: dict | None = None) -> RunResult:
         """Write status.json: ok if ``error`` is None, else failed at ``stage``
         with the traceback of the exception being handled."""
         status, at = ("ok", "done") if error is None else ("failed", stage)
-        _write_json(run_dir / "status.json", {
-            "status": status, "stage": at, "error": error,
-            "traceback": None if error is None else traceback.format_exc(),
-            "elapsed_seconds": time.monotonic() - started,
-        })
+        enter(stage)  # closes the stage's time
+        _write_status(run_dir, status, at, error,
+                      None if error is None else traceback.format_exc(),
+                      entered - started, stage_seconds)
         return RunResult(run_id, str(run_dir), status, at, error, report)
-
-    def enter(name: str) -> None:
-        nonlocal stage
-        stage = name
 
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "status.json").unlink(missing_ok=True)
         save_config(cfg, run_dir / "config.txt")
         _write_json(run_dir / "config.json", identity)
-        stage = "data"
+        enter("data")
         if not (cfg.synthetic or cfg.test_path):
             raise ValidationError("file mode needs test_path")
         train, val, test = build_datasets(cfg)
         with open(run_dir / "epochs.jsonl", "w", encoding="utf-8") as log:
             model, state = train_model(cfg, train, val, log, on_stage=enter)
 
-        stage = "evaluate"
+        enter("evaluate")
         metrics = test_metrics_for(
             model, test, train, ks=cfg.precision_ks, ndcg_k=cfg.ndcg_k
         )
         best_report = state.history[state.best_epoch - 1]
 
-        stage = "persist"
+        enter("persist")
         save_model(model, train, run_dir / "model.ckpt")
         report = {
             "run_id": run_id,
@@ -593,7 +619,9 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
 
     Failures are recorded as rows with status "failed" and excluded from
     the ranking. The leaderboard is written as TSV next to the run
-    directories; if every cell failed, the grid then fails.
+    directories; if every cell failed, the grid then fails. With more than
+    one worker, a worker process that dies fails only the cells in flight
+    (``_run_in_pools``).
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -601,12 +629,7 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
     configs = [replace(base, **{"seed": derive_seed(base.seed, "grid", order), **overrides})
                for order, overrides in enumerate(cells)]
     if workers > 1:
-        # Imported here: the process-pool modules cost every other command
-        # about 20 ms at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, configs))
+        results = _run_in_pools(configs, workers)
     else:
         results = [run_one(c) for c in configs]
 
@@ -644,6 +667,67 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
         best_run_id=completed[0]["run_id"],
         leaderboard_path=str(leaderboard),
     )
+
+
+def _run_in_pools(configs: list[RunConfig], workers: int) -> list[RunResult]:
+    """``run_one`` of each config, in config order, in a process pool that
+    holds at most ``workers`` cells at a time, so that the cells in flight
+    are the ones the pool is running. If a worker process dies, the pool
+    breaks: each cell in flight fails at stage ``worker`` (its status.json
+    written here), and the cells not yet started run in a fresh pool. No
+    cell runs twice."""
+    # Imported here: the process-pool modules cost every other command
+    # about 20 ms at start-up.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    results: list[RunResult | None] = [None] * len(configs)
+    waiting = list(range(len(configs)))[::-1]  # popped from the end, in order
+    while waiting:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            in_flight: dict = {}  # future -> (config index, submit time)
+            broken = None
+            while (waiting or in_flight) and broken is None:
+                try:
+                    while waiting and len(in_flight) < workers:
+                        future = pool.submit(run_one, configs[waiting[-1]])
+                        in_flight[future] = (waiting.pop(), time.monotonic())
+                except BrokenProcessPool as exc:  # a worker died since the last wait
+                    broken = exc
+                    continue
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                broken = next((f.exception() for f in done
+                               if isinstance(f.exception(), BrokenProcessPool)), None)
+                if broken is None:
+                    for future in done:
+                        results[in_flight.pop(future)[0]] = future.result()
+            # Kept before shutdown drops them; their exit codes are read once joined.
+            processes = list((getattr(pool, "_processes", None) or {}).values())
+        if broken is None:
+            continue
+        codes = sorted({p.exitcode for p in processes} - {None, 0, -signal.SIGTERM})
+        error = f"BrokenProcessPool: {broken}" + (
+            f" (worker exit code {', '.join(map(str, codes))})" if codes else "")
+        for future, (i, submitted) in in_flight.items():
+            if isinstance(future.exception(), BrokenProcessPool):
+                results[i] = _worker_failure(configs[i], error, submitted)
+            else:  # finished before the pool broke
+                results[i] = future.result()
+    return results
+
+
+def _worker_failure(cfg: RunConfig, error: str, submitted: float) -> RunResult:
+    """The result of a cell whose worker process died, its status.json
+    written by the parent: failed at stage ``worker``."""
+    run_id = cfg.run_id
+    run_dir = Path(cfg.out_dir) / f"run-{run_id}"
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_status(run_dir, "failed", "worker", error, None,
+                      time.monotonic() - submitted, {})
+    except OSError as lost:
+        error += f"; status.json not written: {type(lost).__name__}: {lost}"
+    return RunResult(run_id, str(run_dir), "failed", "worker", error, None)
 
 
 def _fmt(value) -> str:

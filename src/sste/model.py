@@ -10,6 +10,7 @@ tables moves both branches; updating a branch head moves only that branch.
 from __future__ import annotations
 
 import json
+import os
 from enum import Enum
 from pathlib import Path
 
@@ -200,7 +201,9 @@ def save_checkpoint(m: MfModel, path) -> None:
 
     Blocks in ``MfModel.parameters()`` order: the factor table (user rows,
     then item rows), then the tilde and the hat bias tables (user, item and
-    global biases); all little-endian float64, row-major.
+    global biases); all little-endian float64, row-major. Each table is
+    written from its own buffer: a contiguous little-endian table is not
+    copied.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,10 +214,13 @@ def save_checkpoint(m: MfModel, path) -> None:
         handle.write(_CHECKPOINT_MAGIC)
         handle.write(header.encode("utf-8") + b"\n")
         for block in m.parameters().values():
-            handle.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            handle.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_checkpoint(path) -> MfModel:
+    """The model of a ``save_checkpoint`` file. Its payload is read once,
+    straight into the one float64 array that the three tables view, after
+    its length is checked against the header's dims."""
     with open(path, "rb") as handle:
         magic = handle.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
@@ -228,13 +234,14 @@ def load_checkpoint(path) -> MfModel:
         # bool is an int subclass, so a JSON true would pass isinstance.
         if not all(type(n) is int and n > 0 for n in (n_users, n_items, k)):
             raise ParseError(f"checkpoint dims must be positive ints: {dims}")
-        payload = handle.read()
-    n_rows = n_users + n_items
-    size = n_rows * k + 2 * (n_rows + 1)
-    if len(payload) != 8 * size:
-        raise ParseError(
-            f"checkpoint payload has {len(payload)} bytes, expected {8 * size}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        n_rows = n_users + n_items
+        size = n_rows * k + 2 * (n_rows + 1)
+        payload = os.fstat(handle.fileno()).st_size - handle.tell()
+        if payload != 8 * size:
+            raise ParseError(f"checkpoint payload has {payload} bytes, expected {8 * size}")
+        flat = np.empty(size, dtype="<f8")
+        read = handle.readinto(flat)
+    if read != 8 * size:  # the file shrank while it was read
+        raise ParseError(f"checkpoint payload has {read} bytes, expected {8 * size}")
     factors, tilde_bias, hat_bias = np.split(flat, [n_rows * k, n_rows * k + n_rows + 1])
     return MfModel(n_users, factors.reshape(n_rows, k), tilde_bias, hat_bias)

@@ -7,6 +7,7 @@ when they are absent that check is skipped and the synthetic study is the
 binding one.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -47,14 +48,36 @@ from reference import (
     lazy_l2_batch_objective,
     make_dataset,
 )
-from compare_runs import differing_files
+from compare_runs import _content, _files, differing_files
 from run_synthetic_study import selected_test_auc, study_config
+from test_experiment import yahoo_gen
 
 YAHOO_DIR = Path(os.environ.get("SSTE_YAHOO_R3_DIR", "data/yahoo-r3"))
 YAHOO_BIASED = "ydata-ymusic-rating-study-v1_0-train.txt"
 YAHOO_UNIFORM = "ydata-ymusic-rating-study-v1_0-test.txt"
 
 STUDY_SEEDS = (1, 2, 3, 4, 5)
+
+# The digests of the run trees below and the study's margins as float.hex,
+# with the numpy version that made them: the bytes depend on einsum's loops.
+GOLDEN = Path(__file__).parent / "golden" / "artifact_digests.json"
+
+
+def tree_digest(root: Path) -> dict:
+    """The file count of a run tree and the sha256 of its manifest, one
+    ``<sha256>  <relative path>`` line per file in path order. Files and
+    lines are left out as ``compare_runs`` leaves them out."""
+    files = _files(root)
+    manifest = "".join(f"{hashlib.sha256(_content(files[rel])).hexdigest()}  {rel}\n"
+                       for rel in sorted(files))
+    return {"files": len(files), "sha256": hashlib.sha256(manifest.encode()).hexdigest()}
+
+
+def assert_golden(key: str, value) -> None:
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert value == golden[key], (
+        f"{key} is not the {GOLDEN.name} value, which numpy {golden['numpy']} made; "
+        f"this is numpy {np.__version__}")
 
 
 class RecordingOptimizer:
@@ -111,6 +134,9 @@ class TestDebiasingStudy:
             wins = sum(s > n for s, n in zip(sste, naive))
             assert sum(sste) / len(sste) > sum(naive) / len(naive)
             assert wins >= 4
+            # Byte for byte the tree and margins of the committed study.
+            assert_golden("study_margins", [(s - n).hex() for s, n in zip(sste, naive)])
+            assert_golden("study_tree", tree_digest(tmp_path))
 
 
 class TestMetricOracles:
@@ -357,3 +383,21 @@ class TestRepeatRuns:
             assert first.status == "ok" and second.status == "ok"
             assert (Path(first.run_dir) / "model.ckpt.vocab.json").exists()
             assert differing_files(tmp_path / "first-files", tmp_path / "second-files") == []
+
+
+class TestGoldenFileRun:
+    def test_a_file_mode_run_keeps_its_bytes(self, tmp_path, monkeypatch):
+        # A Yahoo!-shaped world with more users than one vocab sidecar chunk
+        # holds, through the TSV load, the per-user split and the redraws.
+        gen = yahoo_gen()
+        gen.build(tmp_path / "data", 3, gen.Shape(n_users=4500, n_items=200, train_rows=50_000,
+                                                  test_users=500, test_items_per_user=5))
+        monkeypatch.chdir(tmp_path / "data")  # relative paths keep tmp_path out of the files
+        result = run_one(RunConfig(
+            synthetic=False, schema="rating", train_path="train.tsv", test_path="test.tsv",
+            objective="sste", epsilon_train=(0.5,), epsilon_val=(0.3,),
+            resample_each_epoch=True, max_epochs=2, patience=2, data_seed=3, seed=3,
+            out_dir=str(tmp_path / "runs"),
+        ))
+        assert result.status == "ok"
+        assert_golden("file_run_tree", tree_digest(tmp_path / "runs"))

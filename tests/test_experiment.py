@@ -3,9 +3,11 @@
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import os
 import re
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from sste import experiment
 from sste.cli import build_parser, main as cli_main
-from sste.data import Schema, generate_synthetic, load_tsv, save_tsv
+from sste.data import Dataset, Provenance, Schema, generate_synthetic, load_tsv, save_tsv
 from sste.errors import ParseError, SsteError, ValidationError
 from sste.experiment import (
     GridSpec,
@@ -530,6 +532,24 @@ class TestRunOne:
             assert (Path(ra.run_dir) / name).read_bytes() == (
                 Path(rb.run_dir) / name
             ).read_bytes(), name
+
+    def test_two_runs_of_one_config_differ_only_in_their_status(self, tmp_path):
+        runs = [run_one(quick_cfg(tmp_path, out_dir=str(tmp_path / side))) for side in "ab"]
+        assert differing_files(tmp_path / "a", tmp_path / "b") == []
+        statuses = [read_status(r.run_dir) for r in runs]
+        for status in statuses:
+            # Wall seconds of every stage the run entered, which add up to
+            # its elapsed seconds.
+            assert sorted(status["stage_seconds"]) == sorted([
+                "config", "data", "propensity", "selfsample", "train", "evaluate", "persist"])
+            assert all(s >= 0 for s in status["stage_seconds"].values())
+            assert sum(status["stage_seconds"].values()) == pytest.approx(
+                status["elapsed_seconds"], rel=1e-9, abs=1e-9)
+        assert statuses[0].keys() == statuses[1].keys()
+
+    def test_a_failed_run_times_the_stages_up_to_the_failing_one(self, tmp_path):
+        result = run_one(quick_cfg(tmp_path, exposure_bias_strength=1000.0))
+        assert sorted(read_status(result.run_dir)["stage_seconds"]) == ["config", "data"]
 
     def test_resampled_joint_run_files_are_unchanged(self, tmp_path):
         # Digests of the files this config has always produced: two train
@@ -1065,6 +1085,45 @@ class TestFaultContainment:
             [result.best_run_id, "ok"], [blocked, "failed"],
         ]
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched fit reaches the workers by fork")
+    def test_a_dead_worker_fails_only_the_cells_in_flight(self, tmp_path, monkeypatch):
+        # Cell 0 kills its worker; cell 1 is still in flight then, so the
+        # broken pool takes it down too; cell 2 runs in a fresh pool.
+        calls = tmp_path / "calls.txt"
+
+        def dying_fit(train, val, aux, cfg, *args, **kwargs):
+            with open(calls, "a") as out:
+                out.write(f"{cfg.learning_rate}\n")
+            if cfg.learning_rate == 0.01:
+                deadline = time.monotonic() + 10
+                while "0.02" not in calls.read_text() and time.monotonic() < deadline:
+                    time.sleep(0.01)  # until cell 1 is surely running
+                os._exit(3)
+            if cfg.learning_rate == 0.02:
+                time.sleep(30)  # the pool kills it long before this ends
+            return fit(train, val, aux, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit", dying_fit)
+        base = quick_cfg(tmp_path, max_epochs=1)
+        result = run_grid(GridSpec(values={"learning_rate": (0.01, 0.02, 0.03)}), base,
+                          workers=2)
+        assert sorted(calls.read_text().split()) == ["0.01", "0.02", "0.03"]  # each once
+        assert [(row["status"], row["overrides"]["learning_rate"]) for row in result.rows] == [
+            ("ok", 0.03), ("failed", 0.01), ("failed", 0.02),
+        ]
+        for row in result.rows[1:]:
+            assert row["error"] == (
+                "BrokenProcessPool: A process in the process pool was terminated abruptly "
+                "while the future was running or pending. (worker exit code 3)")
+            status = read_status(tmp_path / "runs" / f"run-{row['run_id']}")
+            assert (status["status"], status["stage"], status["error"]) == (
+                "failed", "worker", row["error"])
+        lines = Path(result.leaderboard_path).read_text().splitlines()
+        assert [line.split("\t")[1:3] for line in lines[1:]] == [
+            [row["run_id"], row["status"]] for row in result.rows
+        ]
+
     def test_an_unwritable_run_directory_fails_at_the_config_stage(self, tmp_path):
         cfg = quick_cfg(tmp_path)
         run_dir = Path(cfg.out_dir) / f"run-{cfg.run_id}"
@@ -1364,6 +1423,25 @@ class TestFileWorldCache:
         assert len(calls) == 3
 
 
+CHUNK = experiment._SIDECAR_CHUNK
+
+
+def spread_ids(n: int, seed: int) -> np.ndarray:
+    """``n`` strictly increasing int64 ids: both ends of int64, -1, 0 and 1,
+    and the rest beyond int32."""
+    fixed = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+    rng = np.random.default_rng(seed)
+    rest = rng.integers(2**31, 2**62, n - len(fixed)) * rng.choice([-1, 1], n - len(fixed))
+    ids = np.sort(np.concatenate([np.array(fixed, dtype=np.int64), rest]))
+    assert np.all(ids[1:] > ids[:-1])
+    return ids
+
+
+def id_mapped(users: np.ndarray, items: np.ndarray) -> Dataset:
+    """A dataset with no rows whose id maps are ``users`` and ``items``."""
+    return Dataset([], [], [], len(users), len(items), Provenance.BIASED_TRAIN, users, items)
+
+
 class TestModelFiles:
     @pytest.fixture()
     def saved(self, tmp_path):
@@ -1395,6 +1473,31 @@ class TestModelFiles:
         _, user_ids, item_ids = load_model(ckpt)
         assert np.array_equal(user_ids, train.user_id_map)
         assert np.array_equal(item_ids, train.item_id_map)
+
+    @pytest.mark.parametrize("n_users, n_items", [
+        (CHUNK - 1, CHUNK + 1), (CHUNK, 2 * CHUNK + 1), (CHUNK + 1, CHUNK), (2 * CHUNK + 1, 8),
+    ])
+    def test_the_streamed_sidecar_is_the_json_of_both_maps(self, tmp_path, n_users, n_items):
+        users, items = spread_ids(n_users, seed=1), spread_ids(n_items, seed=2)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(init(n_users, n_items, k=1, scale=0.1, seed=1),
+                   id_mapped(users, items), ckpt)
+        expected = json.dumps({"items": items.tolist(), "users": users.tolist()}, sort_keys=True)
+        assert Path(str(ckpt) + ".vocab.json").read_bytes() == expected.encode()
+        _, user_ids, item_ids = load_model(ckpt)
+        assert np.array_equal(user_ids, users) and np.array_equal(item_ids, items)
+
+    def test_saving_200k_ids_takes_a_few_bytes_per_id(self, tmp_path, traced_peak):
+        # The sidecar holds the ints and strings of one chunk of ids at a
+        # time, and the checkpoint writes each table from its own buffer:
+        # 2.5 bytes per id measured, against 83 when the whole id map and
+        # document were built, with each table copied by tobytes.
+        n = 200_000
+        users = np.cumsum(np.random.default_rng(0).integers(1, 2**44, n))  # up to 19 digits
+        model = init(n, 1000, k=2, scale=0.1, seed=1)
+        _, peak = traced_peak(save_model, model, id_mapped(users, 7 * np.arange(1000)),
+                              tmp_path / "model.ckpt")
+        assert peak < 4 * n
 
     def test_without_a_sidecar_the_ids_are_the_rows(self, saved):
         Path(str(saved) + ".vocab.json").unlink()

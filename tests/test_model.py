@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,8 +403,17 @@ class TestCheckpoint:
     def test_garbage_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=f"^not a model checkpoint: {re.escape(str(path))}$"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("header", [b"{not json", b'{"n_users": 3}', b"\xff"])
+    def test_a_malformed_header_is_rejected(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), path)
+        magic = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(magic + b"\n" + header + b"\n" + bytes(8 * 28))
+        with pytest.raises(ParseError, match="^malformed checkpoint header$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("dims", [
         {"n_users": -1, "n_items": 4, "k": 2},
@@ -421,7 +431,9 @@ class TestCheckpoint:
         # only the dims check can reject them.
         header = json.dumps(dims).encode()
         path.write_bytes(magic + b"\n" + header + b"\n" + bytes(8 * 14))
-        with pytest.raises(ParseError):
+        message = (f"checkpoint dims must be positive ints: {dims}" if isinstance(dims, dict)
+                   else "malformed checkpoint header")  # a list has no "n_users"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_checkpoint(str(path))
 
     def test_truncated_payload_is_rejected(self, tmp_path):
@@ -430,5 +442,31 @@ class TestCheckpoint:
         save_checkpoint(m, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^checkpoint payload has 224 bytes, expected 240$"):
             load_checkpoint(str(path))
+
+    def test_a_payload_with_trailing_bytes_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), path)
+        with open(path, "ab") as out:
+            out.write(bytes(3))
+        with pytest.raises(ParseError, match="^checkpoint payload has 243 bytes, expected 240$"):
+            load_checkpoint(path)
+
+    def test_the_payload_is_read_once_into_the_tables(self, tmp_path, traced_peak):
+        m = tiny_model(n_users=20_000, n_items=1_000, k=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(m, path)
+        back, peak = traced_peak(load_checkpoint, path)
+        payload = 8 * sum(table.size for table in m.parameters().values())
+        # One float64 array that the three tables view: no bytes object
+        # beside it, and no second copy.
+        assert payload <= peak < payload + 64 * 1024
+        assert all(table.base is back.factors.base for table in back.parameters().values())
+        for name, table in m.parameters().items():
+            assert np.array_equal(back.parameters()[name], table), name
+
+    def test_tables_are_written_from_their_own_buffers(self, tmp_path, traced_peak):
+        m = tiny_model(n_users=20_000, n_items=1_000, k=8)
+        _, peak = traced_peak(save_checkpoint, m, tmp_path / "model.ckpt")
+        assert peak < 64 * 1024  # the factor table alone is 1.3 MB
