@@ -529,8 +529,9 @@ def run_one(cfg: RunConfig) -> RunResult:
     """Execute one config end to end, persisting artifacts in its run dir.
 
     Writes config.txt/config.json, epochs.jsonl, model.ckpt (with its vocab
-    sidecar in file mode), report.json, and status.json. A status.json left
-    by an earlier run in the same directory is removed first. Any Exception
+    sidecar in file mode), report.json, and status.json. A status.json or
+    report.json left by an earlier run in the same directory is removed
+    first, so a failed rerun leaves no report of the old one. Any Exception
     is recorded in status.json with the stage that failed and its traceback,
     and reported in the returned RunResult, alone (with the write's OSError)
     if no status can be written. KeyboardInterrupt and SystemExit propagate.
@@ -551,7 +552,7 @@ def run_one(cfg: RunConfig) -> RunResult:
         stage_seconds[stage] = stage_seconds.get(stage, 0.0) + (now - entered)
         stage, entered = name, now
 
-    def finish(error: str | None, report: dict | None = None) -> RunResult:
+    def finish(error: str | None) -> None:
         """Write status.json: ok if ``error`` is None, else failed at ``stage``
         with the traceback of the exception being handled."""
         status, at = ("ok", "done") if error is None else ("failed", stage)
@@ -559,11 +560,11 @@ def run_one(cfg: RunConfig) -> RunResult:
         _write_status(run_dir, status, at, error,
                       None if error is None else traceback.format_exc(),
                       entered - started, stage_seconds)
-        return RunResult(run_id, str(run_dir), status, at, error, report)
 
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "status.json").unlink(missing_ok=True)
+        for name in ("status.json", "report.json"):
+            (run_dir / name).unlink(missing_ok=True)
         save_config(cfg, run_dir / "config.txt")
         _write_json(run_dir / "config.json", identity)
         enter("data")
@@ -593,14 +594,23 @@ def run_one(cfg: RunConfig) -> RunResult:
             "test_metrics": {name: float(value) for name, value in metrics.items()},
         }
         _write_json(run_dir / "report.json", report)
-        return finish(None, report)
+        finish(None)
+        return RunResult(run_id, str(run_dir), "ok", "done", None, report)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-        try:
-            return finish(error)
-        except OSError as lost:  # no status.json, and so no ok, is left
-            error += f"; status.json not written: {type(lost).__name__}: {lost}"
-            return RunResult(run_id, str(run_dir), "failed", stage, error, None)
+        return _failed(run_id, run_dir, stage, error, lambda: finish(error))
+
+
+def _failed(run_id: str, run_dir: Path, stage: str, error: str, write_status) -> RunResult:
+    """The result of a run that failed at ``stage`` with ``error``, once
+    ``write_status()`` has recorded that in its status.json. If the write
+    raises OSError, the run is left with no status.json, and so no ok, and
+    the error says why."""
+    try:
+        write_status()
+    except OSError as lost:
+        error += f"; status.json not written: {type(lost).__name__}: {lost}"
+    return RunResult(run_id, str(run_dir), "failed", stage, error, None)
 
 
 @dataclass(frozen=True)
@@ -646,25 +656,23 @@ def run_grid(grid: GridSpec, base: RunConfig, workers: int = 1) -> GridResult:
             row.update({name: result.report[f"best_{name}"] for name in _SCORE_COLUMNS})
         rows.append(row)
 
-    completed = [r for r in rows if r["status"] == "ok"]
-    completed.sort(key=lambda r: (-r["modified_score"], r["order"]))
-    failed = [r for r in rows if r["status"] != "ok"]
-    ordered = completed + failed
+    # ok rows by modified score, ties in grid order; failed rows after, in order
+    rows.sort(key=lambda r: (r["status"] != "ok", -r.get("modified_score", 0), r["order"]))
 
     out_dir = Path(base.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     leaderboard = out_dir / "leaderboard.tsv"
     lines = ["\t".join(["rank", "run_id", "status", *_SCORE_COLUMNS, "overrides"])]
-    for rank, row in enumerate(ordered, start=1):
+    for rank, row in enumerate(rows, start=1):
         scores = [_fmt(row.get(name)) for name in _SCORE_COLUMNS]
         overrides = ";".join(f"{k}={v}" for k, v in sorted(row["overrides"].items()))
         lines.append("\t".join([str(rank), row["run_id"], row["status"], *scores, overrides]))
     _write_whole(leaderboard, "\n".join(lines) + "\n")
-    if not completed:
+    if rows[0]["status"] != "ok":
         raise SsteError(f"every grid cell failed; see {leaderboard}")
     return GridResult(
-        rows=tuple(ordered),
-        best_run_id=completed[0]["run_id"],
+        rows=tuple(rows),
+        best_run_id=rows[0]["run_id"],
         leaderboard_path=str(leaderboard),
     )
 
@@ -674,8 +682,9 @@ def _run_in_pools(configs: list[RunConfig], workers: int) -> list[RunResult]:
     holds at most ``workers`` cells at a time, so that the cells in flight
     are the ones the pool is running. If a worker process dies, the pool
     breaks: each cell in flight fails at stage ``worker`` (its status.json
-    written here), and the cells not yet started run in a fresh pool. No
-    cell runs twice."""
+    written here), and the cells not yet started, the one whose submit
+    found the pool broken included, run in a fresh pool. No cell runs
+    twice."""
     # Imported here: the process-pool modules cost every other command
     # about 20 ms at start-up.
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -684,50 +693,37 @@ def _run_in_pools(configs: list[RunConfig], workers: int) -> list[RunResult]:
     results: list[RunResult | None] = [None] * len(configs)
     waiting = list(range(len(configs)))[::-1]  # popped from the end, in order
     while waiting:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            in_flight: dict = {}  # future -> (config index, submit time)
-            broken = None
-            while (waiting or in_flight) and broken is None:
-                try:
+        in_flight: dict = {}  # future -> (config index, submit time)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                # The pool's own dict: shutdown drops the pool's reference to
+                # it, and the exit codes are read once shutdown has joined them.
+                processes = pool._processes
+                while waiting or in_flight:
                     while waiting and len(in_flight) < workers:
                         future = pool.submit(run_one, configs[waiting[-1]])
                         in_flight[future] = (waiting.pop(), time.monotonic())
-                except BrokenProcessPool as exc:  # a worker died since the last wait
-                    broken = exc
-                    continue
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                broken = next((f.exception() for f in done
-                               if isinstance(f.exception(), BrokenProcessPool)), None)
-                if broken is None:
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                     for future in done:
-                        results[in_flight.pop(future)[0]] = future.result()
-            # Kept before shutdown drops them; their exit codes are read once joined.
-            processes = list((getattr(pool, "_processes", None) or {}).values())
-        if broken is None:
-            continue
-        codes = sorted({p.exitcode for p in processes} - {None, 0, -signal.SIGTERM})
-        error = f"BrokenProcessPool: {broken}" + (
-            f" (worker exit code {', '.join(map(str, codes))})" if codes else "")
-        for future, (i, submitted) in in_flight.items():
-            if isinstance(future.exception(), BrokenProcessPool):
-                results[i] = _worker_failure(configs[i], error, submitted)
-            else:  # finished before the pool broke
-                results[i] = future.result()
+                        results[in_flight[future][0]] = future.result()
+                        del in_flight[future]
+        except BrokenProcessPool as exc:
+            codes = sorted({p.exitcode for p in processes.values()} - {None, 0, -signal.SIGTERM})
+            error = f"BrokenProcessPool: {exc}" + (
+                f" (worker exit code {', '.join(map(str, codes))})" if codes else "")
+            for future, (i, submitted) in in_flight.items():
+                if not isinstance(future.exception(), BrokenProcessPool):
+                    results[i] = future.result()  # finished before the pool broke
+                    continue
+                run_dir = Path(configs[i].out_dir) / f"run-{configs[i].run_id}"
+
+                def write_status():
+                    run_dir.mkdir(parents=True, exist_ok=True)
+                    _write_status(run_dir, "failed", "worker", error, None,
+                                  time.monotonic() - submitted, {})
+
+                results[i] = _failed(configs[i].run_id, run_dir, "worker", error, write_status)
     return results
-
-
-def _worker_failure(cfg: RunConfig, error: str, submitted: float) -> RunResult:
-    """The result of a cell whose worker process died, its status.json
-    written by the parent: failed at stage ``worker``."""
-    run_id = cfg.run_id
-    run_dir = Path(cfg.out_dir) / f"run-{run_id}"
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_status(run_dir, "failed", "worker", error, None,
-                      time.monotonic() - submitted, {})
-    except OSError as lost:
-        error += f"; status.json not written: {type(lost).__name__}: {lost}"
-    return RunResult(run_id, str(run_dir), "failed", "worker", error, None)
 
 
 def _fmt(value) -> str:

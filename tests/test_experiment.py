@@ -970,6 +970,21 @@ def fit_raising(monkeypatch, exc, in_cell=lambda cfg: True):
     monkeypatch.setattr(experiment, "fit", fit_or_raise)
 
 
+def tear_checkpoints(monkeypatch, in_run=lambda run_dir: True):
+    """Make the checkpoint writes in the run directories ``in_run`` picks
+    stop halfway through the file with an OSError."""
+    save = experiment.save_checkpoint
+
+    def tearing_save(model, path):
+        save(model, path)
+        if in_run(Path(path).parent):
+            data = Path(path).read_bytes()
+            Path(path).write_bytes(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "save_checkpoint", tearing_save)
+
+
 def read_status(run_dir) -> dict:
     return json.loads((Path(run_dir) / "status.json").read_text())
 
@@ -1015,6 +1030,41 @@ class TestFaultContainment:
         result = run_one(cfg)
         assert (result.status, result.stage) == ("failed", "train")
         assert read_status(result.run_dir)["status"] == "failed"
+
+    def test_a_failed_rerun_leaves_no_old_report(self, tmp_path, monkeypatch):
+        cfg = quick_cfg(tmp_path, max_epochs=2, patience=2)
+        run_dir = Path(run_one(cfg).run_dir)
+        assert (run_dir / "report.json").exists()
+        tear_checkpoints(monkeypatch)
+        result = run_one(cfg)
+        assert (result.status, result.stage, result.error) == (
+            "failed", "persist", "OSError: disk full")
+        assert read_status(run_dir)["status"] == "failed"
+        assert not (run_dir / "report.json").exists()
+        with pytest.raises(ValidationError, match="unreadable report.json"):
+            make_table([run_dir])
+
+    def test_a_torn_checkpoint_leaves_no_ok(self, tmp_path, monkeypatch):
+        base = quick_cfg(tmp_path, max_epochs=1)
+        doomed = replace(base, embedding_dim=4, seed=derive_seed(base.seed, "grid", 0))
+        run_dir = tmp_path / "runs" / f"run-{doomed.run_id}"
+        tear_checkpoints(monkeypatch, lambda path: path == run_dir)
+        result = run_grid(GridSpec(values={"embedding_dim": (4, 8)}), base)
+        assert [(row["status"], row["overrides"]) for row in result.rows] == [
+            ("ok", {"embedding_dim": 8}), ("failed", {"embedding_dim": 4}),
+        ]
+        status = read_status(run_dir)
+        assert (status["status"], status["stage"], status["error"]) == (
+            "failed", "persist", "OSError: disk full")
+        assert not (run_dir / "report.json").exists()
+        lines = Path(result.leaderboard_path).read_text().splitlines()
+        assert [line.split("\t")[1:3] for line in lines[1:]] == [
+            [result.best_run_id, "ok"], [doomed.run_id, "failed"],
+        ]
+        monkeypatch.undo()
+        assert run_one(doomed).status == "ok"
+        clean = run_one(replace(doomed, out_dir=str(tmp_path / "clean")))
+        assert differing_files(run_dir, clean.run_dir) == []
 
     @pytest.mark.parametrize("failures", [0, 1, 2], ids=["none", "the-ok", "both"])
     def test_a_failed_status_write_leaves_no_ok(self, tmp_path, monkeypatch, failures):
@@ -1123,6 +1173,28 @@ class TestFaultContainment:
         assert [line.split("\t")[1:3] for line in lines[1:]] == [
             [row["run_id"], row["status"]] for row in result.rows
         ]
+
+    def test_a_submit_that_finds_the_pool_broken_waits_for_a_fresh_pool(
+            self, tmp_path, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submit, calls = ProcessPoolExecutor.submit, []
+
+        def refusing_submit(pool, fn, cfg):
+            calls.append(cfg.learning_rate)
+            if len(calls) == 2:
+                raise BrokenProcessPool("refused")
+            return submit(pool, fn, cfg)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", refusing_submit)
+        base = quick_cfg(tmp_path, max_epochs=1)
+        result = run_grid(GridSpec(values={"learning_rate": (0.01, 0.02, 0.03)}), base,
+                          workers=2)
+        assert calls == [0.01, 0.02, 0.02, 0.03]  # the refused cell, once more
+        assert [row["status"] for row in result.rows] == ["ok"] * 3
+        for row in result.rows:
+            assert read_status(tmp_path / "runs" / f"run-{row['run_id']}")["status"] == "ok"
 
     def test_an_unwritable_run_directory_fails_at_the_config_stage(self, tmp_path):
         cfg = quick_cfg(tmp_path)
