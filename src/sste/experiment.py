@@ -182,8 +182,8 @@ def parse_value(text: str, hint):
     return hint(text)
 
 
-# RunConfig's text fields that name an enum value, typed by that enum where
-# a file is read, so that a bad name is refused on its line.
+# RunConfig's field types; a text field that names an enum value is typed by
+# that enum where a file is read, so that a bad name is refused on its line.
 _FIELD_TYPES = {
     **typing.get_type_hints(RunConfig),
     "objective": Objective, "schema": Schema, "split_mode": SplitMode,
@@ -260,11 +260,10 @@ class GridSpec:
         if not self.values:
             raise ValidationError("grid needs at least one field")
         clean = {}
-        hints = typing.get_type_hints(RunConfig)
         for name, options in self.values.items():
-            if name not in hints:
+            if name not in _FIELD_TYPES:
                 raise ValidationError(f"unknown grid field {name!r}")
-            if typing.get_origin(hints[name]) is tuple:
+            if typing.get_origin(_FIELD_TYPES[name]) is tuple:
                 raise ValidationError(f"cannot sweep list-valued field {name!r}")
             options = tuple(options)
             if not options:
@@ -334,15 +333,6 @@ class RunResult:
 _WORLD: dict = {}
 
 
-def _shared_world(key, build):
-    """``build()``, the (train, val, test) of a world, or the one already built
-    under ``key``. The world held before is dropped before a new one is built."""
-    if key not in _WORLD:
-        _WORLD.clear()
-        _WORLD[key] = build()
-    return _WORLD[key]
-
-
 def _file_world(cfg: RunConfig,
                 data: dict[str, bytes]) -> tuple[Dataset, Dataset, Dataset | None]:
     """(train, val, test) of a file-mode config, parsed from ``data``, the
@@ -377,8 +367,7 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
     self-evaluation's AUC need; else a ValidationError names the setting or
     file that made the split."""
     if cfg.synthetic:
-        spec = cfg.synthetic_spec()
-        train, val, test = _shared_world(spec, lambda: generate_synthetic(spec)[:3])
+        key = cfg.synthetic_spec()
         cause, source = f"train_impressions = {cfg.train_impressions}", "the synthetic world"
     else:
         paths = {"train": cfg.train_path, "val": cfg.val_path, "test": cfg.test_path}
@@ -386,11 +375,14 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, Dataset | None]:
         split = () if cfg.val_path else (cfg.split_ratio, cfg.split_mode, cfg.data_seed)
         key = (*paths.values(), cfg.schema, *split,
                *(hashlib.sha256(b).hexdigest() for b in data.values()))
-        train, val, test = _shared_world(key, lambda: _file_world(cfg, data))
         if cfg.val_path:
             cause, source = "val_path", cfg.val_path
         else:
             cause, source = f"split_ratio = {cfg.split_ratio} ({cfg.split_mode})", cfg.train_path
+    if key not in _WORLD:
+        _WORLD.clear()
+        _WORLD[key] = generate_synthetic(key)[:3] if cfg.synthetic else _file_world(cfg, data)
+    train, val, test = _WORLD[key]
     for side, part in (("train", train), ("validation", val)):
         if not len(part):
             raise ValidationError(f"{cause} leaves the {side} split of {source} empty")
@@ -529,10 +521,11 @@ def run_one(cfg: RunConfig) -> RunResult:
     """Execute one config end to end, persisting artifacts in its run dir.
 
     Writes config.txt/config.json, epochs.jsonl, model.ckpt (with its vocab
-    sidecar in file mode), report.json, and status.json. A status.json or
-    report.json left by an earlier run in the same directory is removed
-    first, so a failed rerun leaves no report of the old one. Any Exception
-    is recorded in status.json with the stage that failed and its traceback,
+    sidecar in file mode), report.json, and status.json. The run first
+    empties its directory, status.json first and subdirectories last, so a
+    failed rerun leaves nothing of the old run; a subdirectory there fails
+    the run at stage config, once every file is gone. Any Exception is
+    recorded in status.json with the stage that failed and its traceback,
     and reported in the returned RunResult, alone (with the write's OSError)
     if no status can be written. KeyboardInterrupt and SystemExit propagate.
     status.json's ``stage_seconds`` gives the wall seconds of each stage the
@@ -563,8 +556,9 @@ def run_one(cfg: RunConfig) -> RunResult:
 
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("status.json", "report.json"):
-            (run_dir / name).unlink(missing_ok=True)
+        (run_dir / "status.json").unlink(missing_ok=True)  # first: no ok outlives its files
+        for old in sorted(run_dir.iterdir(), key=Path.is_dir):  # a directory fails it, last
+            old.unlink()
         save_config(cfg, run_dir / "config.txt")
         _write_json(run_dir / "config.json", identity)
         enter("data")

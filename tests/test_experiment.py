@@ -1031,18 +1031,75 @@ class TestFaultContainment:
         assert (result.status, result.stage) == ("failed", "train")
         assert read_status(result.run_dir)["status"] == "failed"
 
-    def test_a_failed_rerun_leaves_no_old_report(self, tmp_path, monkeypatch):
-        cfg = quick_cfg(tmp_path, max_epochs=2, patience=2)
+    @pytest.mark.parametrize("mode, stage, left", [
+        ("synthetic", "persist", {"epochs.jsonl", "model.ckpt"}),  # the new run's, torn
+        ("file", "data", set()),
+        ("file", "train", {"epochs.jsonl"}),  # the new run's, empty
+    ], ids=["synthetic-persist", "file-data", "file-train"])
+    def test_a_failed_rerun_leaves_no_old_report(
+            self, tmp_path, monkeypatch, capsys, yahoo_dir, mode, stage, left):
+        if mode == "file":
+            cfg = TestFileWorldCache.config(yahoo_dir, tmp_path / "runs")
+            test_path, schema = yahoo_dir / "test.tsv", "rating"
+        else:
+            cfg = quick_cfg(tmp_path, max_epochs=2, patience=2)
+            test_path, schema = tmp_path / "test.tsv", "label"
+            save_tsv(build_datasets(cfg)[2], test_path)
         run_dir = Path(run_one(cfg).run_dir)
+        evaluate = ["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+                    "--test", str(test_path), "--schema", schema]
         assert (run_dir / "report.json").exists()
-        tear_checkpoints(monkeypatch)
+        assert cli_main(evaluate) == 0  # the old run's model scores the test file
+        capsys.readouterr()
+
+        def no_data(cfg):
+            raise ValueError("unreadable input")
+
+        error = {"persist": "OSError: disk full", "data": "ValueError: unreadable input",
+                 "train": "MemoryError: no room"}[stage]
+        if stage == "persist":
+            tear_checkpoints(monkeypatch)
+        elif stage == "data":
+            monkeypatch.setattr(experiment, "build_datasets", no_data)
+        else:
+            fit_raising(monkeypatch, MemoryError("no room"))
         result = run_one(cfg)
-        assert (result.status, result.stage, result.error) == (
-            "failed", "persist", "OSError: disk full")
+        assert (result.status, result.stage, result.error) == ("failed", stage, error)
         assert read_status(run_dir)["status"] == "failed"
-        assert not (run_dir / "report.json").exists()
+        assert {p.name for p in run_dir.iterdir()} == {
+            "config.json", "config.txt", "status.json", *left}
+        if stage == "train":
+            assert (run_dir / "epochs.jsonl").read_text() == ""
         with pytest.raises(ValidationError, match="unreadable report.json"):
             make_table([run_dir])
+        assert cli_main(evaluate) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_rerun_leaves_no_leftover(self, tmp_path):
+        base = quick_cfg(tmp_path, max_epochs=1)
+        grid = GridSpec(values={"embedding_dim": (4, 8)})
+        blocked, kept = (replace(base, embedding_dim=dim, seed=derive_seed(base.seed, "grid", i))
+                         for i, dim in enumerate((4, 8)))
+        blocked_dir, kept_dir = (tmp_path / "runs" / f"run-{c.run_id}" for c in (blocked, kept))
+        assert [row["status"] for row in run_grid(grid, base).rows] == ["ok", "ok"]
+        (kept_dir / "status.json.tmp").write_text("{")  # a status write killed halfway
+        (kept_dir / "notes.txt").write_text("not the harness's")
+        (blocked_dir / "plots").mkdir()
+        result = run_grid(grid, base)
+        assert [(row["status"], row["overrides"]) for row in result.rows] == [
+            ("ok", {"embedding_dim": 8}), ("failed", {"embedding_dim": 4}),
+        ]
+        clean = run_one(replace(kept, out_dir=str(tmp_path / "clean")))
+        assert differing_files(kept_dir, clean.run_dir) == []
+        assert result.rows[1]["error"].startswith("IsADirectoryError: ")
+        status = read_status(blocked_dir)
+        assert (status["status"], status["stage"]) == ("failed", "config")
+        # Every file of the old run went before the directory stopped the run.
+        assert sorted(p.name for p in blocked_dir.iterdir()) == ["plots", "status.json"]
+        lines = Path(result.leaderboard_path).read_text().splitlines()
+        assert [line.split("\t")[1:3] for line in lines[1:]] == [
+            [kept.run_id, "ok"], [blocked.run_id, "failed"],
+        ]
 
     def test_a_torn_checkpoint_leaves_no_ok(self, tmp_path, monkeypatch):
         base = quick_cfg(tmp_path, max_epochs=1)
