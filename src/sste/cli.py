@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -52,10 +51,15 @@ def _cmd_data_synth(args) -> int:
     return 0
 
 
-def _cmd_propensity(args) -> int:
+def _input_and_table(args):
+    """The --input dataset and its propensity table, --gamma and --floor checked first."""
     prop.check_settings(args.gamma, args.floor)
     d = datamod.load_tsv(args.input, args.schema)
-    table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
+    return d, prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
+
+
+def _cmd_propensity(args) -> int:
+    d, table = _input_and_table(args)
     prop.save_table(table, args.out, d.item_id_map)
     _print_json({"out": args.out, "n_items": d.n_items})
     return 0
@@ -65,9 +69,7 @@ def _cmd_selfsample(args) -> int:
     prop.check_epsilon(args.epsilon)
     if args.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {args.seed}")
-    prop.check_settings(args.gamma, args.floor)
-    d = datamod.load_tsv(args.input, args.schema)
-    table = prop.estimate_popularity_propensity(d, gamma=args.gamma, floor=args.floor)
+    d, table = _input_and_table(args)
     probs = prop.sampling_probabilities(d, table)
     subset = prop.draw_auxiliary(d, probs, args.epsilon, args.seed)
     datamod.save_tsv(subset, args.out)
@@ -83,7 +85,7 @@ def _cmd_selfsample(args) -> int:
 
 
 def _epsilons(text: str) -> tuple[float, ...]:
-    return exp.parse_value(text, typing.get_type_hints(exp.RunConfig)["epsilon_train"])
+    return exp.parse_value(text, exp._FIELD_TYPES["epsilon_train"])
 
 
 def _cmd_train(args) -> int:
@@ -113,7 +115,7 @@ def _cmd_train(args) -> int:
 
 
 def _parse_metrics(text: str) -> tuple[list[str], tuple[int, ...], int]:
-    """Requested names, the P/R cutoffs and the nDCG cutoff (50 if none)."""
+    """Requested names, the P/R cutoffs and the nDCG cutoff (RunConfig's if none)."""
     names = [m.strip() for m in text.split(",") if m.strip()]
     ks, ndcg_ks = set(), set()
     for name in names:
@@ -128,7 +130,7 @@ def _parse_metrics(text: str) -> tuple[list[str], tuple[int, ...], int]:
         (ndcg_ks if kind == "ndcg" else ks).add(k)
     if len(ndcg_ks) > 1:
         raise ValidationError("ask for at most one ndcg@K")
-    return names, tuple(sorted(ks)), ndcg_ks.pop() if ndcg_ks else 50
+    return names, tuple(sorted(ks)), ndcg_ks.pop() if ndcg_ks else exp.RunConfig.ndcg_k
 
 
 def _cmd_evaluate(args) -> int:
@@ -188,8 +190,8 @@ def _cmd_exp_table(args) -> int:
     return 0
 
 
-def _add_schema(parser, default="rating") -> None:
-    parser.add_argument("--schema", choices=["rating", "label"], default=default)
+def _add_schema(parser, default=exp.RunConfig.schema) -> None:
+    parser.add_argument("--schema", choices=[s.value for s in datamod.Schema], default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,22 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out-dir", default=".")
     p_synth.set_defaults(func=_cmd_data_synth)
 
-    p_prop = sub.add_parser("propensity", help="estimate per-item propensities")
-    p_prop.add_argument("--input", required=True)
-    p_prop.add_argument("--gamma", type=float, default=prop.DEFAULT_GAMMA)
-    p_prop.add_argument("--floor", type=float, default=prop.DEFAULT_FLOOR)
-    p_prop.add_argument("--out", required=True)
-    _add_schema(p_prop)
+    # The input and propensity settings of propensity and selfsample.
+    p_input = argparse.ArgumentParser(add_help=False)
+    p_input.add_argument("--input", required=True)
+    p_input.add_argument("--gamma", type=float, default=prop.DEFAULT_GAMMA)
+    p_input.add_argument("--floor", type=float, default=prop.DEFAULT_FLOOR)
+    p_input.add_argument("--out", required=True)
+    _add_schema(p_input)
+    p_prop = sub.add_parser("propensity", parents=[p_input], help="estimate per-item propensities")
     p_prop.set_defaults(func=_cmd_propensity)
-
-    p_ss = sub.add_parser("selfsample", help="draw one auxiliary subset")
-    p_ss.add_argument("--input", required=True)
-    p_ss.add_argument("--gamma", type=float, default=prop.DEFAULT_GAMMA)
-    p_ss.add_argument("--floor", type=float, default=prop.DEFAULT_FLOOR)
+    p_ss = sub.add_parser("selfsample", parents=[p_input], help="draw one auxiliary subset")
     p_ss.add_argument("--epsilon", type=float, required=True)
     p_ss.add_argument("--seed", type=int, required=True)
-    p_ss.add_argument("--out", required=True)
-    _add_schema(p_ss)
     p_ss.set_defaults(func=_cmd_selfsample)
 
     # Flags left out take RunConfig's defaults.
@@ -254,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on a test TSV")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--test", required=True)
-    p_eval.add_argument("--metrics", default="auc,p@5,p@10,r@5,r@10,ndcg@50")
+    p_eval.add_argument("--metrics", default=",".join(
+        exp.metric_columns(exp.RunConfig.precision_ks, exp.RunConfig.ndcg_k)))
     p_eval.add_argument("--exclude-train", default="", help="TSV of training positives")
     p_eval.add_argument("--val", default="", help="validation TSV for alpha scoring")
     p_eval.add_argument("--aux-val", nargs="*", help="auxiliary validation TSVs")

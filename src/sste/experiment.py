@@ -46,6 +46,9 @@ from .train import Objective, TrainState, fit
 
 _RUN_ID_HEX_CHARS = 16
 
+# RunConfig's text fields that name an enum value, by that enum.
+_ENUM_FIELDS = {"objective": Objective, "schema": Schema, "split_mode": SplitMode}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -101,9 +104,8 @@ class RunConfig:
         object.__setattr__(self, "epsilon_train", tuple(self.epsilon_train))
         object.__setattr__(self, "epsilon_val", tuple(self.epsilon_val))
         object.__setattr__(self, "precision_ks", tuple(self.precision_ks))
-        Objective(self.objective)
-        Schema(self.schema)
-        SplitMode(self.split_mode)
+        for name, enum in _ENUM_FIELDS.items():
+            enum(getattr(self, name))
         if self.objective == "sste" and not self.epsilon_train:
             raise ValidationError("sste needs at least one epsilon_train value")
         if self.objective != "sste" and (self.epsilon_train or self.resample_each_epoch):
@@ -182,12 +184,9 @@ def parse_value(text: str, hint):
     return hint(text)
 
 
-# RunConfig's field types; a text field that names an enum value is typed by
-# that enum where a file is read, so that a bad name is refused on its line.
-_FIELD_TYPES = {
-    **typing.get_type_hints(RunConfig),
-    "objective": Objective, "schema": Schema, "split_mode": SplitMode,
-}
+# RunConfig's field types; an enum field is typed by its enum where a file is
+# read, so that a bad name is refused on its line.
+_FIELD_TYPES = {**typing.get_type_hints(RunConfig), **_ENUM_FIELDS}
 
 
 def read_fields(path, hints: dict, kind: str) -> dict:
@@ -724,21 +723,19 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _table_columns(config: dict) -> tuple[str, ...]:
-    """auc, ndcg@K, then p@k and r@k for each k, as a run's config sets them."""
-    ks = config["precision_ks"]
-    return (
-        "auc", f"ndcg@{config['ndcg_k']}",
-        *(f"p@{k}" for k in ks), *(f"r@{k}" for k in ks),
-    )
+def metric_columns(ks, ndcg_k: int) -> tuple[str, ...]:
+    """auc, ndcg@``ndcg_k``, then p@k and r@k for each of ``ks``: the test
+    metrics of a run whose config sets those cutoffs."""
+    return ("auc", f"ndcg@{ndcg_k}", *(f"p@{k}" for k in ks), *(f"r@{k}" for k in ks))
 
 
 def make_table(run_dirs) -> tuple[str, list[dict]]:
     """Comparison table over completed runs (text + machine-readable rows).
 
     The columns are the metrics each run's config asks for; runs must agree
-    on them. The best value per column is wrapped in ** **, the second best
-    in _ _.
+    on them, and a run whose status.json is not ok is refused once its
+    report parses. The best value per column is wrapped in ** **, the
+    second best in _ _.
     """
     run_dirs = list(run_dirs)
     if not run_dirs:
@@ -747,12 +744,19 @@ def make_table(run_dirs) -> tuple[str, list[dict]]:
     for run_dir in run_dirs:
         try:
             report = json.loads((Path(run_dir) / "report.json").read_text(encoding="utf-8"))
-            run_columns = _table_columns(report["config"])
+            run_columns = metric_columns(report["config"]["precision_ks"],
+                                         report["config"]["ndcg_k"])
             label = f"{report['objective']}/{report['run_id'][:8]}"
             metrics = {name: float(v) for name, v in report.get("test_metrics", {}).items()}
         except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
                 RecursionError) as exc:
             raise ValidationError(f"unreadable report.json under {run_dir}: {exc!r}") from None
+        try:
+            ok = json.loads((Path(run_dir) / "status.json").read_bytes())["status"] == "ok"
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
+            ok = False
+        if not ok:
+            raise ValidationError(f"{run_dir} has no status.json that says ok")
         if rows and run_columns != columns:
             raise ValidationError(
                 f"{run_dir} reports {', '.join(run_columns)}, "

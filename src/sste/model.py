@@ -148,9 +148,6 @@ class MfModel:
             "hat_bias": self.branch_hat.bias,
         }
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(p)) for p in self.parameters().values())
-
 
 def _probability(z: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)

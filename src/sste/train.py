@@ -316,8 +316,6 @@ def fit(
             raise TrainingDivergedError(
                 f"epoch {epoch} loss {breakdown.total} out of bounds"
             )
-        if not model.all_finite():
-            raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
 
         report = self_evaluate(model, val, a_val)
         history.append(report)

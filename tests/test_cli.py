@@ -501,12 +501,14 @@ class TestOnePipeline:
             {**PIPELINE_SETTINGS, "objective": "sste", "epsilon_train": "0.5",
              "epsilon_val": "0.5"},
         )
-        assert main(["evaluate", "--checkpoint", str(ckpt),
-                     "--test", str(synth_dir / "test.tsv"), "--schema", "label",
-                     "--exclude-train", str(synth_dir / "train.tsv"),
-                     "--metrics", "auc,p@5,p@10,r@5,r@10,ndcg@50"]) == 0
         report = json.loads((run_dir / "report.json").read_text())
-        assert read_json_lines(capsys)[-1] == report["test_metrics"]
+        evaluate = ["evaluate", "--checkpoint", str(ckpt),
+                    "--test", str(synth_dir / "test.tsv"), "--schema", "label",
+                    "--exclude-train", str(synth_dir / "train.tsv")]
+        # Left out, --metrics is the metric set of a run with default settings.
+        for metrics in (["--metrics", "auc,p@5,p@10,r@5,r@10,ndcg@50"], []):
+            assert main(evaluate + metrics) == 0
+            assert read_json_lines(capsys)[-1] == report["test_metrics"]
 
     def test_train_rejects_thresholds_outside_sste(self, synth_dir, tmp_path,
                                                    capsys):

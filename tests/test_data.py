@@ -481,6 +481,16 @@ class TestDatasetValidation:
             ds.user_id_map[0] = 4
         assert ds.take(np.array([1])).user_id_map.tolist() == [3, 10]
 
+    @pytest.mark.parametrize("columns, sizes, message", [
+        (([0, 1], [0], [1, 0]), (2, 1), "column arrays must have equal length"),
+        (([0], [0], [1, 0]), (1, 1), "column arrays must have equal length"),
+        (([], [], []), (0, 1), "vocabulary sizes must be positive"),
+        (([0], [0], [1]), (1, 0), "vocabulary sizes must be positive"),
+    ], ids=["short-items", "long-labels", "no-users", "no-items"])
+    def test_a_bad_shape_is_rejected(self, columns, sizes, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make_dataset(*columns, *sizes)
+
     def test_user_id_out_of_range(self):
         with pytest.raises(ValidationError):
             make_dataset([0, 5], [0, 0], [1, 0], n_users=2, n_items=1)

@@ -273,6 +273,13 @@ class TestOneReader:
         cfg = load_config(path)
         assert (cfg.epsilon_val, cfg.precision_ks) == ((), (5,))
 
+    def test_a_word_that_is_not_a_boolean_is_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("learning_rate = 0.1\nsynthetic = maybe\n")
+        with pytest.raises(ParseError) as info:
+            load_config(path)
+        assert str(info.value) == "line 2: bad value for synthetic: not a boolean: 'maybe'"
+
     @pytest.mark.parametrize("word, value", [
         ("TRUE", True), ("1", True), ("Yes", True),
         ("false", False), ("0", False), ("NO", False),
@@ -1150,6 +1157,14 @@ class TestFaultContainment:
         else:
             assert not (run_dir / "status.json").exists()
         assert not list(run_dir.glob("*.tmp"))
+        # report.json is written before the status: a run without an ok
+        # status is refused, though its report parses.
+        if failures:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{run_dir} has no status.json that says ok")):
+                make_table([run_dir])
+        else:
+            make_table([run_dir])
 
     def test_a_cell_that_can_write_no_status_leaves_the_grid_running(self, tmp_path, monkeypatch):
         base = quick_cfg(tmp_path, max_epochs=1)
@@ -1264,6 +1279,7 @@ class TestFaultContainment:
 
 class TestMakeTable:
     def write_report(self, tmp_path, name, objective, metrics, ndcg_k=50):
+        """A run directory of one finished run: its report and an ok status."""
         run_dir = tmp_path / name
         run_dir.mkdir()
         report = {
@@ -1273,6 +1289,7 @@ class TestMakeTable:
             "test_metrics": metrics,
         }
         (run_dir / "report.json").write_text(json.dumps(report))
+        (run_dir / "status.json").write_text(json.dumps({"status": "ok"}))
         return str(run_dir)
 
     def metric_row(self, base):
@@ -1307,15 +1324,24 @@ class TestMakeTable:
         assert "snips/abcdefgh" in text
 
     def test_missing_metrics_are_rejected(self, tmp_path):
-        run_dir = tmp_path / "broken"
-        run_dir.mkdir()
-        (run_dir / "report.json").write_text(json.dumps({
-            "run_id": "x" * 16, "objective": "naive",
-            "config": {"ndcg_k": 50, "precision_ks": [5, 10]},
-            "test_metrics": {"auc": 0.5},
-        }))
-        with pytest.raises(ValidationError):
-            make_table([str(run_dir)])
+        run_dir = self.write_report(tmp_path, "broken", "naive", {"auc": 0.5})
+        with pytest.raises(ValidationError, match="lacks metrics: ndcg@50, p@5"):
+            make_table([run_dir])
+
+    @pytest.mark.parametrize("status", [
+        None, b'{"status": "failed", "stage": "persist"}', b"{not json", b'["ok"]', b'"ok"',
+        b"\xff", b"{}",
+    ], ids=["missing", "failed", "not-json", "a-list", "a-string", "not-utf8", "no-status"])
+    def test_a_run_without_an_ok_status_is_refused(self, tmp_path, status):
+        good = self.write_report(tmp_path, "good", "naive", self.metric_row(0.5))
+        run_dir = Path(self.write_report(tmp_path, "unfinished", "sste", self.metric_row(0.7)))
+        if status is None:
+            (run_dir / "status.json").unlink()
+        else:
+            (run_dir / "status.json").write_bytes(status)
+        with pytest.raises(ValidationError) as info:
+            make_table([good, str(run_dir)])
+        assert str(info.value) == f"{run_dir} has no status.json that says ok"
 
     def test_columns_follow_the_run_config(self, tmp_path):
         metrics = self.metric_row(0.4)

@@ -358,12 +358,6 @@ class TestStateManagement:
         for view in views(m):
             assert sum(np.shares_memory(view, table) for table in tables) == 1
 
-    def test_all_finite_detects_nan(self):
-        m = tiny_model()
-        assert m.all_finite()
-        m.item_factors[1, 0] = np.nan
-        assert not m.all_finite()
-
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):

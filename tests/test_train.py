@@ -602,13 +602,19 @@ class TestFit:
             assert report.alpha == 0.0
             assert report.modified_score == report.score_on_val
 
-    def test_huge_learning_rate_raises_divergence(self):
-        train, val, _, pt, _ = fit_world()
-        cfg = run_cfg(objective="naive", batch_size=512, seed=2,
-                      learning_rate=1e3, max_epochs=10, patience=10,
-                      embedding_dim=4)
-        with pytest.raises(TrainingDivergedError):
-            fit(train, val, ([], []), cfg, pt)
+    @pytest.mark.parametrize("l2_lambda", [0.0, 1e-5])
+    @pytest.mark.parametrize("objective", [o.value for o in Objective])
+    def test_huge_learning_rate_raises_divergence(self, objective, l2_lambda):
+        # A step past float64 leaves non-finite parameters. Every trained table
+        # enters the epoch loss as a sum of squares in its L2 term, which is
+        # nan then even at l2 = 0, so the loss check sees the blow-up.
+        train, val, _, pt, aux = fit_world()
+        cfg = run_cfg(objective=objective, batch_size=512, seed=2,
+                      learning_rate=1e300, max_epochs=10, patience=10,
+                      embedding_dim=4, l2_lambda=l2_lambda)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+            with pytest.raises(TrainingDivergedError, match="^epoch 1 loss nan out of bounds$"):
+                fit(train, val, aux if objective == "sste" else ([], []), cfg, pt)
 
     def test_vocabulary_mismatch_is_rejected(self):
         train, val, _, pt, _ = fit_world()
